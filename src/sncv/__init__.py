@@ -4,7 +4,7 @@ selection under class imbalance, and the ROC statistics to evaluate both."""
 from .dataset import (
     ClassScheme,
     Dataset,
-    Example,
+    InputError,
     default_scheme,
     positive_rate,
     read_dataset,

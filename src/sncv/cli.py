@@ -3,7 +3,8 @@ and the experiment runners that produce the CSV/JSON reports.
 
 Every command that takes --seed writes byte-identical artifacts across
 repeated runs; each report embeds the fully resolved config for provenance.
-Exit codes: 0 success, 1 computational failure, 2 configuration/usage error.
+Exit codes: 0 success, 1 computational failure, 2 configuration, usage or
+input-file error (an InputError).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from . import metrics, relabel, scoring, selection, synth, trainer
 from .config import RunConfig, load_config, require_paths
 from .dataset import (
     Dataset,
+    InputError,
     default_scheme,
     positive_rate,
     read_dataset,
@@ -29,10 +31,6 @@ from .dataset import (
     write_dataset,
     write_scheme,
 )
-
-
-class ConfigError(ValueError):
-    """User-facing configuration or usage problem (exit code 2)."""
 
 
 def _write_json(path, payload) -> None:
@@ -50,36 +48,26 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _load(kind: str, path, read, *args):
+    """read(path, *args), with a missing or malformed file reported as InputError."""
+    if not Path(path).exists():
+        raise InputError(f"{kind} file not found: {path}")
+    try:
+        return read(path, *args)
+    except (ValueError, KeyError, TypeError) as err:
+        raise InputError(f"{path}: malformed {kind} file: {err}") from None
+
+
 def _load_scheme(cfg: RunConfig):
     if cfg.scheme_path is None:
         return default_scheme()
-    if not Path(cfg.scheme_path).exists():
-        raise ConfigError(f"scheme file not found: {cfg.scheme_path}")
-    return read_scheme(cfg.scheme_path)
+    return _load("scheme", cfg.scheme_path, read_scheme)
 
 
 def _load_pool(cfg: RunConfig, scheme):
     if cfg.pool_path is None:
         return synth.default_grader_pool(scheme)
-    if not Path(cfg.pool_path).exists():
-        raise ConfigError(f"grader pool file not found: {cfg.pool_path}")
-    return synth.read_grader_pool(cfg.pool_path, scheme)
-
-
-def _population_config(cfg: RunConfig, n: int, seed: int) -> synth.PopulationConfig:
-    return synth.PopulationConfig(
-        n=n,
-        feature_dim=cfg.feature_dim,
-        class_priors=cfg.class_priors,
-        class_spread=cfg.class_spread,
-        ambiguity_overlap=cfg.ambiguity_overlap,
-        seed=seed,
-        clusters_per_class=cfg.clusters_per_class,
-        cluster_scatter=cfg.cluster_scatter,
-        cluster_bulk_shares=cfg.cluster_bulk_shares,
-        cluster_region_offsets=cfg.cluster_region_offsets,
-        structure_seed=cfg.structure_seed,
-    )
+    return _load("grader pool", cfg.pool_path, synth.read_grader_pool, scheme)
 
 
 def _resolve_k_grid(cfg: RunConfig, n: int) -> list[int]:
@@ -95,12 +83,10 @@ def cmd_gen(cfg: RunConfig) -> int:
     pool = _load_pool(cfg, scheme)
 
     population = synth.generate_population(
-        _population_config(cfg, cfg.n_train, cfg.stage_seed("gen-train")), scheme)
+        cfg.population(cfg.n_train, cfg.stage_seed("gen-train")), scheme)
     noisy = synth.apply_grader_noise(population, pool, cfg.stage_seed("gen-noise"))
-    tune = synth.generate_population(
-        _population_config(cfg, cfg.n_tune, cfg.stage_seed("gen-tune")), scheme)
-    test = synth.generate_population(
-        _population_config(cfg, cfg.n_test, cfg.stage_seed("gen-test")), scheme)
+    tune = synth.generate_population(cfg.population(cfg.n_tune, cfg.stage_seed("gen-tune")), scheme)
+    test = synth.generate_population(cfg.population(cfg.n_test, cfg.stage_seed("gen-test")), scheme)
 
     write_scheme(scheme, out / "scheme.json")
     synth.write_grader_pool(pool, out / "pool.json")
@@ -110,8 +96,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     write_dataset(test, out / "test.csv")
 
     tau = positive_rate(noisy)
-    true_labels = population.labels_array()
-    noise_rate = float((noisy.labels_array() != true_labels).mean())
+    noise_rate = float((noisy.y != population.y).mean())
     _write_json(out / "gen_report.json", _report(cfg, {
         "tau": tau,
         "marginal_noise_rate": noise_rate,
@@ -165,7 +150,7 @@ def cmd_score(cfg: RunConfig) -> int:
     _write_json(out / "score_report.json", _report(cfg, {
         "tau": positive_rate(dataset),
         "fold_tune_auc": {"m1": m1.tune_auc_at_stop, "m2": m2.tune_auc_at_stop},
-        "n_negative_qs": int((scored.quality_scores() < 0).sum()),
+        "n_negative_qs": int((scored.qs < 0).sum()),
     }))
     print(f"scored {len(scored)} examples; m1={m1.tune_auc_at_stop:.4f} m2={m2.tune_auc_at_stop:.4f}")
     return 0
@@ -174,17 +159,17 @@ def cmd_score(cfg: RunConfig) -> int:
 def _selection_for_mode(scored, mode: str, k: int | None):
     if mode == "stratified":
         if k is None:
-            raise ConfigError("select: k required for stratified mode")
+            raise InputError("select: k required for stratified mode")
         return selection.select_stratified(scored, k)
     if mode == "lowest":
         if k is None:
-            raise ConfigError("select: k required for lowest mode")
+            raise InputError("select: k required for lowest mode")
         return selection.select_lowest_stratified(scored, k)
     if mode == "ncv":
         return selection.select_ncv(scored)
     if mode == "ncv-exact":
         return selection.select_ncv(scored, match="exact")
-    raise ConfigError(f"unknown select mode {mode!r}")
+    raise InputError(f"unknown select mode {mode!r}")
 
 
 def cmd_select(cfg: RunConfig) -> int:
@@ -226,7 +211,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     trainer.write_model(result.model, out / "model_final.json")
     scoring.write_scored_dataset(result.scored, out / "scored.csv")
     _write_histogram(result.scored, cfg.bin_width, out / "qs_histogram.csv")
-    tune_scores = trainer.referable_scores(result.model, tune_set.features_matrix())
+    tune_scores = trainer.referable_scores(result.model, tune_set.X)
     tune_auc = metrics.roc_auc(tune_scores, tune_set.binary_labels())
     ci = metrics.bootstrap_auc_ci(tune_scores, tune_set.binary_labels(),
                                   cfg.n_boot, cfg.stage_seed("pipeline-ci"))
@@ -276,7 +261,7 @@ def cmd_bands(cfg: RunConfig) -> int:
             w.writerow([k, repr(a_hi), repr(a_lo), repr(a_hi - a_lo)])
 
     # unstratified composition: positive share of the top-k and bottom-k by QS
-    order = np.argsort(-scored.quality_scores(), kind="stable")
+    order = np.argsort(-scored.qs, kind="stable")
     pos_mask = scored.dataset.binary_labels()[order]
     with open(out / "bands_composition.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
@@ -317,7 +302,7 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     ncv_model = trainer.train(sub_train.subset(ncv_sel.selected_ids), tune_set,
                               cfg.hp_for_stage("burden-ncv"))
 
-    X_test = test_set.features_matrix()
+    X_test = test_set.X
     y_test = test_set.binary_labels()
     arm_scores = {
         "full_baseline": trainer.referable_scores(full_model, X_test),
@@ -422,15 +407,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     scheme = _load_scheme(cfg)
     dataset = read_dataset(cfg.train_path, scheme)
     if not cfg.model_paths:
-        raise ConfigError("eval: at least one --model is required")
-    X = dataset.features_matrix()
+        raise InputError("eval: at least one --model is required")
+    X = dataset.X
     y = dataset.binary_labels()
     records = {}
     score_vectors = {}
     for path in cfg.model_paths:
-        if not Path(path).exists():
-            raise ConfigError(f"model file not found: {path}")
-        model = trainer.read_model(path)
+        model = _load("model", path, trainer.read_model)
         s = trainer.referable_scores(model, X)
         score_vectors[path] = s
         ci = metrics.bootstrap_auc_ci(s, y, cfg.n_boot, cfg.stage_seed(f"eval-{Path(path).name}"))
@@ -533,7 +516,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (FileNotFoundError, configparser.Error) as err:
+    except (FileNotFoundError, configparser.Error, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     cfg = _apply_overrides(cfg, args)
@@ -542,13 +525,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
-    except ConfigError as err:
+    except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
-        if str(err).startswith("config error"):
-            print(f"error: {err}", file=sys.stderr)
-            return 2
         print(f"failure: {err}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,9 @@ import configparser
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .dataset import InputError
 from .scoring import derive_seed
+from .synth import PopulationConfig
 from .trainer import Hyperparams
 
 DEFAULT_PRIORS = (0.508, 0.246, 0.160, 0.086)
@@ -65,11 +67,22 @@ class RunConfig:
 
     def stage_seed(self, stage: str) -> int:
         if self.seed is None:
-            raise ValueError("seed required: pass --seed or set [experiment] seed")
+            raise InputError("seed required: pass --seed or set [experiment] seed")
         return derive_seed(self.seed, stage)
 
     def hp_for_stage(self, stage: str) -> Hyperparams:
         return replace(self.hyperparams, seed=self.stage_seed(stage))
+
+    def population(self, n: int, seed: int) -> PopulationConfig:
+        """Generator settings for an n-example draw under this run's population config."""
+        return PopulationConfig(
+            n=n, feature_dim=self.feature_dim, class_priors=self.class_priors,
+            class_spread=self.class_spread, ambiguity_overlap=self.ambiguity_overlap,
+            seed=seed, clusters_per_class=self.clusters_per_class,
+            cluster_scatter=self.cluster_scatter, cluster_bulk_shares=self.cluster_bulk_shares,
+            cluster_region_offsets=self.cluster_region_offsets,
+            structure_seed=self.structure_seed,
+        )
 
     def to_dict(self) -> dict:
         hp = self.hyperparams
@@ -184,6 +197,6 @@ def require_paths(cfg: RunConfig, *names: str) -> None:
     for name in names:
         value = getattr(cfg, f"{name}_path")
         if value is None:
-            raise ValueError(f"config error: {name} path is required for this command")
+            raise InputError(f"{name} path is required for this command")
         if not Path(value).exists():
-            raise ValueError(f"config error: {name} file not found: {value}")
+            raise InputError(f"{name} file not found: {value}")

@@ -1,4 +1,5 @@
-"""Core data model: class schemes, labeled examples, deterministic splits, CSV I/O.
+"""Core data model: class schemes, columnar datasets, deterministic splits, and
+the one CSV codec shared by plain and scored dataset files.
 
 Labels are integer class indices; the class-name mapping and the referability
 boundary (which classes count as positive) live in a ClassScheme sidecar. The
@@ -9,13 +10,19 @@ single source of truth used by every other module.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 FOLD_NAMES = ("D1", "D2")
+
+
+class InputError(ValueError):
+    """Bad user input: a missing path, a malformed file or config (exit code 2)."""
 
 
 @dataclass(frozen=True)
@@ -61,86 +68,68 @@ def default_scheme() -> ClassScheme:
     )
 
 
-@dataclass(frozen=True)
-class Example:
-    id: str
-    features: np.ndarray
-    label: int
-    true_label: int | None = None
-    grader_id: str | None = None
-    fold: str | None = None
-    quality_score: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.fold is not None and self.fold not in FOLD_NAMES:
-            raise ValueError(f"fold must be one of {FOLD_NAMES}, got {self.fold!r}")
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Immutable-by-convention collection of examples sharing one scheme."""
+    """Examples sharing one scheme, held as columns: row i of each array is example i.
+
+    ids (n,) str; X (n, d) float features; y (n,) observed labels; true_y (n,)
+    hidden true labels, -1 where unknown; grader (n,) grader ids, "" where
+    unknown. Immutable by convention.
+    """
 
     scheme: ClassScheme
-    examples: list[Example]
-    feature_dim: int
-
-    _matrix_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    ids: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    true_y: np.ndarray | None = None
+    grader: np.ndarray | None = None
 
     def __post_init__(self):
+        self.ids = np.asarray(self.ids, dtype=str)
+        n = len(self.ids)
+        self.X = np.asarray(self.X, dtype=float)
+        self.y = np.asarray(self.y, dtype=int)
+        self.true_y = np.full(n, -1) if self.true_y is None else np.asarray(self.true_y, dtype=int)
+        self.grader = np.full(n, "") if self.grader is None else np.asarray(self.grader, dtype=str)
+        if self.X.ndim != 2 or len(self.X) != n:
+            raise ValueError(f"feature length: X must be (n_examples, d), got {self.X.shape} "
+                             f"for {n} examples")
+        for name in ("ids", "y", "true_y", "grader"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must hold one entry per example")
+        unique, counts = np.unique(self.ids, return_counts=True)
+        if (counts > 1).any():
+            raise ValueError(f"duplicate example id {str(unique[counts > 1][0])!r}")
         k = self.scheme.n_classes
-        seen = set()
-        for ex in self.examples:
-            if ex.id in seen:
-                raise ValueError(f"duplicate example id {ex.id!r}")
-            seen.add(ex.id)
-            if ex.features.shape != (self.feature_dim,):
-                raise ValueError(
-                    f"example {ex.id!r}: feature length {ex.features.shape} != {self.feature_dim}"
-                )
-            if not 0 <= ex.label < k:
-                raise ValueError(f"example {ex.id!r}: label-out-of-range ({ex.label} for {k} classes)")
-            if ex.true_label is not None and not 0 <= ex.true_label < k:
-                raise ValueError(f"example {ex.id!r}: true-label-out-of-range")
+        bad = np.flatnonzero((self.y < 0) | (self.y >= k))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"example {str(self.ids[i])!r}: label-out-of-range "
+                             f"({self.y[i]} for {k} classes)")
+        bad = np.flatnonzero((self.true_y < -1) | (self.true_y >= k))
+        if bad.size:
+            raise ValueError(f"example {str(self.ids[bad[0]])!r}: true-label-out-of-range")
 
     def __len__(self) -> int:
-        return len(self.examples)
-
-    def __iter__(self):
-        return iter(self.examples)
+        return len(self.ids)
 
     @property
-    def ids(self) -> list[str]:
-        return [ex.id for ex in self.examples]
-
-    def features_matrix(self) -> np.ndarray:
-        if "X" not in self._matrix_cache:
-            self._matrix_cache["X"] = np.stack([ex.features for ex in self.examples]) if self.examples else np.zeros((0, self.feature_dim))
-        return self._matrix_cache["X"]
-
-    def labels_array(self) -> np.ndarray:
-        if "y" not in self._matrix_cache:
-            self._matrix_cache["y"] = np.array([ex.label for ex in self.examples], dtype=int)
-        return self._matrix_cache["y"]
-
-    def true_labels_array(self) -> np.ndarray | None:
-        """Array of true labels, or None if any example lacks one."""
-        if any(ex.true_label is None for ex in self.examples):
-            return None
-        return np.array([ex.true_label for ex in self.examples], dtype=int)
+    def feature_dim(self) -> int:
+        return self.X.shape[1]
 
     def binary_labels(self) -> np.ndarray:
         """Observed labels binarized at the referability boundary (1 = refer)."""
-        return self.scheme.positive_mask(self.labels_array()).astype(int)
+        return self.scheme.positive_mask(self.y).astype(int)
+
+    def take(self, index) -> "Dataset":
+        """The rows at the given positions, in that order."""
+        return Dataset(self.scheme, self.ids[index], self.X[index], self.y[index],
+                       self.true_y[index], self.grader[index])
 
     def subset(self, ids) -> "Dataset":
-        wanted = set(ids)
-        kept = [ex for ex in self.examples if ex.id in wanted]
-        return Dataset(scheme=self.scheme, examples=kept, feature_dim=self.feature_dim)
-
-    def with_fold_assignment(self, fold_by_id: dict[str, str]) -> "Dataset":
-        new = [replace(ex, fold=fold_by_id.get(ex.id, ex.fold)) for ex in self.examples]
-        return Dataset(scheme=self.scheme, examples=new, feature_dim=self.feature_dim)
+        """The rows whose id is in ids, in storage order."""
+        wanted = np.asarray(list(ids), dtype=str)
+        return self.take(np.flatnonzero(np.isin(self.ids, wanted)))
 
 
 def positive_rate(dataset: Dataset) -> float:
@@ -150,8 +139,9 @@ def positive_rate(dataset: Dataset) -> float:
     return float(dataset.binary_labels().mean())
 
 
-def split_random(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
-    """Split into two disjoint halves, odd count putting the extra example in D1.
+def split_mask(dataset: Dataset, seed: int) -> np.ndarray:
+    """Boolean mask of the rows in D1 of a two-way split; an odd count puts the
+    extra example in D1.
 
     Ids are sorted lexicographically before the seeded shuffle, so the
     partition depends only on (seed, id set), never on storage order.
@@ -159,19 +149,17 @@ def split_random(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     n = len(dataset)
     if n < 2:
         raise ValueError("too-small-to-split")
-    order = sorted(dataset.ids)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    n1 = (n + 1) // 2
-    d1_ids = {order[i] for i in perm[:n1]}
-    fold_by_id = {i: ("D1" if i in d1_ids else "D2") for i in order}
-    assigned = dataset.with_fold_assignment(fold_by_id)
-    d1 = [ex for ex in assigned if ex.fold == "D1"]
-    d2 = [ex for ex in assigned if ex.fold == "D2"]
-    return (
-        Dataset(scheme=dataset.scheme, examples=d1, feature_dim=dataset.feature_dim),
-        Dataset(scheme=dataset.scheme, examples=d2, feature_dim=dataset.feature_dim),
-    )
+    by_id = np.argsort(dataset.ids)
+    perm = np.random.default_rng(seed).permutation(n)
+    in_d1 = np.zeros(n, dtype=bool)
+    in_d1[by_id[perm[:(n + 1) // 2]]] = True
+    return in_d1
+
+
+def split_random(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
+    """The D1 and D2 halves of split_mask, each in storage order."""
+    in_d1 = split_mask(dataset, seed)
+    return dataset.take(np.flatnonzero(in_d1)), dataset.take(np.flatnonzero(~in_d1))
 
 
 def write_scheme(scheme: ClassScheme, path) -> None:
@@ -196,74 +184,158 @@ def read_scheme(path) -> ClassScheme:
     return ClassScheme(class_names=tuple(classes), positive_indices=frozenset(positive))
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# One CSV layout: id,label,true_label,grader_id,f0..f{d-1}; a scored file adds
+# fold,quality_score,p0..p{K-1}. true_label and grader_id may be blank or absent.
+BASE_COLUMNS = ["id", "label", "true_label", "grader_id"]
+
+
+def _write_csv(path, dataset: Dataset, scored=None) -> None:
+    """Write the CSV form; scored = (fold, qs, probs) appends the scored columns.
+
+    Floats are written as repr(float), which round-trips exactly.
+    """
+    header = BASE_COLUMNS + [f"f{i}" for i in range(dataset.feature_dim)]
+    rows = ([i, str(y), "" if t < 0 else str(t), g, *map(repr, x)]
+            for i, y, t, g, x in zip(dataset.ids.tolist(), dataset.y.tolist(),
+                                     dataset.true_y.tolist(), dataset.grader.tolist(),
+                                     dataset.X.tolist()))
+    if scored is not None:
+        fold, qs, probs = scored
+        header += ["fold", "quality_score"] + [f"p{i}" for i in range(probs.shape[1])]
+        rows = (row + [f, repr(q), *map(repr, p)]
+                for row, f, q, p in zip(rows, fold.tolist(), qs.tolist(), probs.tolist()))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+# Rows parsed per block, so that a large file is never held in memory as text.
+CHUNK_ROWS = 4096
+
+
+def _parse_cells(cells, first_row, names, dtype, what) -> np.ndarray:
+    """A grid of cell strings, one list per data row, as an (n_rows, len(names)) array.
+
+    A cell that does not parse as dtype, or a non-finite float, raises an
+    error naming its row and column; cells[0] is file row first_row.
+    """
+    try:
+        values = np.array(cells, dtype=dtype).reshape(len(cells), len(names))
+        if dtype is int or np.isfinite(values).all():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    for row_no, row in enumerate(cells, start=first_row):
+        for name, cell in zip(names, row):
+            try:
+                value = dtype(cell)
+            except ValueError:
+                problem = f"non-{'integer' if dtype is int else 'numeric'} {what}"
+            else:
+                if dtype is float and not math.isfinite(value):
+                    problem = f"non-finite {what}"
+                elif dtype is int and not -2**63 <= value < 2**63:
+                    problem = f"{what}-out-of-range"
+                else:
+                    continue
+            raise InputError(f"row {row_no}: {problem} in column {name}: {cell!r}")
+    raise InputError(f"unparsable {what} in columns {names}")
+
+
+def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bool):
+    """The columns of a block of data rows: ids, X, y, true_y and grader, then
+    fold, qs and probs for a scored file. body[0] is file row first_row."""
+    for row_no, row in enumerate(body, start=first_row):
+        if len(row) != len(header):
+            raise InputError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
+
+    def cells(names):
+        idx = [header.index(name) for name in names]
+        return [[row[j] for j in idx] for row in body]
+
+    def column(name):
+        j = header.index(name) if name in header else None
+        return [row[j] if j is not None else "" for row in body]
+
+    def numbers(names, dtype, what):
+        return _parse_cells(cells(names), first_row, names, dtype, what)
+
+    k = scheme.n_classes
+
+    def check_labels(values, valid, name):
+        bad = np.flatnonzero(~valid)
+        if bad.size:
+            raise InputError(f"row {first_row + bad[0]}: label-out-of-range in column {name} "
+                             f"({values[bad[0]]} for {k} classes)")
+
+    y = numbers(["label"], int, "label")[:, 0]
+    check_labels(y, (y >= 0) & (y < k), "label")
+    # a blank true label reads as the -1 sentinel; an explicit -1 is out of range
+    true_cells = column("true_label")
+    blank = np.array([c == "" for c in true_cells], dtype=bool)
+    true_y = _parse_cells([[c or "-1"] for c in true_cells], first_row, ["true_label"], int,
+                          "label")[:, 0]
+    check_labels(true_y, blank | ((true_y >= 0) & (true_y < k)), "true_label")
+    columns = [np.array(column("id"), dtype=str), numbers(feats, float, "feature"), y, true_y,
+               np.array(column("grader_id"), dtype=str)]
+    if scored:
+        fold = np.array(column("fold"), dtype=str)
+        bad = np.flatnonzero(~np.isin(fold, FOLD_NAMES))
+        if bad.size:
+            raise InputError(f"row {first_row + bad[0]}: unknown fold in column fold: "
+                             f"{str(fold[bad[0]])!r}, expected one of {FOLD_NAMES}")
+        probs_cols = [f"p{i}" for i in range(k)]
+        columns += [fold, numbers(["quality_score"], float, "score")[:, 0],
+                    numbers(probs_cols, float, "probability")]
+    return columns
+
+
+def _parse_csv(path, scheme: ClassScheme, scored: bool):
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InputError("empty file: no header row")
+        feats = [c for c in header if c.startswith("f") and c[1:].isdigit()]
+        if feats != [f"f{i}" for i in range(len(feats))]:
+            raise InputError(f"feature columns must be f0..f{len(feats) - 1} in order, "
+                             f"got {feats}")
+        required = ["id", "label"]
+        if scored:
+            required += ["fold", "quality_score"] + [f"p{i}" for i in range(scheme.n_classes)]
+        for name in required:
+            if name not in header:
+                kind = "scored dataset" if scored else "dataset"
+                raise InputError(f"{kind} missing column {name!r}")
+        chunks = []
+        while True:
+            body = list(itertools.islice(reader, CHUNK_ROWS))
+            chunks.append(_parse_chunk(body, 2 + CHUNK_ROWS * len(chunks), header, feats,
+                                       scheme, scored))
+            if len(body) < CHUNK_ROWS:
+                break
+    ids, X, y, true_y, grader, *extra = (np.concatenate(c) for c in zip(*chunks))
+    return Dataset(scheme, ids, X, y, true_y, grader), (tuple(extra) if scored else None)
+
+
+def _read_csv(path, scheme: ClassScheme, scored: bool = False):
+    """Parse and validate a dataset CSV: (Dataset, None), or with scored=True
+    (Dataset, (fold, qs, probs)) from the columns a scored file must carry.
+
+    Every problem raises InputError prefixed with the path.
+    """
+    try:
+        return _parse_csv(path, scheme, scored)
+    except ValueError as err:
+        raise InputError(f"{path}: {err}") from None
 
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Write the UTF-8 CSV form: id,label,true_label,grader_id,f0..f{d-1}."""
-    d = dataset.feature_dim
-    header = ["id", "label", "true_label", "grader_id"] + [f"f{i}" for i in range(d)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for ex in dataset.examples:
-            row = [
-                ex.id,
-                str(ex.label),
-                "" if ex.true_label is None else str(ex.true_label),
-                "" if ex.grader_id is None else ex.grader_id,
-            ] + [_fmt(v) for v in ex.features]
-            w.writerow(row)
-
-
-def _parse_feature(value: str, row_no: int, col: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"row {row_no}: non-numeric feature in column {col}: {value!r}") from None
+    _write_csv(path, dataset)
 
 
 def read_dataset(path, scheme: ClassScheme) -> Dataset:
     """Read a dataset CSV; true_label and grader_id columns are optional."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty dataset file") from None
-        feat_cols = [c for c in header if c.startswith("f") and c[1:].isdigit()]
-        d = len(feat_cols)
-        expected = [f"f{i}" for i in range(d)]
-        if feat_cols != expected:
-            raise ValueError(f"feature columns must be f0..f{d - 1} in order, got {feat_cols}")
-        col = {name: i for i, name in enumerate(header)}
-        for required in ("id", "label"):
-            if required not in col:
-                raise ValueError(f"missing required column {required!r}")
-        k = scheme.n_classes
-        examples = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
-            rid = row[col["id"]]
-            try:
-                label = int(row[col["label"]])
-            except ValueError:
-                raise ValueError(f"row {row_no}: non-integer label {row[col['label']]!r}") from None
-            if not 0 <= label < k:
-                raise ValueError(f"row {row_no}: label-out-of-range ({label} for {k} classes)")
-            true_label = None
-            if "true_label" in col and row[col["true_label"]] != "":
-                true_label = int(row[col["true_label"]])
-                if not 0 <= true_label < k:
-                    raise ValueError(f"row {row_no}: label-out-of-range (true_label {true_label})")
-            grader_id = None
-            if "grader_id" in col and row[col["grader_id"]] != "":
-                grader_id = row[col["grader_id"]]
-            feats = [_parse_feature(row[col[c]], row_no, c) for c in expected]
-            examples.append(
-                Example(id=rid, features=np.array(feats), label=label,
-                        true_label=true_label, grader_id=grader_id)
-            )
-    return Dataset(scheme=scheme, examples=examples, feature_dim=d)
+    return _read_csv(path, scheme)[0]

@@ -95,40 +95,24 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
     if not 1 <= n_lowest <= n:
         raise ValueError(f"n_lowest must be in [1, {n}]")
     scheme = scored.scheme
-    for ex in scored.dataset:
-        if ex.true_label is None:
-            raise ValueError("no-ground-truth: relabel experiment needs true labels")
+    ds = scored.dataset
+    if (ds.true_y < 0).any():
+        raise ValueError("no-ground-truth: relabel experiment needs true labels")
 
-    order = sorted(range(n), key=lambda i: (scored.dataset.examples[i].quality_score,
-                                            scored.dataset.examples[i].id))
-    tranche = order[:n_lowest]
-    argmax = scored.probs.argmax(axis=1)
-
-    rows = []
-    originals, oracles = [], []
-    n_boundary = 0
-    n_model_wins = 0
-    n_model_side_all = 0
-    for i in tranche:
-        ex = scored.dataset.examples[i]
-        new_label = oracle.label(ex.id, ex.true_label, scheme.n_classes)
-        model_side = scheme.is_positive(int(argmax[i]))
-        oracle_side = scheme.is_positive(new_label)
-        side_win = oracle_side == model_side
-        if side_win:
-            n_model_side_all += 1
-        if ex.quality_score < 0:
-            n_boundary += 1
-            if side_win:
-                n_model_wins += 1
-        rows.append(RelabelRow(id=ex.id, qs=ex.quality_score, original_label=ex.label,
-                               oracle_label=new_label, true_label=ex.true_label,
-                               model_side_win=side_win))
-        originals.append(ex.label)
-        oracles.append(new_label)
-
-    originals = np.array(originals)
-    oracles = np.array(oracles)
+    tranche = np.lexsort((ds.ids, scored.qs))[:n_lowest]
+    ids, qs = ds.ids[tranche].tolist(), scored.qs[tranche].tolist()
+    originals, truths = ds.y[tranche], ds.true_y[tranche].tolist()
+    oracles = np.array([oracle.label(i, t, scheme.n_classes) for i, t in zip(ids, truths)],
+                       dtype=int)
+    model_side = scheme.positive_mask(scored.probs[tranche].argmax(axis=1))
+    side_win = scheme.positive_mask(oracles) == model_side
+    boundary = scored.qs[tranche] < 0
+    n_boundary = int(boundary.sum())
+    n_model_wins = int((boundary & side_win).sum())
+    rows = [RelabelRow(id=i, qs=q, original_label=o, oracle_label=r, true_label=t,
+                       model_side_win=w)
+            for i, q, o, r, t, w in zip(ids, qs, originals.tolist(), oracles.tolist(), truths,
+                                        side_win.tolist())]
     return RelabelReport(
         n_relabeled=n_lowest,
         confusion=confusion_matrix(originals, oracles, scheme),
@@ -137,7 +121,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
             (scheme.positive_mask(originals) != scheme.positive_mask(oracles)).mean()
         ),
         model_agreement_rate=(n_model_wins / n_boundary) if n_boundary else float("nan"),
-        model_agreement_rate_all=n_model_side_all / n_lowest,
+        model_agreement_rate_all=int(side_win.sum()) / n_lowest,
         n_boundary_disagreements=n_boundary,
         rows=rows,
     )
@@ -185,22 +169,17 @@ def grader_mismatch_analysis(scored: ScoredDataset, pool: list[GraderProfile] | 
     group's composition against the whole pool's (each grader counted once).
     """
     role_by_grader = {p.grader_id: p.role for p in pool} if pool else {}
-    by_grader: dict[str, list[float]] = {}
-    for ex in scored.dataset:
-        if ex.grader_id is None:
-            continue
-        by_grader.setdefault(ex.grader_id, []).append(ex.quality_score)
-    if not by_grader:
+    graded = scored.dataset.grader != ""
+    if not graded.any():
         raise ValueError("no grader ids present in scored dataset")
-
-    stats = []
-    for gid in sorted(by_grader):
-        qs = np.array(by_grader[gid])
-        rate = float((qs < 0).mean())
-        stats.append(GraderStats(
-            grader_id=gid, role=role_by_grader.get(gid), n_examples=len(qs),
-            mismatch_rate=rate, flagged=rate > threshold,
-        ))
+    graders, member = np.unique(scored.dataset.grader[graded], return_inverse=True)
+    counts = np.bincount(member)
+    rates = np.bincount(member, weights=scored.qs[graded] < 0) / counts
+    stats = [
+        GraderStats(grader_id=gid, role=role_by_grader.get(gid), n_examples=n,
+                    mismatch_rate=rate, flagged=rate > threshold)
+        for gid, n, rate in zip(graders.tolist(), counts.tolist(), rates.tolist())
+    ]
 
     def role_shares(members: list[GraderStats]) -> dict[str, float]:
         if not members:
@@ -228,6 +207,5 @@ def filter_by_grader_role(dataset: Dataset, pool: list[GraderProfile], roles) ->
             raise ValueError(f"unknown grader role {role!r}")
     if not roles:
         warnings.warn("empty role list: returning an empty dataset")
-    wanted = {p.grader_id for p in pool if p.role in set(roles)}
-    kept = [ex for ex in dataset if ex.grader_id in wanted]
-    return Dataset(scheme=dataset.scheme, examples=kept, feature_dim=dataset.feature_dim)
+    wanted = sorted({p.grader_id for p in pool if p.role in set(roles)})
+    return dataset.take(np.flatnonzero(np.isin(dataset.grader, wanted)))

@@ -9,33 +9,39 @@ empty gap around zero.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Example, ClassScheme, split_random
+from .dataset import FOLD_NAMES, ClassScheme, Dataset, _read_csv, _write_csv, split_mask
 from .trainer import Hyperparams, Model, predict_proba, train
 
 MIN_FOLD_SIZE = 100
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoredDataset:
-    """Dataset with fold + quality_score set, plus the cross-fold probability rows."""
+    """A dataset plus its cross-fold columns: the fold each row trained in, its
+    quality score and the scoring model's probability row."""
 
     dataset: Dataset
+    fold: np.ndarray
+    qs: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        k = self.dataset.scheme.n_classes
-        if self.probs.shape != (len(self.dataset), k):
+        n, k = len(self.dataset), self.dataset.scheme.n_classes
+        self.fold = np.asarray(self.fold, dtype=str)
+        self.qs = np.asarray(self.qs, dtype=float)
+        self.probs = np.asarray(self.probs, dtype=float)
+        if self.fold.shape != (n,) or self.qs.shape != (n,):
+            raise ValueError("fold and qs must hold one entry per example")
+        if self.probs.shape != (n, k):
             raise ValueError("probs must be (n_examples, n_classes)")
-        for ex in self.dataset:
-            if ex.quality_score is None or ex.fold is None:
-                raise ValueError(f"example {ex.id!r} missing fold or quality_score")
+        if not np.isin(self.fold, FOLD_NAMES).all():
+            raise ValueError(f"fold must be one of {FOLD_NAMES}")
 
     def __len__(self) -> int:
         return len(self.dataset)
@@ -43,9 +49,6 @@ class ScoredDataset:
     @property
     def scheme(self) -> ClassScheme:
         return self.dataset.scheme
-
-    def quality_scores(self) -> np.ndarray:
-        return np.array([ex.quality_score for ex in self.dataset], dtype=float)
 
 
 def quality_score(probs, label: int, scheme: ClassScheme) -> float:
@@ -84,42 +87,25 @@ def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams, seed:
     """
     if len(dataset) < 2 * min_fold_size:
         raise ValueError(f"dataset too small for cross-fold scoring (< {2 * min_fold_size})")
-    d1, d2 = split_random(dataset, seed=derive_seed(seed, "split"))
+    in_d1 = split_mask(dataset, derive_seed(seed, "split"))
+    d1_rows, d2_rows = np.flatnonzero(in_d1), np.flatnonzero(~in_d1)
     try:
-        m1 = train(d1, tune_set, dataclasses.replace(hp, seed=derive_seed(seed, "train-d1")))
+        m1 = train(dataset.take(d1_rows), tune_set,
+                   dataclasses.replace(hp, seed=derive_seed(seed, "train-d1")))
     except ValueError as err:
         raise ValueError(f"fold-D1: {err}") from err
     try:
-        m2 = train(d2, tune_set, dataclasses.replace(hp, seed=derive_seed(seed, "train-d2")))
+        m2 = train(dataset.take(d2_rows), tune_set,
+                   dataclasses.replace(hp, seed=derive_seed(seed, "train-d2")))
     except ValueError as err:
         raise ValueError(f"fold-D2: {err}") from err
 
-    fold_by_id = {ex.id: "D1" for ex in d1}
-    fold_by_id.update({ex.id: "D2" for ex in d2})
-    scorer_by_fold = {"D1": m2, "D2": m1}  # opposite-fold model
-
-    n = len(dataset)
-    k = dataset.scheme.n_classes
-    probs = np.empty((n, k))
-    X = dataset.features_matrix()
-    idx_by_fold = {
-        fold: [i for i, ex in enumerate(dataset) if fold_by_id[ex.id] == fold]
-        for fold in ("D1", "D2")
-    }
-    for fold, idx in idx_by_fold.items():
-        probs[idx] = predict_proba(scorer_by_fold[fold], X[idx])
-    qs = quality_scores_batch(probs, dataset.labels_array(), dataset.scheme)
-
-    scored_examples = [
-        dataclasses.replace(ex, fold=fold_by_id[ex.id], quality_score=float(qs[i]))
-        for i, ex in enumerate(dataset)
-    ]
-    scored = ScoredDataset(
-        dataset=Dataset(scheme=dataset.scheme, examples=scored_examples,
-                        feature_dim=dataset.feature_dim),
-        probs=probs,
-    )
-    return scored, m1, m2
+    probs = np.empty((len(dataset), dataset.scheme.n_classes))
+    probs[d1_rows] = predict_proba(m2, dataset.X[d1_rows])  # opposite-fold model
+    probs[d2_rows] = predict_proba(m1, dataset.X[d2_rows])
+    qs = quality_scores_batch(probs, dataset.y, dataset.scheme)
+    fold = np.where(in_d1, *FOLD_NAMES)
+    return ScoredDataset(dataset, fold, qs, probs), m1, m2
 
 
 def derive_seed(seed: int, stage: str) -> int:
@@ -135,7 +121,7 @@ def qs_histogram(scored: ScoredDataset, bin_width: float) -> list[tuple[float, f
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    qs = scored.quality_scores()
+    qs = scored.qs
     referable = scored.dataset.binary_labels().astype(bool)
     n_bins = int(np.ceil(2.0 / bin_width - 1e-9))
     edges = -1.0 + bin_width * np.arange(n_bins + 1)
@@ -150,57 +136,10 @@ def qs_histogram(scored: ScoredDataset, bin_width: float) -> list[tuple[float, f
 
 def write_scored_dataset(scored: ScoredDataset, path) -> None:
     """Dataset CSV plus fold, quality_score and the cross-fold probability columns."""
-    d = scored.dataset.feature_dim
-    k = scored.scheme.n_classes
-    header = (["id", "label", "true_label", "grader_id"]
-              + [f"f{i}" for i in range(d)]
-              + ["fold", "quality_score"]
-              + [f"p{i}" for i in range(k)])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i, ex in enumerate(scored.dataset):
-            row = (
-                [ex.id, str(ex.label),
-                 "" if ex.true_label is None else str(ex.true_label),
-                 "" if ex.grader_id is None else ex.grader_id]
-                + [repr(float(v)) for v in ex.features]
-                + [ex.fold, repr(float(ex.quality_score))]
-                + [repr(float(v)) for v in scored.probs[i]]
-            )
-            w.writerow(row)
+    _write_csv(path, scored.dataset, (scored.fold, scored.qs, scored.probs))
 
 
 def read_scored_dataset(path, scheme: ClassScheme) -> ScoredDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        col = {name: i for i, name in enumerate(header)}
-        for required in ("id", "label", "fold", "quality_score", "p0"):
-            if required not in col:
-                raise ValueError(f"scored dataset missing column {required!r}")
-        d = sum(1 for c in header if c.startswith("f") and c[1:].isdigit() and c != "fold")
-        k = scheme.n_classes
-        examples = []
-        prob_rows = []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
-            label = int(row[col["label"]])
-            if not 0 <= label < k:
-                raise ValueError(f"row {row_no}: label-out-of-range")
-            true_label = None
-            if "true_label" in col and row[col["true_label"]] != "":
-                true_label = int(row[col["true_label"]])
-            grader_id = row[col["grader_id"]] or None if "grader_id" in col else None
-            feats = np.array([float(row[col[f"f{i}"]]) for i in range(d)])
-            examples.append(Example(
-                id=row[col["id"]], features=feats, label=label, true_label=true_label,
-                grader_id=grader_id, fold=row[col["fold"]],
-                quality_score=float(row[col["quality_score"]]),
-            ))
-            prob_rows.append([float(row[col[f"p{i}"]]) for i in range(k)])
-    return ScoredDataset(
-        dataset=Dataset(scheme=scheme, examples=examples, feature_dim=d),
-        probs=np.array(prob_rows),
-    )
+    """Read a scored CSV; the fold, quality_score and p0..p{K-1} columns are required."""
+    dataset, (fold, qs, probs) = _read_csv(path, scheme, scored=True)
+    return ScoredDataset(dataset, fold, qs, probs)

@@ -41,15 +41,12 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def _ranked_class_ids(scored: ScoredDataset, lowest: bool) -> tuple[list, list]:
-    pos, neg = [], []
-    for ex in scored.dataset:
-        bucket = pos if scored.scheme.is_positive(ex.label) else neg
-        bucket.append((ex.quality_score, ex.id))
-    key = (lambda t: (t[0], t[1])) if lowest else (lambda t: (-t[0], t[1]))
-    pos.sort(key=key)
-    neg.sort(key=key)
-    return [i for _, i in pos], [i for _, i in neg]
+def _ranked_class_rows(scored: ScoredDataset, lowest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the positives and of the negatives, each ordered by
+    quality score (descending, or ascending when lowest) with ties by id."""
+    order = np.lexsort((scored.dataset.ids, scored.qs if lowest else -scored.qs))
+    positive = scored.scheme.positive_mask(scored.dataset.y[order])
+    return order[positive], order[~positive]
 
 
 def _select_by_rank(scored: ScoredDataset, k: int, lowest: bool) -> SelectionResult:
@@ -59,11 +56,11 @@ def _select_by_rank(scored: ScoredDataset, k: int, lowest: bool) -> SelectionRes
     tau = positive_rate(scored.dataset)
     n_pos_req = _round_half_away(tau * k)
     n_neg_req = k - n_pos_req
-    pos_ids, neg_ids = _ranked_class_ids(scored, lowest)
-    take_pos = pos_ids[:n_pos_req]
-    take_neg = neg_ids[:n_neg_req]
+    pos_rows, neg_rows = _ranked_class_rows(scored, lowest)
+    take_pos = pos_rows[:n_pos_req]
+    take_neg = neg_rows[:n_neg_req]
     return SelectionResult(
-        selected_ids=tuple(take_pos + take_neg),
+        selected_ids=tuple(scored.dataset.ids[np.concatenate([take_pos, take_neg])].tolist()),
         n_positive_selected=len(take_pos),
         n_negative_selected=len(take_neg),
         tau_used=tau,
@@ -92,18 +89,13 @@ def select_ncv(scored: ScoredDataset, match: str = "binary") -> SelectionResult:
     """
     if match not in ("binary", "exact"):
         raise ValueError("match must be 'binary' or 'exact'")
-    ids, n_pos, n_neg = [], 0, 0
-    argmax = scored.probs.argmax(axis=1)
-    for i, ex in enumerate(scored.dataset):
-        keep = ex.quality_score > 0 if match == "binary" else int(argmax[i]) == ex.label
-        if keep:
-            ids.append(ex.id)
-            if scored.scheme.is_positive(ex.label):
-                n_pos += 1
-            else:
-                n_neg += 1
+    ds = scored.dataset
+    keep = scored.qs > 0 if match == "binary" else scored.probs.argmax(axis=1) == ds.y
+    positive = scored.scheme.positive_mask(ds.y)
     return SelectionResult(
-        selected_ids=tuple(ids), n_positive_selected=n_pos, n_negative_selected=n_neg,
+        selected_ids=tuple(ds.ids[keep].tolist()),
+        n_positive_selected=int((keep & positive).sum()),
+        n_negative_selected=int((keep & ~positive).sum()),
         tau_used=None, k_requested=None, mode=f"ncv-{match}",
     )
 

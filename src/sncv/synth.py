@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassScheme, Dataset, Example, default_scheme
+from .dataset import ClassScheme, Dataset, default_scheme
 
 GRADER_ROLES = (
     "glaucoma-specialist",
@@ -164,11 +164,8 @@ def generate_population(config: PopulationConfig, scheme: ClassScheme | None = N
                                  p=_cluster_weights(config, c))
     X = centers[y, j] + config.class_spread * rng.standard_normal((n, d))
     width = max(6, len(str(n - 1)))
-    examples = [
-        Example(id=f"ex{i:0{width}d}", features=X[i], label=int(y[i]), true_label=int(y[i]))
-        for i in range(n)
-    ]
-    return Dataset(scheme=scheme, examples=examples, feature_dim=d)
+    ids = [f"ex{i:0{width}d}" for i in range(n)]
+    return Dataset(scheme, ids, X, y, true_y=y.copy())
 
 
 def _example_rng(seed: int, example_id: str) -> np.random.Generator:
@@ -184,22 +181,22 @@ def apply_grader_noise(dataset: Dataset, pool: list[GraderProfile], seed: int) -
     for p in pool:
         if p.confusion.shape != (k, k):
             raise ValueError(f"grader {p.grader_id!r}: confusion must be {k}x{k}")
+    if (dataset.true_y < 0).any():
+        missing = dataset.ids[np.argmax(dataset.true_y < 0)]
+        raise ValueError(f"example {str(missing)!r} has no true_label")
     weights = np.array([p.workload_weight for p in pool], dtype=float)
-    weights = weights / weights.sum()
-    cum = np.cumsum(weights)
-    graded = []
-    for ex in dataset.examples:
-        if ex.true_label is None:
-            raise ValueError(f"example {ex.id!r} has no true_label")
-        rng = _example_rng(seed, ex.id)
-        g = int(np.searchsorted(cum, rng.random(), side="right"))
-        g = min(g, len(pool) - 1)
-        profile = pool[g]
-        row = profile.confusion[ex.true_label]
-        new_label = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-        new_label = min(new_label, k - 1)
-        graded.append(replace(ex, label=new_label, grader_id=profile.grader_id))
-    return Dataset(scheme=dataset.scheme, examples=graded, feature_dim=dataset.feature_dim)
+    cum = np.cumsum(weights / weights.sum())
+    cum_rows = [np.cumsum(p.confusion, axis=1) for p in pool]
+    labels = np.empty(len(dataset), dtype=int)
+    graders = []
+    for row, (example_id, true_label) in enumerate(zip(dataset.ids.tolist(),
+                                                       dataset.true_y.tolist())):
+        rng = _example_rng(seed, example_id)
+        g = min(int(np.searchsorted(cum, rng.random(), side="right")), len(pool) - 1)
+        new_label = int(np.searchsorted(cum_rows[g][true_label], rng.random(), side="right"))
+        labels[row] = min(new_label, k - 1)
+        graders.append(pool[g].grader_id)
+    return Dataset(dataset.scheme, dataset.ids, dataset.X, labels, dataset.true_y, graders)
 
 
 def confusion_from_flip_rates(flip_rates, scheme: ClassScheme,

@@ -148,6 +148,8 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
     Tune AUC is the referable-score AUC against the tune set's binarized
     labels, evaluated after every epoch; ties count as non-improving.
     """
+    if len(train_set) == 0:
+        raise ValueError("empty-train-set")
     if train_set.scheme != tune_set.scheme:
         raise ValueError("train and tune sets must share a class scheme")
     if train_set.feature_dim != tune_set.feature_dim:
@@ -157,10 +159,10 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
         raise ValueError("degenerate-tune-set: tune set must contain both classes under binarization")
 
     k = train_set.scheme.n_classes
-    order = np.argsort(np.array(train_set.ids))
-    X = train_set.features_matrix()[order]
-    y = train_set.labels_array()[order]
-    X_tune = tune_set.features_matrix()
+    order = np.argsort(train_set.ids)
+    X = train_set.X[order]
+    y = train_set.y[order]
+    X_tune = tune_set.X
     n, d = X.shape
 
     rng = np.random.default_rng(hp.seed)

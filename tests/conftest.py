@@ -10,7 +10,6 @@ import pytest
 
 from sncv import (
     Hyperparams,
-    PopulationConfig,
     apply_grader_noise,
     cross_fold_score,
     default_grader_pool,
@@ -26,35 +25,17 @@ from sncv.scoring import derive_seed
 REFERENCE_SEEDS = (0, 1, 2, 3, 4)
 
 
-def reference_population_config(n: int, seed: int, cfg: RunConfig | None = None) -> PopulationConfig:
-    cfg = cfg or RunConfig()
-    return PopulationConfig(
-        n=n,
-        feature_dim=cfg.feature_dim,
-        class_priors=cfg.class_priors,
-        class_spread=cfg.class_spread,
-        ambiguity_overlap=cfg.ambiguity_overlap,
-        seed=seed,
-        clusters_per_class=cfg.clusters_per_class,
-        cluster_scatter=cfg.cluster_scatter,
-        cluster_bulk_shares=cfg.cluster_bulk_shares,
-        cluster_region_offsets=cfg.cluster_region_offsets,
-        structure_seed=cfg.structure_seed,
-    )
-
-
 def make_reference_data(seed: int, n_train: int = 20000, n_tune: int = 2000,
                         n_test: int = 20000):
     """Noisy train set plus clean tune/test sets for one reference seed."""
     scheme = default_scheme()
     pool = default_grader_pool(scheme)
+    cfg = RunConfig()
     population = generate_population(
-        reference_population_config(n_train, derive_seed(seed, "gen-train")), scheme)
+        cfg.population(n_train, derive_seed(seed, "gen-train")), scheme)
     noisy = apply_grader_noise(population, pool, derive_seed(seed, "gen-noise"))
-    tune = generate_population(
-        reference_population_config(n_tune, derive_seed(seed, "gen-tune")), scheme)
-    test = generate_population(
-        reference_population_config(n_test, derive_seed(seed, "gen-test")), scheme)
+    tune = generate_population(cfg.population(n_tune, derive_seed(seed, "gen-tune")), scheme)
+    test = generate_population(cfg.population(n_test, derive_seed(seed, "gen-test")), scheme)
     return {"population": population, "train": noisy, "tune": tune, "test": test,
             "pool": pool, "scheme": scheme}
 
@@ -116,9 +97,9 @@ def small_noisy_setup():
     """A 4000-example noisy set with tune data, for mid-cost integration tests."""
     scheme = default_scheme()
     pool = default_grader_pool(scheme)
-    population = generate_population(reference_population_config(4000, seed=101), scheme)
+    population = generate_population(RunConfig().population(4000, seed=101), scheme)
     noisy = apply_grader_noise(population, pool, seed=102)
-    tune = generate_population(reference_population_config(1200, seed=103), scheme)
+    tune = generate_population(RunConfig().population(1200, seed=103), scheme)
     return {"population": population, "train": noisy, "tune": tune,
             "pool": pool, "scheme": scheme}
 

@@ -32,7 +32,7 @@ from sncv import (
 )
 from sncv.cli import main, run_burden_study
 from sncv.config import RunConfig
-from sncv.dataset import Dataset, Example
+from sncv.dataset import Dataset
 from sncv.scoring import ScoredDataset
 from sncv.trainer import Model, _init_weights
 
@@ -65,7 +65,7 @@ def burden_results(reference_runs):
 class TestAcceptance:
     def test_01_qs_range_and_gap(self, reference_runs):
         scored, _, _ = reference_runs.scored(REFERENCE_SEEDS[0])
-        qs = scored.quality_scores()
+        qs = scored.qs
         magnitudes = np.abs(qs)
         ok = (len(qs) >= 10000
               and bool((magnitudes >= 0.25).all())
@@ -86,16 +86,10 @@ class TestAcceptance:
         n = 2000
         labels = [2] * 472 + [0] * 1528           # tau = 0.236 exactly
         rng = np.random.default_rng(3)
-        examples = [
-            Example(id=f"a{i:05d}", features=np.zeros(2), label=labels[i],
-                    fold="D1" if i % 2 == 0 else "D2",
-                    quality_score=float(np.round(rng.uniform(0.3, 1.0), 6)))
-            for i in range(n)
-        ]
-        probs = np.tile([0.7, 0.1, 0.1, 0.1], (n, 1))
-        scored = ScoredDataset(
-            dataset=Dataset(scheme=scheme, examples=examples, feature_dim=2),
-            probs=probs)
+        qs = [float(np.round(rng.uniform(0.3, 1.0), 6)) for _ in range(n)]
+        ds = Dataset(scheme, ids=[f"a{i:05d}" for i in range(n)], X=np.zeros((n, 2)), y=labels)
+        scored = ScoredDataset(ds, fold=["D1", "D2"] * (n // 2), qs=qs,
+                               probs=np.tile([0.7, 0.1, 0.1, 0.1], (n, 1)))
         res = select_stratified(scored, 1000)
         ok = (res.n_positive_selected == 236 and res.n_negative_selected == 764
               and res.tau_used == 0.236)

@@ -71,6 +71,13 @@ class TestGen:
         assert rc == 2
         assert "missing.json" in capsys.readouterr().err
 
+    def test_malformed_config_value_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[experiment]\nn_boot = many\n")
+        rc = main(["--config", str(bad), "--seed", "7", "--out", str(tmp_path), "gen"])
+        assert rc == 2
+        assert "'many'" in capsys.readouterr().err
+
     def test_missing_seed_exits_2(self, mini_config, tmp_path, capsys):
         rc = main(["--config", str(mini_config), "--out", str(tmp_path), "gen"])
         assert rc == 2
@@ -263,3 +270,20 @@ class TestEval:
                      "--train", str(generated / "test.csv"),
                      "--scheme", str(generated / "scheme.json"))
         assert rc == 2
+
+
+class TestInputErrors:
+    def test_malformed_scored_csv_exits_2_naming_row(self, mini_config, generated,
+                                                     scored_csv, tmp_path, capsys):
+        lines = scored_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[lines[0].split(",").index("f2")] = "nan"
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        for path, message in ((bad, "row 4: non-finite feature in column f2"),
+                              (generated / "train.csv", "missing column 'fold'")):
+            rc = run_cli(mini_config, tmp_path / "sel", "select", "--train", str(path),
+                         "--scheme", str(generated / "scheme.json"), "--k", "10")
+            assert rc == 2
+            assert message in capsys.readouterr().err

@@ -7,30 +7,25 @@ from hypothesis import given, settings, strategies as st
 from sncv import (
     ClassScheme,
     Dataset,
-    Example,
+    InputError,
     default_scheme,
     positive_rate,
     read_dataset,
     read_scheme,
+    read_scored_dataset,
     split_random,
     write_dataset,
     write_scheme,
 )
+import sncv.dataset
+from sncv.dataset import split_mask
 
 
 def make_dataset(labels, scheme=None, d=3, true_labels=None, graders=None):
-    scheme = scheme or default_scheme()
-    rng = np.random.default_rng(0)
-    examples = []
-    for i, lab in enumerate(labels):
-        examples.append(Example(
-            id=f"e{i:04d}",
-            features=rng.standard_normal(d),
-            label=int(lab),
-            true_label=None if true_labels is None else int(true_labels[i]),
-            grader_id=None if graders is None else graders[i],
-        ))
-    return Dataset(scheme=scheme, examples=examples, feature_dim=d)
+    n = len(labels)
+    return Dataset(scheme or default_scheme(), ids=[f"e{i:04d}" for i in range(n)],
+                   X=np.random.default_rng(0).standard_normal((n, d)), y=labels,
+                   true_y=true_labels, grader=graders)
 
 
 class TestClassScheme:
@@ -69,7 +64,7 @@ class TestPositiveRate:
         assert positive_rate(make_dataset(labels)) == pytest.approx(0.246)
 
     def test_empty_dataset_errors(self):
-        ds = Dataset(scheme=default_scheme(), examples=[], feature_dim=3)
+        ds = Dataset(default_scheme(), ids=[], X=np.zeros((0, 3)), y=[])
         with pytest.raises(ValueError, match="empty-dataset"):
             positive_rate(ds)
 
@@ -95,22 +90,26 @@ class TestSplitRandom:
         ds = make_dataset([0, 1, 2, 3] * 25)
         a1, a2 = split_random(ds, seed=42)
         b1, b2 = split_random(ds, seed=42)
-        assert a1.ids == b1.ids and a2.ids == b2.ids
+        np.testing.assert_array_equal(a1.ids, b1.ids)
+        np.testing.assert_array_equal(a2.ids, b2.ids)
 
     def test_partition_independent_of_storage_order(self):
         ds = make_dataset([0, 1, 2, 3] * 25)
-        shuffled = Dataset(scheme=ds.scheme,
-                           examples=list(reversed(ds.examples)),
-                           feature_dim=ds.feature_dim)
+        shuffled = ds.take(np.arange(len(ds))[::-1])
         a1, _ = split_random(ds, seed=42)
         b1, _ = split_random(shuffled, seed=42)
         assert set(a1.ids) == set(b1.ids)
 
     def test_fold_fields_assigned(self):
-        ds = make_dataset([0] * 10)
+        # the halves are exactly the rows the fold mask assigns to D1 and to
+        # D2, each kept in storage order
+        ds = make_dataset([0, 1, 2, 3] * 5)
+        in_d1 = split_mask(ds, seed=1)
         d1, d2 = split_random(ds, seed=1)
-        assert all(ex.fold == "D1" for ex in d1)
-        assert all(ex.fold == "D2" for ex in d2)
+        np.testing.assert_array_equal(d1.ids, ds.ids[in_d1])
+        np.testing.assert_array_equal(d2.ids, ds.ids[~in_d1])
+        np.testing.assert_array_equal(d1.X, ds.X[in_d1])
+        np.testing.assert_array_equal(d2.y, ds.y[~in_d1])
 
     def test_too_small_errors(self):
         ds = make_dataset([0])
@@ -146,35 +145,93 @@ class TestSplitRandom:
 
 class TestDatasetValidation:
     def test_duplicate_ids_rejected(self):
-        ex = Example(id="x", features=np.zeros(2), label=0)
-        with pytest.raises(ValueError, match="duplicate"):
-            Dataset(scheme=default_scheme(), examples=[ex, ex], feature_dim=2)
+        with pytest.raises(ValueError, match="duplicate example id 'x'"):
+            Dataset(default_scheme(), ids=["x", "y", "x"], X=np.zeros((3, 2)), y=[0, 0, 0])
 
     def test_label_out_of_range_rejected(self):
-        ex = Example(id="x", features=np.zeros(2), label=7)
         with pytest.raises(ValueError, match="label-out-of-range"):
-            Dataset(scheme=default_scheme(), examples=[ex], feature_dim=2)
+            Dataset(default_scheme(), ids=["x"], X=np.zeros((1, 2)), y=[7])
+        with pytest.raises(ValueError, match="true-label-out-of-range"):
+            Dataset(default_scheme(), ids=["x"], X=np.zeros((1, 2)), y=[0], true_y=[4])
 
     def test_feature_length_mismatch_rejected(self):
-        ex = Example(id="x", features=np.zeros(3), label=0)
         with pytest.raises(ValueError, match="feature length"):
-            Dataset(scheme=default_scheme(), examples=[ex], feature_dim=2)
+            Dataset(default_scheme(), ids=["x"], X=np.zeros((2, 2)), y=[0])
+        with pytest.raises(ValueError, match="feature length"):
+            Dataset(default_scheme(), ids=["x", "y"], X=np.zeros(2), y=[0, 0])
+
+
+SCORED_HEADER = ",fold,quality_score,p0,p1,p2,p3"
+SCORED_CELLS = ",D1,0.5,0.5,0.2,0.2,0.1"
+
+
+def write_csv(path, header, rows, scored):
+    """A CSV of the given lines; scored=True appends valid scored columns to each."""
+    if scored:
+        header += SCORED_HEADER
+        rows = [row + SCORED_CELLS for row in rows]
+    path.write_text("".join(line + "\n" for line in [header, *rows]))
+
+
+def read_csv(path, scored):
+    reader = read_scored_dataset if scored else read_dataset
+    return reader(path, default_scheme())
+
+
+def assert_both_readers_reject(tmp_path, header, rows, match):
+    """The plain and the scored reader reject the same bad cells the same way."""
+    for scored in (False, True):
+        path = tmp_path / f"bad-{scored}.csv"
+        write_csv(path, header, rows, scored)
+        with pytest.raises(InputError, match=match):
+            read_csv(path, scored)
+
+
+BASE_HEADER = "id,label,true_label,grader_id,f0"
+MALFORMED = {
+    "non-integer label": (BASE_HEADER, ["a,1,,,0.5", "b,x,,,0.5"],
+                          r"row 3: non-integer label in column label: 'x'"),
+    "non-integer true label": (BASE_HEADER, ["a,1,1.5,,0.5"],
+                               r"row 2: non-integer label in column true_label"),
+    "true label out of range": (BASE_HEADER, ["a,1,2,,0.5", "b,1,4,,0.5"],
+                                r"row 3: label-out-of-range in column true_label"),
+    "explicit -1 true label": (BASE_HEADER, ["a,1,-1,,0.5"],
+                               r"row 2: label-out-of-range in column true_label"),
+    "label beyond int64": (BASE_HEADER, ["a,1,,,0.5", "b,99999999999999999999,,,0.5"],
+                           r"row 3: label-out-of-range in column label"),
+    "nan feature": (BASE_HEADER + ",f1", ["a,1,,,0.5,0.5", "b,1,,,0.5,nan"],
+                    r"row 3: non-finite feature in column f1: 'nan'"),
+    "inf feature": (BASE_HEADER, ["a,1,,,-inf"], r"row 2: non-finite feature in column f0"),
+}
+MALFORMED_SCORED = {
+    "nan quality score": ("id,label,f0,fold,quality_score,p0,p1,p2,p3",
+                          ["a,1,0.5,D1,nan,0.5,0.2,0.2,0.1"],
+                          r"row 2: non-finite score in column quality_score"),
+    "inf probability": ("id,label,f0,fold,quality_score,p0,p1,p2,p3",
+                        ["a,1,0.5,D1,0.5,0.5,0.2,inf,0.1"],
+                        r"row 2: non-finite probability in column p2"),
+    "non-numeric probability": ("id,label,f0,fold,quality_score,p0,p1,p2,p3",
+                                ["a,1,0.5,D1,0.5,0.5,0.2,0.2,?"],
+                                r"row 2: non-numeric probability in column p3"),
+    "unknown fold": ("id,label,f0,fold,quality_score,p0,p1,p2,p3",
+                     ["a,1,0.5,D3,0.5,0.5,0.2,0.2,0.1"],
+                     r"row 2: unknown fold in column fold: 'D3'"),
+    "missing probability column": ("id,label,f0,fold,quality_score,p0,p1,p2",
+                                   ["a,1,0.5,D1,0.5,0.5,0.2,0.3"],
+                                   r"scored dataset missing column 'p3'"),
+    "unscored file": (BASE_HEADER, ["a,1,,,0.5"], r"scored dataset missing column 'fold'"),
+}
 
 
 class TestFileIO:
     def test_round_trip_structural_equality(self, tmp_path):
-        ds = make_dataset([0, 2, 3], true_labels=[0, 1, 3],
-                          graders=["g1", None, "g2"])
+        ds = make_dataset([0, 2, 3], true_labels=[0, -1, 3], graders=["g1", "", "g2"])
         path = tmp_path / "data.csv"
         write_dataset(ds, path)
         back = read_dataset(path, ds.scheme)
-        assert back.ids == ds.ids
         assert back.feature_dim == ds.feature_dim
-        for a, b in zip(ds.examples, back.examples):
-            assert a.label == b.label
-            assert a.true_label == b.true_label
-            assert a.grader_id == b.grader_id
-            np.testing.assert_array_equal(a.features, b.features)
+        for column in ("ids", "X", "y", "true_y", "grader"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
 
     @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=30))
     @settings(max_examples=25, deadline=None)
@@ -183,34 +240,63 @@ class TestFileIO:
         path = tmp_path_factory.mktemp("io") / "d.csv"
         write_dataset(ds, path)
         back = read_dataset(path, ds.scheme)
-        assert back.ids == ds.ids
-        np.testing.assert_array_equal(back.labels_array(), ds.labels_array())
-        np.testing.assert_allclose(back.features_matrix(), ds.features_matrix(), rtol=0, atol=0)
+        np.testing.assert_array_equal(back.ids, ds.ids)
+        np.testing.assert_array_equal(back.y, ds.y)
+        np.testing.assert_allclose(back.X, ds.X, rtol=0, atol=0)
 
     def test_label_out_of_range_names_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,label,true_label,grader_id,f0\na,1,,,0.5\nb,7,,,0.5\n")
-        with pytest.raises(ValueError, match=r"row 3: label-out-of-range"):
-            read_dataset(path, default_scheme())
+        assert_both_readers_reject(tmp_path, BASE_HEADER, ["a,1,,,0.5", "b,7,,,0.5"],
+                                   r"row 3: label-out-of-range in column label")
 
     def test_non_numeric_feature_names_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,label,true_label,grader_id,f0\na,1,,,oops\n")
-        with pytest.raises(ValueError, match=r"row 2: non-numeric feature"):
-            read_dataset(path, default_scheme())
+        assert_both_readers_reject(tmp_path, BASE_HEADER, ["a,1,,,oops"],
+                                   r"row 2: non-numeric feature in column f0: 'oops'")
 
     def test_wrong_column_count_names_row(self, tmp_path):
+        assert_both_readers_reject(tmp_path, BASE_HEADER, ["a,1,,,0.5,9.9"],
+                                   r"row 2: expected \d+ columns, got \d+")
+
+    def test_blocks_keep_rows_and_row_numbers(self, tmp_path, monkeypatch):
+        # files are parsed a block of rows at a time: a file that ends on a
+        # block boundary, and one that does not, read back whole, and an
+        # error in a later block still names its file row
+        monkeypatch.setattr(sncv.dataset, "CHUNK_ROWS", 2)
+        for n in (4, 5):
+            ds = make_dataset([0, 1, 2, 3, 1][:n], true_labels=[0, -1, 2, 3, 1][:n],
+                              graders=["g1", "", "g2", "g1", "g3"][:n])
+            write_dataset(ds, tmp_path / "d.csv")
+            back = read_dataset(tmp_path / "d.csv", ds.scheme)
+            for column in ("ids", "X", "y", "true_y", "grader"):
+                np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
+        rows = [f"e{i},1,,,0.5" for i in range(4)] + ["e4,1,,,nan"]
+        assert_both_readers_reject(tmp_path, BASE_HEADER, rows,
+                                   r"row 6: non-finite feature in column f0")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_cell_names_row_and_column(self, tmp_path, case):
+        assert_both_readers_reject(tmp_path, *MALFORMED[case])
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCORED))
+    def test_malformed_scored_cell_names_row_and_column(self, tmp_path, case):
+        header, rows, match = MALFORMED_SCORED[case]
         path = tmp_path / "bad.csv"
-        path.write_text("id,label,true_label,grader_id,f0\na,1,,,0.5,9.9\n")
-        with pytest.raises(ValueError, match=r"row 2"):
-            read_dataset(path, default_scheme())
+        write_csv(path, header, rows, scored=False)
+        with pytest.raises(InputError, match=match):
+            read_scored_dataset(path, default_scheme())
+
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_empty_file_rejected(self, tmp_path, scored):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(InputError, match="empty file"):
+            read_csv(path, scored)
 
     def test_missing_true_label_column_reads_as_absent(self, tmp_path):
         path = tmp_path / "min.csv"
         path.write_text("id,label,f0,f1\na,0,0.5,1.0\nb,2,1.5,-1.0\n")
         ds = read_dataset(path, default_scheme())
-        assert all(ex.true_label is None for ex in ds.examples)
-        assert all(ex.grader_id is None for ex in ds.examples)
+        assert (ds.true_y == -1).all()
+        assert (ds.grader == "").all()
 
     def test_scheme_round_trip(self, tmp_path):
         scheme = default_scheme()

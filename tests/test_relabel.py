@@ -1,7 +1,5 @@
 """Relabeling-workflow and grader-analysis tests."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from sncv import (
     grader_mismatch_analysis,
     run_relabel_experiment,
 )
-from sncv.dataset import Dataset, Example
+from sncv.dataset import Dataset
 from sncv.scoring import ScoredDataset
 
 
@@ -33,18 +31,10 @@ def make_scored_with_truth(labels, truths, qs_values, graders=None, model_sides=
         for c in range(4):
             if c != target:
                 probs[i, c] = rest
-    examples = [
-        Example(id=f"r{i:04d}", features=np.zeros(2), label=int(labels[i]),
-                true_label=int(truths[i]),
-                grader_id=None if graders is None else graders[i],
-                fold="D1" if i % 2 == 0 else "D2",
-                quality_score=float(qs_values[i]))
-        for i in range(n)
-    ]
-    return ScoredDataset(
-        dataset=Dataset(scheme=scheme, examples=examples, feature_dim=2),
-        probs=probs,
-    )
+    ds = Dataset(scheme, ids=[f"r{i:04d}" for i in range(n)], X=np.zeros((n, 2)), y=labels,
+                 true_y=truths, grader=graders)
+    fold = ["D1" if i % 2 == 0 else "D2" for i in range(n)]
+    return ScoredDataset(ds, fold, qs_values, probs)
 
 
 class TestSpecialistOracle:
@@ -107,13 +97,8 @@ class TestRunRelabelExperiment:
         assert report.model_agreement_rate_all == 1.0
 
     def test_missing_truth_errors(self):
-        scheme = default_scheme()
-        examples = [Example(id="x", features=np.zeros(2), label=0, fold="D1",
-                            quality_score=0.5)]
-        scored = ScoredDataset(
-            dataset=Dataset(scheme=scheme, examples=examples, feature_dim=2),
-            probs=np.array([[0.7, 0.1, 0.1, 0.1]]),
-        )
+        ds = Dataset(default_scheme(), ids=["x"], X=np.zeros((1, 2)), y=[0])
+        scored = ScoredDataset(ds, fold=["D1"], qs=[0.5], probs=[[0.7, 0.1, 0.1, 0.1]])
         with pytest.raises(ValueError, match="no-ground-truth"):
             run_relabel_experiment(scored, 1, SpecialistOracle(seed=0))
 
@@ -149,15 +134,8 @@ class TestGraderMismatchAnalysis:
         labels = [0] * 50
         qs = [-0.8] * 25 + [0.8] * 25
         model_sides = [True] * 25 + [False] * 25
-        scored = make_scored_with_truth(labels, truths, qs, model_sides=model_sides)
-        scored = ScoredDataset(
-            dataset=Dataset(
-                scheme=scored.scheme,
-                examples=[dataclasses.replace(ex, grader_id="mono")
-                          for ex in scored.dataset.examples],
-                feature_dim=2),
-            probs=scored.probs,
-        )
+        scored = make_scored_with_truth(labels, truths, qs, graders=["mono"] * 50,
+                                        model_sides=model_sides)
         report = grader_mismatch_analysis(scored, threshold=0.30)
         assert report.graders[0].mismatch_rate == pytest.approx(0.5)
         assert report.graders[0].flagged
@@ -183,7 +161,7 @@ class TestFilterByGraderRole:
 
         ds = small_noisy_setup["train"]
         out = filter_by_grader_role(ds, small_noisy_setup["pool"], GRADER_ROLES)
-        assert out.ids == ds.ids
+        np.testing.assert_array_equal(out.ids, ds.ids)
 
     def test_specialist_share_matches_workload(self, small_noisy_setup):
         ds = small_noisy_setup["train"]

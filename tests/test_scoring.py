@@ -81,16 +81,16 @@ class TestQualityScore:
 class TestCrossFoldScore:
     def test_every_example_scored_and_gap_respected(self, small_scored):
         scored = small_scored["scored"]
-        qs = scored.quality_scores()
+        qs = scored.qs
         assert len(qs) == len(small_scored["train"])
         assert np.all(np.abs(qs) >= 0.25 - 1e-9)
         assert np.all(np.abs(qs) <= 1.0 + 1e-12)
 
     def test_sign_recomputable_from_stored_probs(self, small_scored):
         scored = small_scored["scored"]
-        labels = scored.dataset.labels_array()
+        labels = scored.dataset.y
         recomputed = quality_scores_batch(scored.probs, labels, scored.scheme)
-        np.testing.assert_allclose(scored.quality_scores(), recomputed, atol=1e-12)
+        np.testing.assert_allclose(scored.qs, recomputed, atol=1e-12)
 
     def test_leakage_freedom(self, small_scored):
         # the model that scored each example trained on the opposite fold:
@@ -99,8 +99,8 @@ class TestCrossFoldScore:
 
         scored = small_scored["scored"]
         m1, m2 = small_scored["m1"], small_scored["m2"]
-        X = scored.dataset.features_matrix()
-        folds = np.array([ex.fold for ex in scored.dataset])
+        X = scored.dataset.X
+        folds = scored.fold
         np.testing.assert_allclose(scored.probs[folds == "D2"],
                                    predict_proba(m1, X[folds == "D2"]), atol=0)
         np.testing.assert_allclose(scored.probs[folds == "D1"],
@@ -119,7 +119,7 @@ class TestCrossFoldScore:
         hp = Hyperparams(hidden_units=0, batch_size=8, max_epochs=40, patience=8,
                          learning_rate=1.0, seed=1)
         scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
-        assert (scored.quality_scores() > 0).all()
+        assert (scored.qs > 0).all()
 
     def test_bottom_decile_is_mostly_flipped_under_heavy_noise(self):
         # crisp geometry with ~30% boundary-crossing flips: ground truth says
@@ -137,18 +137,14 @@ class TestCrossFoldScore:
         tune = generate_population(dataclasses.replace(cfg, n=1000, seed=33), scheme)
         hp = Hyperparams(hidden_units=16, max_epochs=40, patience=6, seed=3)
         scored, _, _ = cross_fold_score(noisy, tune, hp, seed=34)
-        flipped = noisy.labels_array() != population.labels_array()
-        order = np.argsort(scored.quality_scores())
+        flipped = noisy.y != population.y
+        order = np.argsort(scored.qs)
         bottom = order[: len(order) // 10]
         assert flipped[bottom].mean() >= 0.70
 
     def test_fold_errors_are_tagged(self, small_noisy_setup):
-        bad_tune = Dataset(
-            scheme=small_noisy_setup["scheme"],
-            examples=[dataclasses.replace(ex, label=0, id=f"bt{i}")
-                      for i, ex in enumerate(small_noisy_setup["tune"].examples[:50])],
-            feature_dim=small_noisy_setup["tune"].feature_dim,
-        )
+        tune = small_noisy_setup["tune"]
+        bad_tune = Dataset(tune.scheme, ids=tune.ids[:50], X=tune.X[:50], y=np.zeros(50))
         with pytest.raises(ValueError, match="fold-D1"):
             cross_fold_score(small_noisy_setup["train"], bad_tune,
                              Hyperparams(seed=0), seed=1)
@@ -199,7 +195,7 @@ class TestQsHistogram:
         hp = Hyperparams(hidden_units=0, batch_size=8, max_epochs=40, patience=8,
                          learning_rate=1.0, seed=1)
         scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
-        assert (scored.quality_scores() > 0).all()
+        assert (scored.qs > 0).all()
         rows = qs_histogram(scored, bin_width=0.1)
         counts = [c_non + c_ref for _, _, c_non, c_ref in rows]
         assert int(np.argmax(counts)) == len(rows) - 1
@@ -216,9 +212,8 @@ class TestScoredIO:
         path = tmp_path / "scored.csv"
         write_scored_dataset(scored, path)
         back = read_scored_dataset(path, scored.scheme)
-        assert back.dataset.ids == scored.dataset.ids
-        np.testing.assert_array_equal(back.probs, scored.probs)
-        np.testing.assert_array_equal(back.quality_scores(), scored.quality_scores())
-        assert [ex.fold for ex in back.dataset] == [ex.fold for ex in scored.dataset]
-        assert [ex.grader_id for ex in back.dataset] == \
-            [ex.grader_id for ex in scored.dataset]
+        for column in ("fold", "qs", "probs"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(scored, column))
+        for column in ("ids", "X", "y", "true_y", "grader"):
+            np.testing.assert_array_equal(getattr(back.dataset, column),
+                                          getattr(scored.dataset, column))

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sncv import (
     Dataset,
-    Example,
     default_scheme,
     positive_rate,
     run_sncv_pipeline,
@@ -35,13 +34,22 @@ def make_scored(labels, qs_values, probs=None):
             for c in range(4):
                 if c != target:
                     probs[i, c] = rest
-    examples = [
-        Example(id=f"s{i:04d}", features=np.zeros(2), label=int(labels[i]),
-                fold="D1" if i % 2 == 0 else "D2", quality_score=float(qs_values[i]))
-        for i in range(n)
-    ]
-    ds = Dataset(scheme=scheme, examples=examples, feature_dim=2)
-    return ScoredDataset(dataset=ds, probs=np.asarray(probs, dtype=float))
+    ds = Dataset(scheme, ids=[f"s{i:04d}" for i in range(n)], X=np.zeros((n, 2)), y=labels)
+    fold = ["D1" if i % 2 == 0 else "D2" for i in range(n)]
+    return ScoredDataset(ds, fold, qs_values, probs)
+
+
+def row_loop_selection(scored, k, lowest):
+    """Reference: rank each class with a Python sort on (-qs, id), or (qs, id)
+    for the lowest band, and take the stratified quotas from the top."""
+    tau = positive_rate(scored.dataset)
+    n_pos = int(np.floor(tau * k + 0.5))
+    rows = list(zip(scored.qs.tolist(), scored.dataset.ids.tolist(),
+                    scored.scheme.positive_mask(scored.dataset.y).tolist()))
+    key = (lambda r: (r[0], r[1])) if lowest else (lambda r: (-r[0], r[1]))
+    pos = [i for _, i, p in sorted(rows, key=key) if p]
+    neg = [i for _, i, p in sorted(rows, key=key) if not p]
+    return tuple(pos[:n_pos] + neg[:k - n_pos])
 
 
 class TestSelectStratified:
@@ -101,6 +109,21 @@ class TestSelectStratified:
         res = select_stratified(scored, 2)
         assert list(res.selected_ids) == ["s0000", "s0001"]
 
+    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_row_loop_reference_under_ties(self, seed, k):
+        # few distinct scores and rows stored out of id order: ties must
+        # break by id, not by storage position
+        rng = np.random.default_rng(seed)
+        labels = rng.choice([0, 1, 2, 3], size=30)
+        qs = rng.choice([-0.9, -0.5, 0.5, 0.9], size=30)
+        base = make_scored(labels, qs)
+        perm = rng.permutation(30)
+        scored = ScoredDataset(base.dataset.take(perm), base.fold[perm], base.qs[perm],
+                               base.probs[perm])
+        for lowest, select in ((False, select_stratified), (True, select_lowest_stratified)):
+            assert select(scored, k).selected_ids == row_loop_selection(scored, k, lowest)
+
     def test_k_out_of_range(self):
         scored = make_scored([0, 2], [0.5, 0.5])
         with pytest.raises(ValueError, match="k must be"):
@@ -149,11 +172,9 @@ class TestSelectLowestStratified:
 
     def test_noisy_labels_concentrate_in_lowest_band(self, small_scored):
         scored = small_scored["scored"]
-        truth = np.array([ex.true_label for ex in scored.dataset])
-        labels = scored.dataset.labels_array()
-        noisy = labels != truth
+        noisy = scored.dataset.y != scored.dataset.true_y
         res = select_lowest_stratified(scored, len(scored) // 10)
-        picked = np.array([i in set(res.selected_ids) for i in scored.dataset.ids])
+        picked = np.isin(scored.dataset.ids, res.selected_ids)
         assert noisy[picked].mean() >= 2 * noisy.mean()
 
 
@@ -167,14 +188,14 @@ class TestSelectNcv:
     def test_equals_direct_filter(self, small_scored):
         scored = small_scored["scored"]
         res = select_ncv(scored)
-        direct = {ex.id for ex in scored.dataset if ex.quality_score > 0}
+        direct = set(scored.dataset.ids[scored.qs > 0])
         assert set(res.selected_ids) == direct
 
     def test_exact_match_variant(self, small_scored):
         scored = small_scored["scored"]
         res = select_ncv(scored, match="exact")
         argmax = scored.probs.argmax(axis=1)
-        direct = {ex.id for i, ex in enumerate(scored.dataset) if argmax[i] == ex.label}
+        direct = set(scored.dataset.ids[argmax == scored.dataset.y])
         assert set(res.selected_ids) == direct
         # exact agreement is a subset of boundary agreement
         assert set(res.selected_ids) <= set(select_ncv(scored).selected_ids)
@@ -202,10 +223,10 @@ class TestRunPipeline:
         result = run_sncv_pipeline(ds, tune, len(ds), hp, seed=15)
         assert len(result.selection.selected_ids) == len(ds)
         baseline = train(ds, tune, hp)
-        s = referable_scores(result.model, tune.features_matrix())
+        s = referable_scores(result.model, tune.X)
         y = tune.binary_labels()
         auc_m3 = roc_auc(s, y).auc
-        lo, hi = bootstrap_auc_ci(referable_scores(baseline, tune.features_matrix()), y,
+        lo, hi = bootstrap_auc_ci(referable_scores(baseline, tune.X), y,
                                   n_boot=300, seed=16)
         assert lo - 0.02 <= auc_m3 <= hi + 0.02
 

@@ -60,13 +60,13 @@ class TestGeneratePopulation:
     def test_deterministic_under_seed(self):
         a = generate_population(simple_config(seed=5))
         b = generate_population(simple_config(seed=5))
-        assert a.ids == b.ids
-        np.testing.assert_array_equal(a.labels_array(), b.labels_array())
-        np.testing.assert_array_equal(a.features_matrix(), b.features_matrix())
+        np.testing.assert_array_equal(a.ids, b.ids)
+        np.testing.assert_array_equal(a.y, b.y)
+        np.testing.assert_array_equal(a.X, b.X)
 
     def test_labels_start_noiseless(self):
         ds = generate_population(simple_config())
-        assert all(ex.label == ex.true_label for ex in ds.examples)
+        np.testing.assert_array_equal(ds.y, ds.true_y)
 
     def test_positive_rate_matches_priors(self):
         # priors tuned to the 24.6% referable share at n=20000
@@ -80,14 +80,14 @@ class TestGeneratePopulation:
         tune = generate_population(simple_config(n=400, d=4, class_spread=0.05, seed=2))
         model = train(generate_population(cfg), tune,
                       Hyperparams(hidden_units=0, max_epochs=30, patience=5, seed=0))
-        scores = referable_scores(model, tune.features_matrix())
+        scores = referable_scores(model, tune.X)
         assert roc_auc(scores, tune.binary_labels()).auc > 0.99
 
     def test_cluster_extension_reduces_to_line_when_disabled(self):
         base = generate_population(simple_config(seed=9))
         ext = generate_population(simple_config(seed=9, clusters_per_class=1,
                                                 cluster_scatter=0.0))
-        np.testing.assert_array_equal(base.features_matrix(), ext.features_matrix())
+        np.testing.assert_array_equal(base.X, ext.X)
 
 
 class TestGraderProfiles:
@@ -119,35 +119,29 @@ class TestApplyGraderNoise:
         scheme = default_scheme()
         ds = generate_population(simple_config(n=300), scheme)
         noisy = apply_grader_noise(ds, identity_pool(scheme), seed=0)
-        np.testing.assert_array_equal(noisy.labels_array(), ds.labels_array())
-        assert all(ex.grader_id is not None for ex in noisy.examples)
+        np.testing.assert_array_equal(noisy.y, ds.y)
+        assert (noisy.grader != "").all()
 
     def test_never_mutates_features_or_truth(self):
         scheme = default_scheme()
         ds = generate_population(simple_config(n=300), scheme)
         noisy = apply_grader_noise(ds, default_grader_pool(scheme), seed=1)
-        np.testing.assert_array_equal(noisy.features_matrix(), ds.features_matrix())
-        assert [ex.true_label for ex in noisy.examples] == [ex.true_label for ex in ds.examples]
+        np.testing.assert_array_equal(noisy.X, ds.X)
+        np.testing.assert_array_equal(noisy.true_y, ds.true_y)
 
     def test_deterministic_and_order_independent(self):
         scheme = default_scheme()
         ds = generate_population(simple_config(n=200), scheme)
         pool = default_grader_pool(scheme)
         a = apply_grader_noise(ds, pool, seed=3)
-        reordered = Dataset(scheme=scheme, examples=list(reversed(ds.examples)),
-                            feature_dim=ds.feature_dim)
-        b = apply_grader_noise(reordered, pool, seed=3)
-        by_id = {ex.id: ex for ex in b.examples}
-        assert all(by_id[ex.id].label == ex.label for ex in a.examples)
-        assert all(by_id[ex.id].grader_id == ex.grader_id for ex in a.examples)
+        b = apply_grader_noise(ds.take(np.arange(len(ds))[::-1]), pool, seed=3)
+        np.testing.assert_array_equal(b.ids[::-1], a.ids)
+        np.testing.assert_array_equal(b.y[::-1], a.y)
+        np.testing.assert_array_equal(b.grader[::-1], a.grader)
 
     def test_missing_true_label_errors(self):
         scheme = default_scheme()
-        from sncv.dataset import Example
-
-        ds = Dataset(scheme=scheme,
-                     examples=[Example(id="a", features=np.zeros(2), label=0)],
-                     feature_dim=2)
+        ds = Dataset(scheme, ids=["a"], X=np.zeros((1, 2)), y=[0])
         with pytest.raises(ValueError, match="true_label"):
             apply_grader_noise(ds, identity_pool(scheme), seed=0)
 
@@ -166,7 +160,7 @@ class TestApplyGraderNoise:
         cfg = simple_config(n=20000, class_priors=(0.0, 1.0, 0.0, 0.0), seed=11)
         ds = generate_population(cfg, scheme)
         noisy = apply_grader_noise(ds, pool, seed=12)
-        counts = np.bincount(noisy.labels_array(), minlength=4)
+        counts = np.bincount(noisy.y, minlength=4)
         assert chisquare(counts).pvalue > 0.01
 
     def test_empirical_confusion_converges_to_configured(self):
@@ -176,8 +170,8 @@ class TestApplyGraderNoise:
         cfg = simple_config(n=24000, class_priors=(0.25, 0.25, 0.25, 0.25), seed=21)
         ds = generate_population(cfg, scheme)
         noisy = apply_grader_noise(ds, pool, seed=22)
-        y_true = np.array([ex.true_label for ex in noisy.examples])
-        y_obs = noisy.labels_array()
+        y_true = noisy.true_y
+        y_obs = noisy.y
         for c in range(4):
             rows = y_obs[y_true == c]
             emp = np.bincount(rows, minlength=4) / len(rows)
@@ -189,8 +183,8 @@ class TestApplyGraderNoise:
         cfg = simple_config(n=20000, class_priors=(0.508, 0.246, 0.160, 0.086), seed=31)
         ds = generate_population(cfg, scheme)
         noisy = apply_grader_noise(ds, pool, seed=32)
-        y_true = ds.labels_array()
-        crossed = scheme.positive_mask(noisy.labels_array()) != scheme.positive_mask(y_true)
+        y_true = ds.y
+        crossed = scheme.positive_mask(noisy.y) != scheme.positive_mask(y_true)
         expected = marginal_flip_rates(pool, scheme)
         prior = np.array(cfg.class_priors)
         expected_marginal = float((prior * expected).sum())
@@ -204,9 +198,9 @@ class TestApplyGraderNoise:
         noisy = apply_grader_noise(ds, pool, seed=42)
         role_by_grader = {p.grader_id: p.role for p in pool}
         mismatch = {}
-        y_true = ds.labels_array()
-        crossed = scheme.positive_mask(noisy.labels_array()) != scheme.positive_mask(y_true)
-        graders = np.array([ex.grader_id for ex in noisy.examples])
+        y_true = ds.y
+        crossed = scheme.positive_mask(noisy.y) != scheme.positive_mask(y_true)
+        graders = noisy.grader
         for role in ("trainee-fellow", "glaucoma-specialist"):
             mask = np.array([role_by_grader[g] == role for g in graders])
             mismatch[role] = crossed[mask].mean()

@@ -1,15 +1,12 @@
 """Trainer tests: optimization behavior, prediction semantics, gradient oracle,
 determinism and serialization."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from sncv import (
     ClassScheme,
     Dataset,
-    Example,
     Hyperparams,
     Model,
     default_scheme,
@@ -29,13 +26,13 @@ def toy_dataset(n, d, n_classes=2, seed=0, separation=4.0):
     rng = np.random.default_rng(seed)
     scheme = (ClassScheme(("neg", "pos"), frozenset({1})) if n_classes == 2
               else default_scheme())
-    examples = []
+    y = np.empty(n, dtype=int)
+    X = np.empty((n, d))
     for i in range(n):
-        label = int(rng.integers(0, n_classes))
-        feats = rng.standard_normal(d) * 0.5
-        feats[0] += separation * label
-        examples.append(Example(id=f"t{i:04d}", features=feats, label=label))
-    return Dataset(scheme=scheme, examples=examples, feature_dim=d)
+        y[i] = rng.integers(0, n_classes)
+        X[i] = rng.standard_normal(d) * 0.5
+        X[i, 0] += separation * y[i]
+    return Dataset(scheme, ids=[f"t{i:04d}" for i in range(n)], X=X, y=y)
 
 
 def small_random_model(d=5, hidden=8, seed=0, scheme=None):
@@ -52,8 +49,8 @@ class TestTrain:
         hp = Hyperparams(hidden_units=0, max_epochs=60, patience=60, seed=0,
                          learning_rate=1.0)
         model = train(ds, tune, hp)
-        probs = np.stack([predict(model, ex.features) for ex in ds.examples])
-        acc = (probs.argmax(axis=1) == ds.labels_array()).mean()
+        probs = np.stack([predict(model, x) for x in ds.X])
+        acc = (probs.argmax(axis=1) == ds.y).mean()
         assert acc == 1.0
 
     def test_bitwise_deterministic(self):
@@ -69,8 +66,7 @@ class TestTrain:
 
     def test_deterministic_across_example_order(self):
         ds = toy_dataset(150, 4, n_classes=4, seed=3, separation=1.0)
-        reordered = Dataset(scheme=ds.scheme, examples=list(reversed(ds.examples)),
-                            feature_dim=ds.feature_dim)
+        reordered = ds.take(np.arange(len(ds))[::-1])
         tune = toy_dataset(60, 4, n_classes=4, seed=4, separation=1.0)
         hp = Hyperparams(max_epochs=8, patience=3, seed=77)
         a = train(ds, tune, hp)
@@ -84,7 +80,7 @@ class TestTrain:
         m1, m2 = small_scored["m1"], small_scored["m2"]
         tune = small_scored["tune"]
         y = tune.binary_labels()
-        X = tune.features_matrix()
+        X = tune.X
         acc1 = ((referable_scores(m1, X) >= 0.5).astype(int) == y).mean()
         acc2 = ((referable_scores(m2, X) >= 0.5).astype(int) == y).mean()
         assert abs(acc1 - acc2) <= 0.02
@@ -104,12 +100,15 @@ class TestTrain:
 
     def test_degenerate_tune_set_errors(self):
         ds = toy_dataset(50, 3, seed=9)
-        all_neg = Dataset(scheme=ds.scheme,
-                          examples=[dataclasses.replace(ex, label=0, id=f"n{i}")
-                                    for i, ex in enumerate(ds.examples)],
-                          feature_dim=3)
+        all_neg = Dataset(ds.scheme, ids=ds.ids, X=ds.X, y=np.zeros(len(ds)))
         with pytest.raises(ValueError, match="degenerate-tune-set"):
             train(ds, all_neg, Hyperparams(seed=0))
+
+    def test_empty_train_set_errors(self):
+        tune = toy_dataset(20, 3, seed=10)
+        empty = tune.take([])
+        with pytest.raises(ValueError, match="empty-train-set"):
+            train(empty, tune, Hyperparams(seed=0))
 
     def test_mismatched_feature_dim_errors(self):
         ds = toy_dataset(50, 3, seed=9)
