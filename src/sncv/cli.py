@@ -10,7 +10,6 @@ input-file error (an InputError).
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
 import json
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, relabel, scoring, selection, synth, trainer
-from .config import RunConfig, load_config, require_paths
+from .config import KEYS, RunConfig, load_config, require_paths, value_parser
 from .dataset import (
     Dataset,
     InputError,
@@ -157,18 +156,14 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def _selection_for_mode(scored, mode: str, k: int | None):
+    if mode in ("ncv", "ncv-exact"):
+        return selection.select_ncv(scored, match="exact" if mode == "ncv-exact" else "binary")
+    if k is None:
+        raise InputError(f"select: k required for {mode} mode")
     if mode == "stratified":
-        if k is None:
-            raise InputError("select: k required for stratified mode")
         return selection.select_stratified(scored, k)
     if mode == "lowest":
-        if k is None:
-            raise InputError("select: k required for lowest mode")
         return selection.select_lowest_stratified(scored, k)
-    if mode == "ncv":
-        return selection.select_ncv(scored)
-    if mode == "ncv-exact":
-        return selection.select_ncv(scored, match="exact")
     raise InputError(f"unknown select mode {mode!r}")
 
 
@@ -455,75 +450,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sncv",
                                      description="Label-quality scoring and selection toolkit")
     parser.add_argument("--config", help="INI config file")
-    parser.add_argument("--seed", type=int, help="pipeline seed (overrides config)")
-    parser.add_argument("--out", help="output directory (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--train", help="dataset CSV (scored CSV for select/relabel/graders)")
-        p.add_argument("--tune", help="tune dataset CSV")
-        p.add_argument("--test", help="test dataset CSV")
-        p.add_argument("--scheme", help="class scheme JSON")
-        p.add_argument("--pool", help="grader pool JSON")
-        p.add_argument("--k", type=int, help="selection size")
-        p.add_argument("--k-grid", help="comma-separated k fractions")
-        p.add_argument("--select-mode", choices=["stratified", "lowest", "ncv", "ncv-exact"])
-        p.add_argument("--n-lowest", type=int, help="relabel tranche size")
-        p.add_argument("--mismatch-threshold", type=float)
-        p.add_argument("--margin", type=float)
-        p.add_argument("--subsample-fraction", type=float)
-        p.add_argument("--oracle-error-rate", type=float)
-        if name == "eval":
-            p.add_argument("--model", action="append", dest="models",
-                           help="model JSON (repeat for a pair comparison)")
+    commands = [sub.add_parser(name) for name in COMMANDS]
+    for (_, key), f in KEYS.items():
+        for p in {"main": [parser], "command": commands}.get(f.metadata["flag"], []):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=value_parser(f),
+                           help=f.metadata["help"], choices=f.metadata["choices"])
+    sub.choices["eval"].add_argument("--model", action="append", dest="models",
+                                     help="model JSON (repeat for a pair comparison)")
     return parser
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    for attr, name in (("train_path", "train"), ("tune_path", "tune"),
-                       ("test_path", "test"), ("scheme_path", "scheme"),
-                       ("pool_path", "pool")):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "k", None) is not None:
-        cfg.k = args.k
+    """Flags override the config; --k-grid also clears a k from anywhere."""
+    for (_, key), f in KEYS.items():
+        if getattr(args, key, None) is not None:
+            setattr(cfg, f.name, getattr(args, key))
     if getattr(args, "k_grid", None) is not None:
-        cfg.k_grid = tuple(float(v) for v in args.k_grid.split(","))
         cfg.k = None
-    if getattr(args, "select_mode", None) is not None:
-        cfg.select_mode = args.select_mode
-    if getattr(args, "n_lowest", None) is not None:
-        cfg.n_lowest = args.n_lowest
-    if getattr(args, "mismatch_threshold", None) is not None:
-        cfg.mismatch_threshold = args.mismatch_threshold
-    if getattr(args, "margin", None) is not None:
-        cfg.margin = args.margin
-    if getattr(args, "subsample_fraction", None) is not None:
-        cfg.subsample_fraction = args.subsample_fraction
-    if getattr(args, "oracle_error_rate", None) is not None:
-        cfg.oracle_error_rate = args.oracle_error_rate
     cfg.model_paths = list(getattr(args, "models", None) or [])
     return cfg
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-    except (FileNotFoundError, configparser.Error, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    cfg = _apply_overrides(cfg, args)
-    if args.command in STOCHASTIC_COMMANDS and cfg.seed is None:
-        print("error: seed required: pass --seed or set [experiment] seed", file=sys.stderr)
-        return 2
-    try:
+        cfg = _apply_overrides(load_config(args.config), args)
+        if args.command in STOCHASTIC_COMMANDS and cfg.seed is None:
+            raise InputError("seed required: pass --seed or set [experiment] seed")
         return COMMANDS[args.command](cfg)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -531,7 +485,6 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"failure: {err}", file=sys.stderr)
         return 1
-
 
 
 if __name__ == "__main__":

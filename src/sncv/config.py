@@ -1,5 +1,9 @@
 """Run configuration: flat INI-style config files with command-line overrides.
 
+Each config key is declared once, as a `RunConfig` field: its section, its
+type (the annotation), its default and its flag, if any. Loading, the report
+dump, the flags and the trainer and generator settings all loop over KEYS.
+
 One pipeline seed reproduces everything; each stochastic stage derives its own
 sub-seed from (seed, stage name) via a stable hash, so stages stay independent
 of one another and of execution order.
@@ -8,7 +12,7 @@ of one another and of execution order.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .dataset import InputError
@@ -16,54 +20,80 @@ from .scoring import derive_seed
 from .synth import PopulationConfig
 from .trainer import Hyperparams
 
-DEFAULT_PRIORS = (0.508, 0.246, 0.160, 0.086)
-DEFAULT_K_GRID = (0.625, 0.75, 0.875)
+SELECT_MODES = ("stratified", "lowest", "ncv", "ncv-exact")
+# Per-class (x, y) offsets of the cluster regions; fixed, but reported.
+CLUSTER_REGION_OFFSETS = ((0.0, 0.0), (20.0, 0.0), (0.0, 0.0), (20.0, 0.0))
+
+
+def float_list(text: str) -> tuple[float, ...]:
+    """Parse a float list separated by commas or semicolons."""
+    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+
+
+def _key(section: str, default, flag: str | None = None, help: str | None = None, *,
+         key: str | None = None, choices: tuple[str, ...] | None = None):
+    """Declare a config key stored in a RunConfig field. `flag` places its
+    `--key-name` flag before the command ("main") or after it ("command");
+    `key` names it in the file and the report when the field name does not."""
+    return field(default=default, metadata={
+        "section": section, "key": key, "flag": flag, "help": help, "choices": choices})
 
 
 @dataclass
 class RunConfig:
-    # paths
-    scheme_path: str | None = None
-    train_path: str | None = None
-    tune_path: str | None = None
-    test_path: str | None = None
-    pool_path: str | None = None
-    out_dir: str = "runs/out"
-    # population
-    n_train: int = 20000
-    n_tune: int = 2000
-    n_test: int = 20000
-    feature_dim: int = 12
-    class_priors: tuple[float, ...] = DEFAULT_PRIORS
-    class_spread: float = 1.0
-    ambiguity_overlap: float = 2.0 / 1.2 - 1.0
-    clusters_per_class: int = 24
-    cluster_scatter: float = 8.0
-    cluster_bulk_shares: tuple[float, ...] = (0.5, 0.5, 0.7, 1.0)
-    cluster_region_offsets: tuple | None = ((0.0, 0.0), (20.0, 0.0), (0.0, 0.0), (20.0, 0.0))
-    structure_seed: int = 0
-    # training
-    hyperparams: Hyperparams = field(default_factory=lambda: Hyperparams(
-        learning_rate=0.05, batch_size=32, max_epochs=100, patience=8,
-        hidden_units=48, l2=0.0, seed=0,
-    ))
-    # experiment
-    k: int | None = None
-    k_grid: tuple[float, ...] = DEFAULT_K_GRID
-    subsample_fraction: float = 4.0 / 7.0
-    margin: float = 0.02
-    alpha: float = 0.05
-    n_boot: int = 1000
-    n_lowest: int = 800
-    oracle_error_rate: float = 0.0
-    mismatch_threshold: float = 0.30
-    bin_width: float = 0.05
-    min_fold_size: int = 100
-    high_band: float = 0.45
-    low_band: float = 0.15
-    select_mode: str = "stratified"
-    seed: int | None = None
+    scheme_path: str | None = _key("paths", None, "command", "class scheme JSON", key="scheme")
+    train_path: str | None = _key("paths", None, "command", key="train",
+                                  help="dataset CSV (scored CSV for select/relabel/graders)")
+    tune_path: str | None = _key("paths", None, "command", "tune dataset CSV", key="tune")
+    test_path: str | None = _key("paths", None, "command", "test dataset CSV", key="test")
+    pool_path: str | None = _key("paths", None, "command", "grader pool JSON", key="pool")
+    out_dir: str = _key("paths", "runs/out", "main", "output directory (overrides config)",
+                        key="out")
+
+    n_train: int = _key("population", 20000)
+    n_tune: int = _key("population", 2000)
+    n_test: int = _key("population", 20000)
+    feature_dim: int = _key("population", 12)
+    class_priors: tuple[float, ...] = _key("population", (0.508, 0.246, 0.160, 0.086))
+    class_spread: float = _key("population", 1.0)
+    ambiguity_overlap: float = _key("population", 2.0 / 1.2 - 1.0)
+    clusters_per_class: int = _key("population", 24)
+    cluster_scatter: float = _key("population", 8.0)
+    cluster_bulk_shares: tuple[float, ...] = _key("population", (0.5, 0.5, 0.7, 1.0))
+    structure_seed: int = _key("population", 0)
+
+    learning_rate: float = _key("train", 0.05)
+    batch_size: int = _key("train", 32)
+    max_epochs: int = _key("train", 100)
+    patience: int = _key("train", 8)
+    hidden_units: int = _key("train", 48)
+    l2: float = _key("train", 0.0)
+
+    k: int | None = _key("experiment", None, "command", "selection size")
+    k_grid: tuple[float, ...] = _key("experiment", (0.625, 0.75, 0.875), "command",
+                                     "k fractions, separated by ',' or ';'")
+    subsample_fraction: float = _key("experiment", 4.0 / 7.0, "command")
+    margin: float = _key("experiment", 0.02, "command")
+    alpha: float = _key("experiment", 0.05)
+    n_boot: int = _key("experiment", 1000)
+    n_lowest: int = _key("experiment", 800, "command", "relabel tranche size")
+    oracle_error_rate: float = _key("experiment", 0.0, "command")
+    mismatch_threshold: float = _key("experiment", 0.30, "command")
+    bin_width: float = _key("experiment", 0.05)
+    min_fold_size: int = _key("experiment", 100)
+    high_band: float = _key("experiment", 0.45)
+    low_band: float = _key("experiment", 0.15)
+    select_mode: str = _key("experiment", "stratified", "command", choices=SELECT_MODES)
+    seed: int | None = _key("experiment", None, "main", "pipeline seed (overrides config)")
+
     model_paths: list[str] = field(default_factory=list)
+
+    def _section(self, section: str) -> dict:
+        return {f.name: getattr(self, f.name) for (s, _), f in KEYS.items() if s == section}
+
+    @property
+    def hyperparams(self) -> Hyperparams:
+        return Hyperparams(**self._section("train"))
 
     def stage_seed(self, stage: str) -> int:
         if self.seed is None:
@@ -71,126 +101,83 @@ class RunConfig:
         return derive_seed(self.seed, stage)
 
     def hp_for_stage(self, stage: str) -> Hyperparams:
-        return replace(self.hyperparams, seed=self.stage_seed(stage))
+        return Hyperparams(**self._section("train"), seed=self.stage_seed(stage))
 
     def population(self, n: int, seed: int) -> PopulationConfig:
         """Generator settings for an n-example draw under this run's population config."""
-        return PopulationConfig(
-            n=n, feature_dim=self.feature_dim, class_priors=self.class_priors,
-            class_spread=self.class_spread, ambiguity_overlap=self.ambiguity_overlap,
-            seed=seed, clusters_per_class=self.clusters_per_class,
-            cluster_scatter=self.cluster_scatter, cluster_bulk_shares=self.cluster_bulk_shares,
-            cluster_region_offsets=self.cluster_region_offsets,
-            structure_seed=self.structure_seed,
-        )
+        generator = {f.name for f in fields(PopulationConfig)}
+        return PopulationConfig(n=n, seed=seed, cluster_region_offsets=CLUSTER_REGION_OFFSETS, **{
+            k: v for k, v in self._section("population").items() if k in generator})
 
     def to_dict(self) -> dict:
-        hp = self.hyperparams
-        return {
-            "paths": {
-                "scheme": self.scheme_path, "train": self.train_path,
-                "tune": self.tune_path, "test": self.test_path,
-                "pool": self.pool_path, "out": self.out_dir,
-            },
-            "population": {
-                "n_train": self.n_train, "n_tune": self.n_tune, "n_test": self.n_test,
-                "feature_dim": self.feature_dim, "class_priors": list(self.class_priors),
-                "class_spread": self.class_spread, "ambiguity_overlap": self.ambiguity_overlap,
-                "clusters_per_class": self.clusters_per_class,
-                "cluster_scatter": self.cluster_scatter,
-                "cluster_bulk_shares": list(self.cluster_bulk_shares),
-                "cluster_region_offsets": (None if self.cluster_region_offsets is None
-                                           else [list(r) for r in self.cluster_region_offsets]),
-                "structure_seed": self.structure_seed,
-            },
-            "train": {
-                "learning_rate": hp.learning_rate, "batch_size": hp.batch_size,
-                "max_epochs": hp.max_epochs, "patience": hp.patience,
-                "hidden_units": hp.hidden_units, "l2": hp.l2,
-            },
-            "experiment": {
-                "k": self.k, "k_grid": list(self.k_grid),
-                "subsample_fraction": self.subsample_fraction,
-                "margin": self.margin, "alpha": self.alpha, "n_boot": self.n_boot,
-                "n_lowest": self.n_lowest, "oracle_error_rate": self.oracle_error_rate,
-                "mismatch_threshold": self.mismatch_threshold, "bin_width": self.bin_width,
-                "min_fold_size": self.min_fold_size, "high_band": self.high_band,
-                "low_band": self.low_band, "select_mode": self.select_mode,
-                "seed": self.seed,
-            },
-        }
+        report = {section: {} for section, _ in KEYS}
+        for (section, key), f in KEYS.items():
+            value = getattr(self, f.name)
+            report[section][key] = list(value) if isinstance(value, tuple) else value
+        report["population"]["cluster_region_offsets"] = [list(r) for r in CLUSTER_REGION_OFFSETS]
+        return report
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+# (section, key) -> the RunConfig field that declares it
+KEYS = {(f.metadata["section"], f.metadata["key"] or f.name): f
+        for f in fields(RunConfig) if f.metadata}
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[float, ...]": float_list}
+
+
+def value_parser(f):
+    """The function that turns a key's text into a value of its declared type."""
+    return _PARSERS[f.type.removesuffix(" | None")]
 
 
 def load_config(path=None) -> RunConfig:
-    """Read a config file; missing sections/keys keep the reference defaults."""
+    """Read a config file; keys it leaves out keep the reference defaults.
+
+    Values are read literally. Unknown sections and keys, keys under
+    [DEFAULT] and values the parser, trainer or generator reject raise
+    InputError naming the file and, where there is one, the key."""
     cfg = RunConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise InputError(f"{path}: {err}") from None
     if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-
-    if parser.has_section("paths"):
-        sec = parser["paths"]
-        cfg.scheme_path = sec.get("scheme", cfg.scheme_path)
-        cfg.train_path = sec.get("train", cfg.train_path)
-        cfg.tune_path = sec.get("tune", cfg.tune_path)
-        cfg.test_path = sec.get("test", cfg.test_path)
-        cfg.pool_path = sec.get("pool", cfg.pool_path)
-        cfg.out_dir = sec.get("out", cfg.out_dir)
-    if parser.has_section("population"):
-        sec = parser["population"]
-        cfg.n_train = sec.getint("n_train", cfg.n_train)
-        cfg.n_tune = sec.getint("n_tune", cfg.n_tune)
-        cfg.n_test = sec.getint("n_test", cfg.n_test)
-        cfg.feature_dim = sec.getint("feature_dim", cfg.feature_dim)
-        if "class_priors" in sec:
-            cfg.class_priors = _floats(sec["class_priors"])
-        cfg.class_spread = sec.getfloat("class_spread", cfg.class_spread)
-        cfg.ambiguity_overlap = sec.getfloat("ambiguity_overlap", cfg.ambiguity_overlap)
-        cfg.clusters_per_class = sec.getint("clusters_per_class", cfg.clusters_per_class)
-        cfg.cluster_scatter = sec.getfloat("cluster_scatter", cfg.cluster_scatter)
-        if "cluster_bulk_shares" in sec:
-            cfg.cluster_bulk_shares = _floats(sec["cluster_bulk_shares"])
-        cfg.structure_seed = sec.getint("structure_seed", cfg.structure_seed)
-    if parser.has_section("train"):
-        sec = parser["train"]
-        hp = cfg.hyperparams
-        cfg.hyperparams = Hyperparams(
-            learning_rate=sec.getfloat("learning_rate", hp.learning_rate),
-            batch_size=sec.getint("batch_size", hp.batch_size),
-            max_epochs=sec.getint("max_epochs", hp.max_epochs),
-            patience=sec.getint("patience", hp.patience),
-            hidden_units=sec.getint("hidden_units", hp.hidden_units),
-            l2=sec.getfloat("l2", hp.l2),
-            seed=hp.seed,
-        )
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        if "k" in sec:
-            cfg.k = sec.getint("k")
-        if "k_grid" in sec:
-            cfg.k_grid = _floats(sec["k_grid"])
-        cfg.subsample_fraction = sec.getfloat("subsample_fraction", cfg.subsample_fraction)
-        cfg.margin = sec.getfloat("margin", cfg.margin)
-        cfg.alpha = sec.getfloat("alpha", cfg.alpha)
-        cfg.n_boot = sec.getint("n_boot", cfg.n_boot)
-        cfg.n_lowest = sec.getint("n_lowest", cfg.n_lowest)
-        cfg.oracle_error_rate = sec.getfloat("oracle_error_rate", cfg.oracle_error_rate)
-        cfg.mismatch_threshold = sec.getfloat("mismatch_threshold", cfg.mismatch_threshold)
-        cfg.bin_width = sec.getfloat("bin_width", cfg.bin_width)
-        cfg.min_fold_size = sec.getint("min_fold_size", cfg.min_fold_size)
-        cfg.high_band = sec.getfloat("high_band", cfg.high_band)
-        cfg.low_band = sec.getfloat("low_band", cfg.low_band)
-        cfg.select_mode = sec.get("select_mode", cfg.select_mode)
-        if "seed" in sec:
-            cfg.seed = sec.getint("seed")
+        raise InputError(f"config file not found: {path}")
+    for key in parser.defaults():
+        raise InputError(f"{path}: [DEFAULT] {key}: keys under [DEFAULT] are not allowed")
+    for section in parser.sections():
+        if section not in {s for s, _ in KEYS}:
+            raise InputError(f"{path}: unknown section [{section}]")
+        for key, text in parser[section].items():
+            f = KEYS.get((section, key))
+            if f is None:
+                raise InputError(f"{path}: unknown key [{section}] {key}")
+            try:
+                value = value_parser(f)(text)
+            except ValueError as err:
+                raise InputError(f"{path}: [{section}] {key}: {err}") from None
+            choices = f.metadata["choices"]
+            if choices and value not in choices:
+                raise InputError(f"{path}: [{section}] {key} must be one of "
+                                 f"{', '.join(choices)}, got {value!r}")
+            setattr(cfg, f.name, value)
+    _check(cfg, path)
     return cfg
+
+
+def _check(cfg: RunConfig, path) -> None:
+    """Fail at load time, not mid-run, on settings the trainer or generator reject."""
+    try:
+        cfg.hyperparams
+    except ValueError as err:
+        raise InputError(f"{path}: [train] {err}") from None
+    for name in ("n_train", "n_tune", "n_test"):
+        try:
+            cfg.population(getattr(cfg, name), seed=0)
+        except ValueError as err:
+            raise InputError(f"{path}: [population] {err} (building the {name} draw)") from None
 
 
 def require_paths(cfg: RunConfig, *names: str) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, InputError
 from .metrics import confusion_matrix
 from .scoring import ScoredDataset
 from .synth import GRADER_ROLES, GraderProfile
@@ -93,7 +93,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
     """
     n = len(scored)
     if not 1 <= n_lowest <= n:
-        raise ValueError(f"n_lowest must be in [1, {n}]")
+        raise InputError(f"n_lowest must be in [1, {n}], got {n_lowest}")
     scheme = scored.scheme
     ds = scored.dataset
     if (ds.true_y < 0).any():

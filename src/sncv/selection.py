@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, positive_rate
+from .dataset import Dataset, InputError, positive_rate
 from .scoring import ScoredDataset, cross_fold_score, derive_seed
 from .trainer import Hyperparams, Model, train
 
@@ -52,7 +52,7 @@ def _ranked_class_rows(scored: ScoredDataset, lowest: bool) -> tuple[np.ndarray,
 def _select_by_rank(scored: ScoredDataset, k: int, lowest: bool) -> SelectionResult:
     n = len(scored)
     if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+        raise InputError(f"k must be in [1, {n}], got {k}")
     tau = positive_rate(scored.dataset)
     n_pos_req = _round_half_away(tau * k)
     n_neg_req = k - n_pos_req

@@ -40,6 +40,13 @@ from conftest import REFERENCE_SEEDS
 from test_metrics import pair_counting_auc
 
 N_LOWEST = RunConfig().n_lowest
+MINI_CONFIG = (
+    "[population]\n"
+    "n_train = 1500\nn_tune = 500\nn_test = 500\nfeature_dim = 6\n"
+    "clusters_per_class = 8\ncluster_scatter = 5.0\n"
+    "[train]\nhidden_units = 16\nmax_epochs = 10\npatience = 4\n"
+    "[experiment]\nn_boot = 150\nmin_fold_size = 50\n"
+)
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -261,15 +268,8 @@ class TestAcceptance:
                ok, " ".join(details))
 
     def test_13_pipeline_determinism(self, tmp_path):
-        cfg_text = (
-            "[population]\n"
-            "n_train = 1500\nn_tune = 500\nn_test = 500\nfeature_dim = 6\n"
-            "clusters_per_class = 8\ncluster_scatter = 5.0\n"
-            "[train]\nhidden_units = 16\nmax_epochs = 10\npatience = 4\n"
-            "[experiment]\nn_boot = 150\nmin_fold_size = 50\n"
-        )
         cfg_path = tmp_path / "mini.cfg"
-        cfg_path.write_text(cfg_text)
+        cfg_path.write_text(MINI_CONFIG)
         gen_dir = tmp_path / "gen"
         assert main(["--config", str(cfg_path), "--seed", "11",
                      "--out", str(gen_dir), "gen"]) == 0

@@ -287,3 +287,36 @@ class TestInputErrors:
                          "--scheme", str(generated / "scheme.json"), "--k", "10")
             assert rc == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [("select", "--k", "0"),
+                                                      ("select", "--k", "1201"),
+                                                      ("relabel", "--n-lowest", "5000")])
+    def test_out_of_range_size_exits_2_naming_bound(self, mini_config, generated, scored_csv,
+                                                    tmp_path, capsys, command, flag, value):
+        rc = run_cli(mini_config, tmp_path, command, "--train", str(scored_csv),
+                     "--scheme", str(generated / "scheme.json"), flag, value)
+        assert rc == 2
+        assert f"must be in [1, 1200], got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0.5;x"])
+    def test_malformed_k_grid_exits_2_naming_flag(self, mini_config, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(mini_config, tmp_path, "pipeline", "--k-grid", value)
+        assert exit_info.value.code == 2
+        assert "--k-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nhiden_units = 3\n", "unknown key [train] hiden_units"),
+        ("[trian]\nhidden_units = 3\n", "unknown section [trian]"),
+        ("[DEFAULT]\nseed = 3\n", "[DEFAULT] seed"),
+        ("[experiment]\nselect_mode = best\n", "[experiment] select_mode must be one of"),
+        ("[population]\nclass_priors = 0.5, 0.4\n", "class priors must sum to 1"),
+        ("[population]\nn_train = 0\n", "population size must be positive"),
+    ])
+    def test_bad_config_exits_2_before_running(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        rc = main(["--config", str(bad), "--seed", "7", "--out", str(tmp_path / "out"), "gen"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

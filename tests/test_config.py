@@ -1,0 +1,193 @@
+"""Config loading: every key round-trips through a file, flags override the
+file, and anything the loader does not know is rejected."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from sncv.cli import _apply_overrides, build_parser
+from sncv.config import RunConfig, load_config
+from sncv.dataset import InputError
+
+from test_acceptance import MINI_CONFIG as ACCEPTANCE_CONFIG
+from test_cli import MINI_CONFIG as CLI_CONFIG
+from test_golden import GOLDEN_CONFIG
+
+ROOT = Path(__file__).resolve().parents[1]
+NOT_A_KEY = {("population", "cluster_region_offsets")}  # reported, not settable
+
+
+def ini_text(value) -> str:
+    if isinstance(value, list):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def write_ini(path: Path, sections: dict) -> Path:
+    lines = []
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {ini_text(value)}" for key, value in values.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def settable(report: dict) -> dict:
+    return {section: {k: v for k, v in values.items() if (section, k) not in NOT_A_KEY}
+            for section, values in report.items()}
+
+
+def changed(section, key, value):
+    """A valid value of the key's type that differs from the default `value`."""
+    if section == "paths":
+        return f"elsewhere/{key}"
+    if value is None:  # k and seed
+        return 5
+    if isinstance(value, list):
+        return value[::-1]  # priors and bulk shares keep their sum and length
+    if isinstance(value, str):
+        return "lowest"  # select_mode
+    return value + 1 if isinstance(value, int) else value + 0.5
+
+
+def test_defaults_round_trip(tmp_path):
+    report = RunConfig().to_dict()
+    values = {section: {k: v for k, v in keys.items() if v is not None}
+              for section, keys in settable(report).items()}
+    assert load_config(write_ini(tmp_path / "d.cfg", values)).to_dict() == report
+
+
+def test_every_key_round_trips_with_its_type(tmp_path):
+    default = settable(RunConfig().to_dict())
+    values = {section: {k: changed(section, k, v) for k, v in keys.items()}
+              for section, keys in default.items()}
+    loaded = settable(load_config(write_ini(tmp_path / "c.cfg", values)).to_dict())
+    assert loaded == values
+    for section, keys in values.items():
+        for key, value in keys.items():
+            assert loaded[section][key] != default[section][key], (section, key)
+            assert type(loaded[section][key]) is type(value), (section, key)
+
+
+def test_float_keys_written_as_integers_stay_floats(tmp_path):
+    path = tmp_path / "f.cfg"
+    path.write_text("[population]\ncluster_scatter = 8\n[experiment]\nk_grid = 1; 0.5\n")
+    report = load_config(path).to_dict()
+    assert repr(report["population"]["cluster_scatter"]) == "8.0"
+    assert report["experiment"]["k_grid"] == [1.0, 0.5]
+
+
+FILE = {"paths": {"scheme": "f/scheme.json", "train": "f/train.csv", "tune": "f/tune.csv",
+                  "test": "f/test.csv", "pool": "f/pool.json", "out": "f/out"},
+        "experiment": {"k": 7, "k_grid": [0.5, 0.6], "select_mode": "ncv", "n_lowest": 11,
+                       "mismatch_threshold": 0.4, "margin": 0.03,
+                       "subsample_fraction": 0.6, "oracle_error_rate": 0.1, "seed": 3}}
+
+FLAGS = [  # (flag, value, section, key, expected)
+    ("--seed", "9", "experiment", "seed", 9),
+    ("--out", "g/out", "paths", "out", "g/out"),
+    ("--train", "g/train.csv", "paths", "train", "g/train.csv"),
+    ("--tune", "g/tune.csv", "paths", "tune", "g/tune.csv"),
+    ("--test", "g/test.csv", "paths", "test", "g/test.csv"),
+    ("--scheme", "g/scheme.json", "paths", "scheme", "g/scheme.json"),
+    ("--pool", "g/pool.json", "paths", "pool", "g/pool.json"),
+    ("--k", "8", "experiment", "k", 8),
+    ("--k-grid", "0.7;0.8", "experiment", "k_grid", [0.7, 0.8]),
+    ("--select-mode", "lowest", "experiment", "select_mode", "lowest"),
+    ("--n-lowest", "12", "experiment", "n_lowest", 12),
+    ("--mismatch-threshold", "0.5", "experiment", "mismatch_threshold", 0.5),
+    ("--margin", "0.04", "experiment", "margin", 0.04),
+    ("--subsample-fraction", "0.7", "experiment", "subsample_fraction", 0.7),
+    ("--oracle-error-rate", "0.2", "experiment", "oracle_error_rate", 0.2),
+]
+
+
+def resolve(cfg_path, *flags):
+    """The config of `sncv --config cfg_path <flags> select`, with --seed and
+    --out placed before the command and every other flag after it."""
+    before = [f for f in flags if f.split("=")[0] in ("--seed", "--out")]
+    after = [f for f in flags if f not in before]
+    args = build_parser().parse_args(["--config", str(cfg_path), *before, "select", *after])
+    return _apply_overrides(load_config(args.config), args).to_dict()
+
+
+@pytest.mark.parametrize("flag, value, section, key, expected", FLAGS,
+                         ids=[case[0] for case in FLAGS])
+def test_flag_overrides_file(tmp_path, flag, value, section, key, expected):
+    path = write_ini(tmp_path / "f.cfg", FILE)
+    assert resolve(path)[section][key] == FILE[section][key]
+    report = resolve(path, f"{flag}={value}")
+    assert report[section][key] == expected
+    untouched = {(s, k) for s, keys in FILE.items() for k in keys} - {(section, key)}
+    if flag == "--k-grid":
+        untouched.discard(("experiment", "k"))
+    for s, k in untouched:
+        assert report[s][k] == FILE[s][k], (s, k)
+
+
+def test_k_precedence(tmp_path):
+    path = write_ini(tmp_path / "f.cfg", FILE)
+    assert resolve(path)["experiment"]["k"] == 7  # a file k wins over the file k_grid
+    assert resolve(path, "--k-grid=0.5")["experiment"]["k"] is None
+    assert resolve(path, "--k=9", "--k-grid=0.5")["experiment"]["k"] is None
+    bare = write_ini(tmp_path / "g.cfg", {"experiment": {"k_grid": [0.5]}})
+    assert resolve(bare, "--k=9")["experiment"]["k"] == 9
+
+
+def fast_overrides() -> str:
+    spec = importlib.util.spec_from_file_location("run_full_study",
+                                                  ROOT / "scripts" / "run_full_study.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAST_OVERRIDES
+
+
+COMMITTED = {
+    "configs/reference.cfg": (ROOT / "configs" / "reference.cfg").read_text(encoding="utf-8"),
+    "run_full_study.py --fast": fast_overrides(),
+    "test_cli.py": CLI_CONFIG,
+    "test_golden.py": GOLDEN_CONFIG,
+    "test_acceptance.py": ACCEPTANCE_CONFIG,
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMITTED))
+def test_committed_configs_load(tmp_path, name):
+    path = tmp_path / "committed.cfg"
+    path.write_text(COMMITTED[name], encoding="utf-8")
+    load_config(path)
+
+
+REJECTED = {
+    "unknown key": ("[train]\nhiden_units = 3\n", r"unknown key \[train\] hiden_units"),
+    "unknown section": ("[trian]\n", r"unknown section \[trian\]"),
+    "key under DEFAULT": ("[DEFAULT]\nseed = 3\n", r"\[DEFAULT\] seed"),
+    "key of another section": ("[experiment]\nhidden_units = 3\n",
+                               r"unknown key \[experiment\] hidden_units"),
+    "bad select mode": ("[experiment]\nselect_mode = best\n",
+                        r"\[experiment\] select_mode must be one of .*'best'"),
+    "bad int": ("[experiment]\nn_boot = 1.5\n", r"\[experiment\] n_boot: .*'1.5'"),
+    "bad float list": ("[experiment]\nk_grid = 0.5, x\n", r"\[experiment\] k_grid: .*x'"),
+    "priors not summing to 1": ("[population]\nclass_priors = 0.5, 0.4\n",
+                                r"\[population\] class priors must sum to 1"),
+    "empty draw": ("[population]\nn_tune = 0\n",
+                   r"\[population\] population size must be positive .*n_tune"),
+    "bad training setting": ("[train]\nlearning_rate = 0\n",
+                             r"\[train\] learning_rate must be positive"),
+    "not an INI file": ("seed = 3\n", r"no section headers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_rejected_config(tmp_path, case):
+    text, match = REJECTED[case]
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=match):
+        load_config(path)
+
+
+def test_missing_config_file(tmp_path):
+    with pytest.raises(InputError, match="config file not found"):
+        load_config(tmp_path / "nope.cfg")
