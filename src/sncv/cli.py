@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, relabel, scoring, selection, synth, trainer
-from .config import KEYS, RunConfig, load_config, require_paths, value_parser
+from .config import KEYS, RunConfig, check, load_config, require_paths, value_parser
 from .dataset import (
     Dataset,
     InputError,
@@ -32,19 +32,24 @@ from .dataset import (
 )
 
 
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
-def _report(cfg: RunConfig, body: dict) -> dict:
-    return {"config": cfg.to_dict(), "seed": cfg.seed, **body}
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_report(cfg: RunConfig, name: str, body: dict) -> None:
+    """Write the JSON report `name`: body plus the resolved config and seed."""
+    report = {"config": cfg.to_dict(), "seed": cfg.seed, **body}
+    (_out_dir(cfg) / name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                      encoding="utf-8")
+
+
+def _write_table(path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _load(kind: str, path, read, *args):
@@ -69,6 +74,19 @@ def _load_pool(cfg: RunConfig, scheme):
     return _load("grader pool", cfg.pool_path, synth.read_grader_pool, scheme)
 
 
+def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
+    """The datasets at the named paths ("train", "tune", "test") under the run's scheme."""
+    require_paths(cfg, *names)
+    scheme = _load_scheme(cfg)
+    return [read_dataset(getattr(cfg, f"{name}_path"), scheme) for name in names]
+
+
+def _scored_input(cfg: RunConfig) -> scoring.ScoredDataset:
+    """The scored dataset at the train path under the run's scheme."""
+    require_paths(cfg, "train")
+    return scoring.read_scored_dataset(cfg.train_path, _load_scheme(cfg))
+
+
 def _resolve_k_grid(cfg: RunConfig, n: int) -> list[int]:
     if cfg.k is not None:
         return [cfg.k]
@@ -77,16 +95,15 @@ def _resolve_k_grid(cfg: RunConfig, n: int) -> list[int]:
 
 def cmd_gen(cfg: RunConfig) -> int:
     """Write scheme, grader pool, noisy train set, clean tune and test sets."""
-    out = _out_dir(cfg)
     scheme = _load_scheme(cfg)
     pool = _load_pool(cfg, scheme)
-
     population = synth.generate_population(
         cfg.population(cfg.n_train, cfg.stage_seed("gen-train")), scheme)
     noisy = synth.apply_grader_noise(population, pool, cfg.stage_seed("gen-noise"))
     tune = synth.generate_population(cfg.population(cfg.n_tune, cfg.stage_seed("gen-tune")), scheme)
     test = synth.generate_population(cfg.population(cfg.n_test, cfg.stage_seed("gen-test")), scheme)
 
+    out = _out_dir(cfg)
     write_scheme(scheme, out / "scheme.json")
     synth.write_grader_pool(pool, out / "pool.json")
     write_dataset(population, out / "population.csv")
@@ -96,21 +113,19 @@ def cmd_gen(cfg: RunConfig) -> int:
 
     tau = positive_rate(noisy)
     noise_rate = float((noisy.y != population.y).mean())
-    _write_json(out / "gen_report.json", _report(cfg, {
+    _write_report(cfg, "gen_report.json", {
         "tau": tau,
         "marginal_noise_rate": noise_rate,
         "marginal_flip_rates_by_class": synth.marginal_flip_rates(pool, scheme).tolist(),
         "files": ["scheme.json", "pool.json", "population.csv", "train.csv",
                   "tune.csv", "test.csv"],
-    }))
+    })
     print(f"tau={tau:.4f} marginal_noise_rate={noise_rate:.4f}")
     return 0
 
 
 def cmd_split(cfg: RunConfig) -> int:
-    require_paths(cfg, "train")
-    scheme = _load_scheme(cfg)
-    dataset = read_dataset(cfg.train_path, scheme)
+    [dataset] = _inputs(cfg, "train")
     d1, d2 = split_random(dataset, cfg.stage_seed("split"))
     out = _out_dir(cfg)
     write_dataset(d1, out / "d1.csv")
@@ -120,37 +135,29 @@ def cmd_split(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    require_paths(cfg, "train", "tune")
-    scheme = _load_scheme(cfg)
-    train_set = read_dataset(cfg.train_path, scheme)
-    tune_set = read_dataset(cfg.tune_path, scheme)
+    train_set, tune_set = _inputs(cfg, "train", "tune")
     model = trainer.train(train_set, tune_set, cfg.hp_for_stage("train"))
-    out = _out_dir(cfg)
-    trainer.write_model(model, out / "model.json")
-    _write_json(out / "train_report.json", _report(cfg, {
+    trainer.write_model(model, _out_dir(cfg) / "model.json")
+    _write_report(cfg, "train_report.json", {
         "stopped_epoch": model.stopped_epoch,
         "epochs_run": model.epochs_run,
         "tune_auc_at_stop": model.tune_auc_at_stop,
-    }))
+    })
     print(f"tune_auc={model.tune_auc_at_stop:.4f} stopped_epoch={model.stopped_epoch}")
     return 0
 
 
 def cmd_score(cfg: RunConfig) -> int:
-    require_paths(cfg, "train", "tune")
-    scheme = _load_scheme(cfg)
-    dataset = read_dataset(cfg.train_path, scheme)
-    tune_set = read_dataset(cfg.tune_path, scheme)
+    dataset, tune_set = _inputs(cfg, "train", "tune")
     scored, m1, m2 = scoring.cross_fold_score(
         dataset, tune_set, cfg.hp_for_stage("score"), cfg.stage_seed("score"),
         min_fold_size=cfg.min_fold_size)
-    out = _out_dir(cfg)
-    scoring.write_scored_dataset(scored, out / "scored.csv")
-    _write_json(out / "score_report.json", _report(cfg, {
+    scoring.write_scored_dataset(scored, _out_dir(cfg) / "scored.csv")
+    _write_report(cfg, "score_report.json", {
         "tau": positive_rate(dataset),
         "fold_tune_auc": {"m1": m1.tune_auc_at_stop, "m2": m2.tune_auc_at_stop},
         "n_negative_qs": int((scored.qs < 0).sum()),
-    }))
+    })
     print(f"scored {len(scored)} examples; m1={m1.tune_auc_at_stop:.4f} m2={m2.tune_auc_at_stop:.4f}")
     return 0
 
@@ -168,49 +175,31 @@ def _selection_for_mode(scored, mode: str, k: int | None):
 
 
 def cmd_select(cfg: RunConfig) -> int:
-    require_paths(cfg, "train")
-    scheme = _load_scheme(cfg)
-    scored = scoring.read_scored_dataset(cfg.train_path, scheme)
-    result = _selection_for_mode(scored, cfg.select_mode, cfg.k)
-    out = _out_dir(cfg)
-    with open(out / "selected_ids.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"])
-        for i in result.selected_ids:
-            w.writerow([i])
-    _write_json(out / "selection_summary.json",
-                _report(cfg, selection.selection_summary(result)))
+    result = _selection_for_mode(_scored_input(cfg), cfg.select_mode, cfg.k)
+    _write_table(_out_dir(cfg) / "selected_ids.csv", ["id"], ([i] for i in result.selected_ids))
+    _write_report(cfg, "selection_summary.json", selection.selection_summary(result))
     print(f"selected {len(result.selected_ids)} "
           f"({result.n_positive_selected} positive / {result.n_negative_selected} negative)")
     return 0
 
 
-def _write_histogram(scored, bin_width: float, path) -> None:
-    rows = scoring.qs_histogram(scored, bin_width)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count_nonreferable", "count_referable"])
-        for lo, hi, c_non, c_ref in rows:
-            w.writerow([f"{lo:.10g}", f"{hi:.10g}", c_non, c_ref])
-
-
 def cmd_pipeline(cfg: RunConfig) -> int:
-    require_paths(cfg, "train", "tune")
-    scheme = _load_scheme(cfg)
-    dataset = read_dataset(cfg.train_path, scheme)
-    tune_set = read_dataset(cfg.tune_path, scheme)
-    k_values = _resolve_k_grid(cfg, len(dataset))
+    dataset, tune_set = _inputs(cfg, "train", "tune")
     result = selection.run_sncv_pipeline(
-        dataset, tune_set, k_values, cfg.hyperparams, cfg.stage_seed("pipeline"))
-    out = _out_dir(cfg)
-    trainer.write_model(result.model, out / "model_final.json")
-    scoring.write_scored_dataset(result.scored, out / "scored.csv")
-    _write_histogram(result.scored, cfg.bin_width, out / "qs_histogram.csv")
+        dataset, tune_set, _resolve_k_grid(cfg, len(dataset)), cfg.hyperparams,
+        cfg.stage_seed("pipeline"))
+    histogram = scoring.qs_histogram(result.scored, cfg.bin_width)
     tune_scores = trainer.referable_scores(result.model, tune_set.X)
     tune_auc = metrics.roc_auc(tune_scores, tune_set.binary_labels())
     ci = metrics.bootstrap_auc_ci(tune_scores, tune_set.binary_labels(),
                                   cfg.n_boot, cfg.stage_seed("pipeline-ci"))
-    _write_json(out / "pipeline_report.json", _report(cfg, {
+    out = _out_dir(cfg)
+    trainer.write_model(result.model, out / "model_final.json")
+    scoring.write_scored_dataset(result.scored, out / "scored.csv")
+    _write_table(out / "qs_histogram.csv",
+                 ["bin_lo", "bin_hi", "count_nonreferable", "count_referable"],
+                 ([f"{lo:.10g}", f"{hi:.10g}", c_non, c_ref] for lo, hi, c_non, c_ref in histogram))
+    _write_report(cfg, "pipeline_report.json", {
         "k_used": result.k_used,
         "k_grid_tune_auc": {str(k): v for k, v in result.k_grid_tune_auc.items()},
         "selection": selection.selection_summary(result.selection),
@@ -218,7 +207,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
                           "m2": result.fold_models[1].tune_auc_at_stop},
         "final_tune_auc": tune_auc.auc,
         "final_tune_auc_ci95": list(ci),
-    }))
+    })
     print(f"k={result.k_used} final_tune_auc={tune_auc.auc:.4f}")
     return 0
 
@@ -226,19 +215,15 @@ def cmd_pipeline(cfg: RunConfig) -> int:
 def cmd_bands(cfg: RunConfig) -> int:
     """Tune AUC of high-band and low-band selected models across band sizes,
     plus the class composition of unstratified top/bottom rankings."""
-    require_paths(cfg, "train", "tune")
-    scheme = _load_scheme(cfg)
-    dataset = read_dataset(cfg.train_path, scheme)
-    tune_set = read_dataset(cfg.tune_path, scheme)
+    dataset, tune_set = _inputs(cfg, "train", "tune")
     scored, _, _ = scoring.cross_fold_score(
         dataset, tune_set, cfg.hp_for_stage("bands-score"), cfg.stage_seed("bands-score"),
         min_fold_size=cfg.min_fold_size)
-    n = len(dataset)
-    out = _out_dir(cfg)
+    sizes = [max(1, int(round(frac * len(dataset))))
+             for frac in sorted(set(cfg.k_grid) | {1.0})]
 
     band_rows = []
-    for j, frac in enumerate(sorted(set(cfg.k_grid) | {1.0})):
-        k = max(1, int(round(frac * n)))
+    for j, k in enumerate(sizes):
         hi = selection.select_stratified(scored, k)
         lo = selection.select_lowest_stratified(scored, k)
         # paired design: both arms share the band's training seed, so
@@ -248,29 +233,19 @@ def cmd_bands(cfg: RunConfig) -> int:
         m_lo = trainer.train(dataset.subset(lo.selected_ids), tune_set,
                              cfg.hp_for_stage(f"bands-{j}"))
         band_rows.append((k, m_hi.tune_auc_at_stop, m_lo.tune_auc_at_stop))
-
-    with open(out / "bands_auc.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["band_size", "auc_high_qs", "auc_low_qs", "delta"])
-        for k, a_hi, a_lo in band_rows:
-            w.writerow([k, repr(a_hi), repr(a_lo), repr(a_hi - a_lo)])
-
     # unstratified composition: positive share of the top-k and bottom-k by QS
-    order = np.argsort(-scored.qs, kind="stable")
-    pos_mask = scored.dataset.binary_labels()[order]
-    with open(out / "bands_composition.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["band_size", "pos_share_top", "pos_share_bottom"])
-        for frac in sorted(set(cfg.k_grid) | {1.0}):
-            k = max(1, int(round(frac * n)))
-            top_share = float(pos_mask[:k].mean())
-            bottom_share = float(pos_mask[-k:].mean())
-            w.writerow([k, repr(top_share), repr(bottom_share)])
+    pos_mask = scored.dataset.binary_labels()[np.argsort(-scored.qs, kind="stable")]
 
-    _write_json(out / "bands_report.json", _report(cfg, {
+    out = _out_dir(cfg)
+    _write_table(out / "bands_auc.csv", ["band_size", "auc_high_qs", "auc_low_qs", "delta"],
+                 ([k, repr(a_hi), repr(a_lo), repr(a_hi - a_lo)] for k, a_hi, a_lo in band_rows))
+    _write_table(out / "bands_composition.csv", ["band_size", "pos_share_top", "pos_share_bottom"],
+                 ([k, repr(float(pos_mask[:k].mean())), repr(float(pos_mask[-k:].mean()))]
+                  for k in sizes))
+    _write_report(cfg, "bands_report.json", {
         "bands": [{"band_size": k, "auc_high_qs": a_hi, "auc_low_qs": a_lo,
                    "delta": a_hi - a_lo} for k, a_hi, a_lo in band_rows],
-    }))
+    })
     print("bands:", " ".join(f"{k}:{a_hi:.3f}/{a_lo:.3f}" for k, a_hi, a_lo in band_rows))
     return 0
 
@@ -282,6 +257,8 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     rng = np.random.default_rng(scoring.derive_seed(seed, "subsample"))
     ids = sorted(full_train.ids)
     n_sub = int(round(cfg.subsample_fraction * len(ids)))
+    if n_sub == 0:
+        raise InputError(f"subsample_fraction {cfg.subsample_fraction} keeps 0 of {len(ids)} rows")
     sub_ids = [ids[i] for i in rng.permutation(len(ids))[:n_sub]]
     sub_train = full_train.subset(sub_ids)
 
@@ -291,30 +268,27 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     sncv_result = selection.run_sncv_pipeline(
         sub_train, tune_set, _resolve_k_grid(cfg, len(sub_train)),
         cfg.hyperparams, scoring.derive_seed(seed, "sncv"))
-    sncv_model = sncv_result.model
 
     ncv_sel = selection.select_ncv(sncv_result.scored)
     ncv_model = trainer.train(sub_train.subset(ncv_sel.selected_ids), tune_set,
                               cfg.hp_for_stage("burden-ncv"))
 
-    X_test = test_set.X
-    y_test = test_set.binary_labels()
-    arm_scores = {
-        "full_baseline": trainer.referable_scores(full_model, X_test),
-        "subsample_baseline": trainer.referable_scores(sub_model, X_test),
-        "subsample_sncv": trainer.referable_scores(sncv_model, X_test),
-        "subsample_ncv": trainer.referable_scores(ncv_model, X_test),
+    models = {
+        "full_baseline": full_model,
+        "subsample_baseline": sub_model,
+        "subsample_sncv": sncv_result.model,
+        "subsample_ncv": ncv_model,
     }
+    y_test = test_set.binary_labels()
+    arm_scores = {name: trainer.referable_scores(model, test_set.X)
+                  for name, model in models.items()}
     arms = {}
     for name, s in arm_scores.items():
         ci = metrics.bootstrap_auc_ci(s, y_test, cfg.n_boot,
                                       scoring.derive_seed(seed, f"ci-{name}"))
-        arms[name] = {"test_auc": metrics.roc_auc(s, y_test).auc, "test_auc_ci95": list(ci)}
-    arms["full_baseline"]["tune_auc"] = full_model.tune_auc_at_stop
-    arms["subsample_baseline"]["tune_auc"] = sub_model.tune_auc_at_stop
-    arms["subsample_sncv"]["tune_auc"] = sncv_model.tune_auc_at_stop
+        arms[name] = {"test_auc": metrics.roc_auc(s, y_test).auc, "test_auc_ci95": list(ci),
+                      "tune_auc": models[name].tune_auc_at_stop}
     arms["subsample_sncv"]["k_used"] = sncv_result.k_used
-    arms["subsample_ncv"]["tune_auc"] = ncv_model.tune_auc_at_stop
     arms["subsample_ncv"]["n_selected"] = len(ncv_sel.selected_ids)
 
     noninferiority = [
@@ -345,14 +319,8 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
 
 
 def cmd_burden(cfg: RunConfig) -> int:
-    require_paths(cfg, "train", "tune", "test")
-    scheme = _load_scheme(cfg)
-    full_train = read_dataset(cfg.train_path, scheme)
-    tune_set = read_dataset(cfg.tune_path, scheme)
-    test_set = read_dataset(cfg.test_path, scheme)
-    body = run_burden_study(full_train, tune_set, test_set, cfg)
-    out = _out_dir(cfg)
-    _write_json(out / "burden_report.json", _report(cfg, body))
+    body = run_burden_study(*_inputs(cfg, "train", "tune", "test"), cfg)
+    _write_report(cfg, "burden_report.json", body)
     for rec in body["two_tailed_tests"]:
         print(f"{rec['model_a']} vs {rec['model_b']}: "
               f"delta={rec['delta']:+.4f} p={rec['p_two_tailed']:.4f}")
@@ -363,34 +331,25 @@ def cmd_burden(cfg: RunConfig) -> int:
 
 
 def cmd_relabel(cfg: RunConfig) -> int:
-    require_paths(cfg, "train")
-    scheme = _load_scheme(cfg)
-    scored = scoring.read_scored_dataset(cfg.train_path, scheme)
+    scored = _scored_input(cfg)
     oracle = relabel.SpecialistOracle(error_rate=cfg.oracle_error_rate,
                                       seed=cfg.stage_seed("relabel-oracle"))
     report = relabel.run_relabel_experiment(scored, cfg.n_lowest, oracle)
-    out = _out_dir(cfg)
-    _write_json(out / "relabel_report.json", _report(cfg, report.to_dict()))
-    with open(out / "relabel_rows.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "qs", "original_label", "oracle_label", "true_label",
-                    "model_side_win"])
-        for row in report.rows:
-            w.writerow([row.id, repr(row.qs), row.original_label, row.oracle_label,
-                        row.true_label, int(row.model_side_win)])
+    _write_report(cfg, "relabel_report.json", report.to_dict())
+    _write_table(_out_dir(cfg) / "relabel_rows.csv",
+                 ["id", "qs", "original_label", "oracle_label", "true_label", "model_side_win"],
+                 ([row.id, repr(row.qs), row.original_label, row.oracle_label,
+                   row.true_label, int(row.model_side_win)] for row in report.rows))
     print(f"relabeled {report.n_relabeled}: relabel_rate={report.relabel_rate:.4f} "
           f"model_agreement={report.model_agreement_rate:.4f}")
     return 0
 
 
 def cmd_graders(cfg: RunConfig) -> int:
-    require_paths(cfg, "train")
-    scheme = _load_scheme(cfg)
-    scored = scoring.read_scored_dataset(cfg.train_path, scheme)
-    pool = _load_pool(cfg, scheme)
+    scored = _scored_input(cfg)
+    pool = _load_pool(cfg, scored.dataset.scheme)
     report = relabel.grader_mismatch_analysis(scored, pool, cfg.mismatch_threshold)
-    out = _out_dir(cfg)
-    _write_json(out / "grader_report.json", _report(cfg, report.to_dict()))
+    _write_report(cfg, "grader_report.json", report.to_dict())
     flagged = [g.grader_id for g in report.graders if g.flagged]
     print(f"flagged {len(flagged)}/{len(report.graders)} graders: {flagged}")
     return 0
@@ -398,9 +357,7 @@ def cmd_graders(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     """AUC + bootstrap CI for one model on a dataset; DeLong tests for two."""
-    require_paths(cfg, "train")
-    scheme = _load_scheme(cfg)
-    dataset = read_dataset(cfg.train_path, scheme)
+    [dataset] = _inputs(cfg, "train")
     if not cfg.model_paths:
         raise InputError("eval: at least one --model is required")
     X = dataset.X
@@ -421,8 +378,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         body["noninferiority"] = metrics.comparison_record(
             a, b, metrics.delong_noninferiority(score_vectors[a], score_vectors[b], y,
                                                 cfg.margin, cfg.alpha))
-    out = _out_dir(cfg)
-    _write_json(out / "eval_report.json", _report(cfg, body))
+    _write_report(cfg, "eval_report.json", body)
     for path, rec in records.items():
         print(f"{path}: auc={rec['auc']:.4f} ci95=({rec['auc_ci95'][0]:.4f}, {rec['auc_ci95'][1]:.4f})")
     return 0
@@ -441,10 +397,6 @@ COMMANDS = {
     "graders": cmd_graders,
     "eval": cmd_eval,
 }
-
-STOCHASTIC_COMMANDS = {"gen", "split", "train", "score", "pipeline", "bands",
-                       "burden", "relabel", "eval"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sncv",
@@ -476,8 +428,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        if args.command in STOCHASTIC_COMMANDS and cfg.seed is None:
-            raise InputError("seed required: pass --seed or set [experiment] seed")
+        check(cfg, "command line")
         return COMMANDS[args.command](cfg)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

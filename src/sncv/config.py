@@ -12,6 +12,7 @@ of one another and of execution order.
 from __future__ import annotations
 
 import configparser
+import operator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -31,12 +32,24 @@ def float_list(text: str) -> tuple[float, ...]:
 
 
 def _key(section: str, default, flag: str | None = None, help: str | None = None, *,
-         key: str | None = None, choices: tuple[str, ...] | None = None):
+         key: str | None = None, choices: tuple[str, ...] | None = None,
+         interval: str | None = None):
     """Declare a config key stored in a RunConfig field. `flag` places its
     `--key-name` flag before the command ("main") or after it ("command");
-    `key` names it in the file and the report when the field name does not."""
-    return field(default=default, metadata={
-        "section": section, "key": key, "flag": flag, "help": help, "choices": choices})
+    `key` names it in the file and the report when the field name does not;
+    `interval`, such as "(0, 1]", is the range its value (or, for a list,
+    each of at least one value) must lie in."""
+    return field(default=default, metadata={"section": section, "key": key, "flag": flag,
+                                            "help": help, "choices": choices,
+                                            "interval": interval})
+
+
+def _in_interval(value, interval: str) -> bool:
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+    above = operator.gt if interval[0] == "(" else operator.ge
+    below = operator.lt if interval[-1] == ")" else operator.le
+    values = value if isinstance(value, tuple) else (value,)
+    return bool(values) and all(above(v, lo) and below(v, hi) for v in values)
 
 
 @dataclass
@@ -71,15 +84,15 @@ class RunConfig:
 
     k: int | None = _key("experiment", None, "command", "selection size")
     k_grid: tuple[float, ...] = _key("experiment", (0.625, 0.75, 0.875), "command",
-                                     "k fractions, separated by ',' or ';'")
-    subsample_fraction: float = _key("experiment", 4.0 / 7.0, "command")
-    margin: float = _key("experiment", 0.02, "command")
-    alpha: float = _key("experiment", 0.05)
-    n_boot: int = _key("experiment", 1000)
+                                     "k fractions, separated by ',' or ';'", interval="(0, 1]")
+    subsample_fraction: float = _key("experiment", 4.0 / 7.0, "command", interval="(0, 1]")
+    margin: float = _key("experiment", 0.02, "command", interval="(0, inf)")
+    alpha: float = _key("experiment", 0.05, interval="(0, 1)")
+    n_boot: int = _key("experiment", 1000, interval="[100, inf)")
     n_lowest: int = _key("experiment", 800, "command", "relabel tranche size")
-    oracle_error_rate: float = _key("experiment", 0.0, "command")
+    oracle_error_rate: float = _key("experiment", 0.0, "command", interval="[0, 1)")
     mismatch_threshold: float = _key("experiment", 0.30, "command")
-    bin_width: float = _key("experiment", 0.05)
+    bin_width: float = _key("experiment", 0.05, interval="(0, inf)")
     min_fold_size: int = _key("experiment", 100)
     high_band: float = _key("experiment", 0.45)
     low_band: float = _key("experiment", 0.15)
@@ -133,8 +146,9 @@ def load_config(path=None) -> RunConfig:
     """Read a config file; keys it leaves out keep the reference defaults.
 
     Values are read literally. Unknown sections and keys, keys under
-    [DEFAULT] and values the parser, trainer or generator reject raise
-    InputError naming the file and, where there is one, the key."""
+    [DEFAULT], values outside their key's interval and values the parser,
+    trainer or generator reject raise InputError naming the file and, where
+    there is one, the key."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -163,21 +177,31 @@ def load_config(path=None) -> RunConfig:
                 raise InputError(f"{path}: [{section}] {key} must be one of "
                                  f"{', '.join(choices)}, got {value!r}")
             setattr(cfg, f.name, value)
-    _check(cfg, path)
+    check(cfg, path)
     return cfg
 
 
-def _check(cfg: RunConfig, path) -> None:
-    """Fail at load time, not mid-run, on settings the trainer or generator reject."""
+def check(cfg: RunConfig, source) -> None:
+    """Fail before any command runs, not mid-run, on values out of their
+    declared range and on settings the trainer or generator reject.
+    `source` (the file, or the flags) starts the message."""
+    for (section, key), f in KEYS.items():
+        interval, value = f.metadata["interval"], getattr(cfg, f.name)
+        if interval is None or _in_interval(value, interval):
+            continue
+        if isinstance(value, tuple):
+            raise InputError(f"{source}: [{section}] {key} must list at least one value, "
+                             f"each in {interval}, got {list(value)}")
+        raise InputError(f"{source}: [{section}] {key} must be in {interval}, got {value!r}")
     try:
         cfg.hyperparams
     except ValueError as err:
-        raise InputError(f"{path}: [train] {err}") from None
+        raise InputError(f"{source}: [train] {err}") from None
     for name in ("n_train", "n_tune", "n_test"):
         try:
             cfg.population(getattr(cfg, name), seed=0)
         except ValueError as err:
-            raise InputError(f"{path}: [population] {err} (building the {name} draw)") from None
+            raise InputError(f"{source}: [population] {err} (building the {name} draw)") from None
 
 
 def require_paths(cfg: RunConfig, *names: str) -> None:

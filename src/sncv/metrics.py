@@ -84,22 +84,22 @@ def roc_auc(scores, labels) -> RocResult:
                      pos_placements=pos_placements, neg_placements=neg_placements)
 
 
-def _delta_variance(a: RocResult, b: RocResult) -> float:
-    m, n = a.n_positive, a.n_negative
-    s_pos = np.cov(np.stack([a.pos_placements, b.pos_placements]))
-    s_neg = np.cov(np.stack([a.neg_placements, b.neg_placements]))
+def _delong(scores_a, scores_b, labels) -> tuple[RocResult, RocResult, float, float]:
+    """Both AUCs, their difference a - b and its DeLong variance."""
+    ra = roc_auc(scores_a, labels)
+    rb = roc_auc(scores_b, labels)
+    m, n = ra.n_positive, ra.n_negative
+    if m < 2 or n < 2:
+        raise ValueError("degenerate-labels: need >= 2 positives and >= 2 negatives")
+    s_pos = np.cov(np.stack([ra.pos_placements, rb.pos_placements]))
+    s_neg = np.cov(np.stack([ra.neg_placements, rb.neg_placements]))
     s = s_pos / m + s_neg / n
-    return float(s[0, 0] + s[1, 1] - 2.0 * s[0, 1])
+    return ra, rb, ra.auc - rb.auc, float(s[0, 0] + s[1, 1] - 2.0 * s[0, 1])
 
 
 def delong_two_tailed(scores_a, scores_b, labels) -> DelongComparison:
     """Two-tailed test of equal AUC for two score vectors on the same labels."""
-    ra = roc_auc(scores_a, labels)
-    rb = roc_auc(scores_b, labels)
-    if ra.n_positive < 2 or ra.n_negative < 2:
-        raise ValueError("degenerate-labels: need >= 2 positives and >= 2 negatives")
-    var = _delta_variance(ra, rb)
-    delta = ra.auc - rb.auc
+    ra, rb, delta, var = _delong(scores_a, scores_b, labels)
     if var <= 0:
         if delta == 0:
             return DelongComparison(auc_a=ra.auc, auc_b=rb.auc, delta=0.0,
@@ -121,12 +121,7 @@ def delong_noninferiority(scores_candidate, scores_reference, labels,
     """
     if margin <= 0:
         raise ValueError("margin must be positive")
-    ra = roc_auc(scores_candidate, labels)
-    rb = roc_auc(scores_reference, labels)
-    if ra.n_positive < 2 or ra.n_negative < 2:
-        raise ValueError("degenerate-labels: need >= 2 positives and >= 2 negatives")
-    var = _delta_variance(ra, rb)
-    delta = ra.auc - rb.auc
+    ra, rb, delta, var = _delong(scores_candidate, scores_reference, labels)
     if var <= 0:
         shifted = delta + margin
         p = 0.0 if shifted > 0 else (0.5 if shifted == 0 else 1.0)

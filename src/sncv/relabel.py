@@ -24,28 +24,19 @@ from .synth import GRADER_ROLES, GraderProfile
 @dataclass(frozen=True)
 class SpecialistOracle:
     error_rate: float = 0.0
-    deviation_confusion: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.error_rate < 1:
             raise ValueError("error_rate must be in [0, 1)")
-        if self.deviation_confusion is not None:
-            conf = np.asarray(self.deviation_confusion, dtype=float)
-            object.__setattr__(self, "deviation_confusion", conf)
-            if (conf < 0).any() or np.abs(conf.sum(axis=1) - 1.0).max() > 1e-9:
-                raise ValueError("deviation confusion rows must be stochastic")
 
     def label(self, example_id: str, true_label: int, n_classes: int) -> int:
         digest = hashlib.blake2s(f"{self.seed}:{example_id}".encode(), digest_size=8).digest()
         rng = np.random.default_rng(int.from_bytes(digest, "big"))
         if self.error_rate == 0 or rng.random() >= self.error_rate:
             return true_label
-        if self.deviation_confusion is not None:
-            row = self.deviation_confusion[true_label]
-        else:
-            row = np.full(n_classes, 1.0 / (n_classes - 1))
-            row[true_label] = 0.0
+        row = np.full(n_classes, 1.0 / (n_classes - 1))
+        row[true_label] = 0.0
         draw = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
         return min(draw, n_classes - 1)
 

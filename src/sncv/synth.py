@@ -38,14 +38,12 @@ class PopulationConfig:
     n: int
     feature_dim: int
     class_priors: tuple[float, ...]
-    class_means: tuple | None = None
     class_spread: float = 1.0
     ambiguity_overlap: float = 0.0
     seed: int = 0
     # cluster extension: 1 cluster per class reproduces the plain line layout
     clusters_per_class: int = 1
     cluster_scatter: float = 0.0
-    cluster_dims: int = 2
     cluster_bulk_shares: tuple[float, ...] | None = None
     cluster_region_offsets: tuple | None = None
     structure_seed: int = 0
@@ -112,16 +110,11 @@ def cluster_centers(config: PopulationConfig) -> np.ndarray:
     """(n_classes, clusters_per_class, d) cluster centres, fixed by structure_seed."""
     k = len(config.class_priors)
     d = config.feature_dim
-    if config.class_means is not None:
-        base = np.asarray(config.class_means, dtype=float)
-        if base.shape != (k, d):
-            raise ValueError(f"class_means must have shape ({k}, {d})")
-    else:
-        base = line_means(d, k, config.ambiguity_overlap)
+    base = line_means(d, k, config.ambiguity_overlap)
     j = config.clusters_per_class
     rng = np.random.default_rng(config.structure_seed)
     centers = np.zeros((k, j, d))
-    m = min(config.cluster_dims, d)
+    m = min(2, d)  # centres scatter in the first two feature dimensions
     for c in range(k):
         offs = np.zeros((j, d))
         if j > 1 and config.cluster_scatter > 0:
@@ -300,18 +293,22 @@ def write_grader_pool(pool: list[GraderProfile], path) -> None:
 def read_grader_pool(path, scheme: ClassScheme) -> list[GraderProfile]:
     """Load profiles; confusion may be explicit rows or {"flip_to_adjacent": p}."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    k = scheme.n_classes
     pool = []
     for entry in payload:
         conf = entry["confusion"]
         if isinstance(conf, dict):
             p = float(conf["flip_to_adjacent"])
-            conf = _adjacent_flip_matrix(scheme.n_classes, p)
-        pool.append(GraderProfile(
+            conf = _adjacent_flip_matrix(k, p)
+        profile = GraderProfile(
             grader_id=entry["grader_id"],
             role=entry["role"],
             confusion=np.asarray(conf, dtype=float),
             workload_weight=float(entry["workload_weight"]),
-        ))
+        )
+        if profile.confusion.shape != (k, k):
+            raise ValueError(f"grader {profile.grader_id!r}: confusion must be {k}x{k}")
+        pool.append(profile)
     return pool
 
 

@@ -78,10 +78,16 @@ class TestGen:
         assert rc == 2
         assert "'many'" in capsys.readouterr().err
 
-    def test_missing_seed_exits_2(self, mini_config, tmp_path, capsys):
-        rc = main(["--config", str(mini_config), "--out", str(tmp_path), "gen"])
+    def test_pool_not_matching_scheme_exits_2(self, mini_config, tmp_path, capsys):
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps([{"grader_id": "g0", "role": "ophthalmologist",
+                                     "workload_weight": 1.0,
+                                     "confusion": [[0.9, 0.1], [0.1, 0.9]]}]))
+        rc = run_cli(mini_config, tmp_path / "out", "gen", "--pool", str(pool))
         assert rc == 2
-        assert "seed" in capsys.readouterr().err
+        assert "pool.json: malformed grader pool file: grader 'g0': confusion must be 4x4" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSplitTrainScore:
@@ -174,6 +180,17 @@ def scored_csv(mini_config, generated, tmp_path_factory):
     return out / "scored.csv"
 
 
+@pytest.fixture(scope="module")
+def model_json(mini_config, generated, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    rc = run_cli(mini_config, out, "train",
+                 "--train", str(generated / "train.csv"),
+                 "--tune", str(generated / "tune.csv"),
+                 "--scheme", str(generated / "scheme.json"))
+    assert rc == 0
+    return out / "model.json"
+
+
 class TestRelabelAndGraders:
     def test_relabel_report(self, mini_config, generated, scored_csv, tmp_path):
         rc = run_cli(mini_config, tmp_path, "relabel",
@@ -245,19 +262,13 @@ class TestBandsAndBurden:
 
 
 class TestEval:
-    def test_single_and_pair_eval(self, mini_config, generated, tmp_path):
-        model_dir = tmp_path / "m"
-        rc = run_cli(mini_config, model_dir, "train",
-                     "--train", str(generated / "train.csv"),
-                     "--tune", str(generated / "tune.csv"),
-                     "--scheme", str(generated / "scheme.json"))
-        assert rc == 0
+    def test_single_and_pair_eval(self, mini_config, generated, model_json, tmp_path):
         out = tmp_path / "eval"
         rc = run_cli(mini_config, out, "eval",
                      "--train", str(generated / "test.csv"),
                      "--scheme", str(generated / "scheme.json"),
-                     "--model", str(model_dir / "model.json"),
-                     "--model", str(model_dir / "model.json"))
+                     "--model", str(model_json),
+                     "--model", str(model_json))
         assert rc == 0
         report = json.loads((out / "eval_report.json").read_text())
         assert len(report["models"]) == 1  # same path twice keys once
@@ -270,6 +281,20 @@ class TestEval:
                      "--train", str(generated / "test.csv"),
                      "--scheme", str(generated / "scheme.json"))
         assert rc == 2
+
+
+OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)
+    ("pipeline", "--k-grid", ";",
+     "[experiment] k_grid must list at least one value, each in (0, 1], got []"),
+    ("burden", "--k-grid", "0.5,1.5", "[experiment] k_grid must list"),
+    ("burden", "--margin", "-1", "[experiment] margin must be in (0, inf), got -1.0"),
+    ("burden", "--subsample-fraction", "-0.1",
+     "[experiment] subsample_fraction must be in (0, 1], got -0.1"),
+    ("burden", "--subsample-fraction", "0", "[experiment] subsample_fraction must be in"),
+    ("burden", "--subsample-fraction", "0.0001", "subsample_fraction 0.0001 keeps 0 of 1200 rows"),
+    ("relabel", "--oracle-error-rate", "1",
+     "[experiment] oracle_error_rate must be in [0, 1), got 1.0"),
+]
 
 
 class TestInputErrors:
@@ -320,3 +345,32 @@ class TestInputErrors:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE_FLAGS,
+                             ids=[f"{c}{f}={v}" for c, f, v, _ in OUT_OF_RANGE_FLAGS])
+    def test_out_of_range_flag_exits_2_before_running(self, mini_config, generated, scored_csv,
+                                                      tmp_path, capsys, command, flag, value,
+                                                      message):
+        train = scored_csv if command == "relabel" else generated / "train.csv"
+        rc = run_cli(mini_config, tmp_path / "out", command, "--train", str(train),
+                     "--tune", str(generated / "tune.csv"), "--test", str(generated / "test.csv"),
+                     "--scheme", str(generated / "scheme.json"), flag, value)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "split", "train", "score", "pipeline", "bands",
+                                         "burden", "relabel", "eval"])
+    def test_missing_seed_exits_2(self, mini_config, generated, scored_csv, model_json,
+                                  tmp_path, capsys, command):
+        train, tune, test = (str(generated / f"{name}.csv") for name in ("train", "tune", "test"))
+        inputs = {"gen": [], "split": ["--train", train], "relabel": ["--train", str(scored_csv)],
+                  "burden": ["--train", train, "--tune", tune, "--test", test],
+                  "eval": ["--train", test, "--model", str(model_json)]}
+        out = tmp_path / "out"
+        rc = main(["--config", str(mini_config), "--out", str(out), command,
+                   *inputs.get(command, ["--train", train, "--tune", tune]),
+                   "--scheme", str(generated / "scheme.json")])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()

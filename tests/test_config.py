@@ -48,7 +48,7 @@ def changed(section, key, value):
         return value[::-1]  # priors and bulk shares keep their sum and length
     if isinstance(value, str):
         return "lowest"  # select_mode
-    return value + 1 if isinstance(value, int) else value + 0.5
+    return value + 1 if isinstance(value, int) else value / 2 + 0.25  # fractions stay in range
 
 
 def test_defaults_round_trip(tmp_path):
@@ -176,6 +176,31 @@ REJECTED = {
     "bad training setting": ("[train]\nlearning_rate = 0\n",
                              r"\[train\] learning_rate must be positive"),
     "not an INI file": ("seed = 3\n", r"no section headers"),
+    "empty k grid": ("[experiment]\nk_grid =\n",
+                     r"\[experiment\] k_grid must list at least one value, each in \(0, 1\], got \[\]"),
+    "k fraction above 1": ("[experiment]\nk_grid = 0.5, 1.5\n",
+                           r"\[experiment\] k_grid must list .* in \(0, 1\], got \[0.5, 1.5\]"),
+    "k fraction of 0": ("[experiment]\nk_grid = 0\n", r"\[experiment\] k_grid must list"),
+    "subsample fraction of 0": ("[experiment]\nsubsample_fraction = 0\n",
+                                r"\[experiment\] subsample_fraction must be in \(0, 1\], got 0.0"),
+    "negative subsample fraction": ("[experiment]\nsubsample_fraction = -0.1\n",
+                                    r"\[experiment\] subsample_fraction must be in \(0, 1\]"),
+    "subsample fraction above 1": ("[experiment]\nsubsample_fraction = 1.5\n",
+                                   r"\[experiment\] subsample_fraction must be in \(0, 1\]"),
+    "negative margin": ("[experiment]\nmargin = -1\n",
+                        r"\[experiment\] margin must be in \(0, inf\), got -1.0"),
+    "zero margin": ("[experiment]\nmargin = 0\n", r"\[experiment\] margin must be in \(0, inf\)"),
+    "alpha of 1": ("[experiment]\nalpha = 1\n", r"\[experiment\] alpha must be in \(0, 1\), got 1.0"),
+    "alpha of 0": ("[experiment]\nalpha = 0\n", r"\[experiment\] alpha must be in \(0, 1\)"),
+    "too few bootstrap replicates": ("[experiment]\nn_boot = 99\n",
+                                     r"\[experiment\] n_boot must be in \[100, inf\), got 99"),
+    "zero bin width": ("[experiment]\nbin_width = 0\n",
+                       r"\[experiment\] bin_width must be in \(0, inf\), got 0.0"),
+    "nan bin width": ("[experiment]\nbin_width = nan\n", r"\[experiment\] bin_width must be in"),
+    "oracle error rate of 1": ("[experiment]\noracle_error_rate = 1\n",
+                               r"\[experiment\] oracle_error_rate must be in \[0, 1\), got 1.0"),
+    "negative oracle error rate": ("[experiment]\noracle_error_rate = -0.1\n",
+                                   r"\[experiment\] oracle_error_rate must be in \[0, 1\)"),
 }
 
 
