@@ -87,10 +87,18 @@ def _scored_input(cfg: RunConfig) -> scoring.ScoredDataset:
     return scoring.read_scored_dataset(cfg.train_path, _load_scheme(cfg))
 
 
+def _rows_kept(key: str, fraction: float, n: int) -> int:
+    """The number of rows an [experiment] fraction keeps of n; keeping none is an InputError."""
+    kept = int(round(fraction * n))
+    if kept == 0:
+        raise InputError(f"[experiment] {key} {fraction} keeps 0 of {n} rows")
+    return kept
+
+
 def _resolve_k_grid(cfg: RunConfig, n: int) -> list[int]:
     if cfg.k is not None:
         return [cfg.k]
-    return [int(round(f * n)) for f in cfg.k_grid]
+    return [_rows_kept("k_grid", f, n) for f in cfg.k_grid]
 
 
 def cmd_gen(cfg: RunConfig) -> int:
@@ -216,11 +224,10 @@ def cmd_bands(cfg: RunConfig) -> int:
     """Tune AUC of high-band and low-band selected models across band sizes,
     plus the class composition of unstratified top/bottom rankings."""
     dataset, tune_set = _inputs(cfg, "train", "tune")
+    sizes = [_rows_kept("k_grid", frac, len(dataset)) for frac in sorted(set(cfg.k_grid) | {1.0})]
     scored, _, _ = scoring.cross_fold_score(
         dataset, tune_set, cfg.hp_for_stage("bands-score"), cfg.stage_seed("bands-score"),
         min_fold_size=cfg.min_fold_size)
-    sizes = [max(1, int(round(frac * len(dataset))))
-             for frac in sorted(set(cfg.k_grid) | {1.0})]
 
     band_rows = []
     for j, k in enumerate(sizes):
@@ -256,18 +263,16 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     seed = cfg.stage_seed("burden")
     rng = np.random.default_rng(scoring.derive_seed(seed, "subsample"))
     ids = sorted(full_train.ids)
-    n_sub = int(round(cfg.subsample_fraction * len(ids)))
-    if n_sub == 0:
-        raise InputError(f"subsample_fraction {cfg.subsample_fraction} keeps 0 of {len(ids)} rows")
+    n_sub = _rows_kept("subsample_fraction", cfg.subsample_fraction, len(ids))
     sub_ids = [ids[i] for i in rng.permutation(len(ids))[:n_sub]]
     sub_train = full_train.subset(sub_ids)
+    k_grid = _resolve_k_grid(cfg, n_sub)
 
     full_model = trainer.train(full_train, tune_set, cfg.hp_for_stage("burden-full"))
     sub_model = trainer.train(sub_train, tune_set, cfg.hp_for_stage("burden-sub"))
 
     sncv_result = selection.run_sncv_pipeline(
-        sub_train, tune_set, _resolve_k_grid(cfg, len(sub_train)),
-        cfg.hyperparams, scoring.derive_seed(seed, "sncv"))
+        sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"))
 
     ncv_sel = selection.select_ncv(sncv_result.scored)
     ncv_model = trainer.train(sub_train.subset(ncv_sel.selected_ids), tune_set,

@@ -91,7 +91,7 @@ class RunConfig:
     n_boot: int = _key("experiment", 1000, interval="[100, inf)")
     n_lowest: int = _key("experiment", 800, "command", "relabel tranche size")
     oracle_error_rate: float = _key("experiment", 0.0, "command", interval="[0, 1)")
-    mismatch_threshold: float = _key("experiment", 0.30, "command")
+    mismatch_threshold: float = _key("experiment", 0.30, "command", interval="[0, 1)")
     bin_width: float = _key("experiment", 0.05, interval="(0, inf)")
     min_fold_size: int = _key("experiment", 100)
     high_band: float = _key("experiment", 0.45)

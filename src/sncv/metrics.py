@@ -2,10 +2,13 @@
 and covariance of correlated AUCs, two-tailed and non-inferiority z-tests, and
 stratified bootstrap confidence intervals.
 
-The AUC numerator is a sum of half-integers, exact in float64 up to the sizes
-used here, and is divided by n_pos*n_neg in a single operation; this makes the
-estimate match exhaustive pair counting bitwise and gives exact midrank
-symmetry under score negation.
+Both the AUC and each bootstrap replicate come from one count: how many
+positives and negatives fall in each tie group of the sorted scores (the
+midrank placements of Sun & Xu 2014). A replicate reweights those counts, so
+the scores are sorted once per call. The AUC numerator is a sum of
+half-integers, exact in float64 up to the sizes used here, and is divided by
+n_pos*n_neg in a single operation; this makes the estimate match exhaustive
+pair counting bitwise and gives exact midrank symmetry under score negation.
 """
 
 from __future__ import annotations
@@ -40,48 +43,45 @@ class DelongComparison:
     non_inferior: bool | None = None
 
 
-def _midrank(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    z = x[order]
-    n = len(z)
-    starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
-    ends = np.r_[starts[1:], n]
-    mids = 0.5 * (starts + ends - 1) + 1.0
-    out = np.empty(n)
-    out[order] = np.repeat(mids, ends - starts)
-    return out
-
-
 def _validate(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores as floats and the mask of positive labels."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be aligned 1-d arrays")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    uniq = set(np.unique(labels).tolist())
-    if not uniq <= {0, 1}:
-        raise ValueError(f"labels must be binary 0/1, got {sorted(uniq)}")
-    if uniq != {0, 1}:
+    pos, neg = labels == 1, labels == 0
+    if not (pos | neg).all():
+        raise ValueError(f"labels must be binary 0/1, got {np.unique(labels).tolist()}")
+    if not (pos.any() and neg.any()):
         raise ValueError("degenerate-labels: need at least one positive and one negative")
-    return scores, labels.astype(int)
+    return scores, pos
+
+
+def _tie_groups(scores, labels) -> tuple[np.ndarray, np.ndarray, int]:
+    """Tie-group index (rank of the distinct score) of each positive and of
+    each negative, in input order, and the number of groups; one sort."""
+    scores, pos = _validate(scores, labels)
+    values, group = np.unique(scores, return_inverse=True)
+    return group[pos], group[~pos], len(values)
+
+
+def _half_below(counts: np.ndarray) -> np.ndarray:
+    """Per tie group: how many of the counted class lie below it, plus half of
+    those tied in it (the placement numerator of the other class there)."""
+    return np.cumsum(counts) - 0.5 * counts
 
 
 def roc_auc(scores, labels) -> RocResult:
     """Mann-Whitney midrank AUC with ties counted 1/2, O(n log n)."""
-    scores, labels = _validate(scores, labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    m, n = len(pos), len(neg)
-    tz = _midrank(np.concatenate([pos, neg]))
-    tx = _midrank(pos)
-    ty = _midrank(neg)
-    pos_placements = (tz[:m] - tx) / n
-    neg_placements = (tz[m:] - ty) / m
-    numerator = float((tz[:m] - tx).sum())
-    auc = numerator / (m * n)
+    gp, gn, k = _tie_groups(scores, labels)
+    m, n = len(gp), len(gn)
+    pos_below = _half_below(np.bincount(gn, minlength=k))[gp]
+    neg_below = _half_below(np.bincount(gp, minlength=k))[gn]
+    auc = float(pos_below.sum()) / (m * n)
     return RocResult(auc=auc, n_positive=m, n_negative=n,
-                     pos_placements=pos_placements, neg_placements=neg_placements)
+                     pos_placements=pos_below / n, neg_placements=neg_below / m)
 
 
 def _delong(scores_a, scores_b, labels) -> tuple[RocResult, RocResult, float, float]:
@@ -136,22 +136,20 @@ def delong_noninferiority(scores_candidate, scores_reference, labels,
 
 def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int,
                      level: float = 0.95) -> tuple[float, float]:
-    """Percentile CI from seeded stratified resamples (class counts preserved)."""
+    """Percentile CI from seeded stratified resamples (class counts preserved).
+
+    A replicate draws positives and negatives with replacement; its AUC needs
+    only how many draws land in each tie group, so the scores are sorted once."""
     if n_boot < 100:
         raise ValueError("n_boot must be >= 100")
-    scores, labels = _validate(scores, labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    m, n = len(pos), len(neg)
+    gp, gn, k = _tie_groups(scores, labels)
+    m, n = len(gp), len(gn)
     reps = np.empty(n_boot)
-    ones = np.ones(m, dtype=int)
-    zeros = np.zeros(n, dtype=int)
-    lab = np.concatenate([ones, zeros])
     for b in range(n_boot):
         rng = np.random.default_rng([seed, b])
-        sample = np.concatenate([pos[rng.integers(0, m, size=m)],
-                                 neg[rng.integers(0, n, size=n)]])
-        reps[b] = roc_auc(sample, lab).auc
+        pos_w = np.bincount(gp[rng.integers(0, m, size=m)], minlength=k)
+        neg_w = np.bincount(gn[rng.integers(0, n, size=n)], minlength=k)
+        reps[b] = float(pos_w @ _half_below(neg_w)) / (m * n)
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(reps, [tail, 1.0 - tail])
     return float(lo), float(hi)
@@ -165,11 +163,7 @@ def confusion_matrix(labels_a, labels_b, scheme) -> np.ndarray:
         raise ValueError("label lists must have equal length")
     a_bin = scheme.positive_mask(a).astype(int)
     b_bin = scheme.positive_mask(b).astype(int)
-    out = np.zeros((2, 2), dtype=int)
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = int(np.sum((a_bin == i) & (b_bin == j)))
-    return out
+    return np.bincount(2 * a_bin + b_bin, minlength=4).reshape(2, 2)
 
 
 def comparison_record(name_a: str, name_b: str, comp: DelongComparison) -> dict:

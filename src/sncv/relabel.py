@@ -9,7 +9,6 @@ the original label on boundary disagreements.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 from .dataset import Dataset, InputError
 from .metrics import confusion_matrix
 from .scoring import ScoredDataset
-from .synth import GRADER_ROLES, GraderProfile
+from .synth import GRADER_ROLES, GraderProfile, _example_rng
 
 
 @dataclass(frozen=True)
@@ -31,8 +30,7 @@ class SpecialistOracle:
             raise ValueError("error_rate must be in [0, 1)")
 
     def label(self, example_id: str, true_label: int, n_classes: int) -> int:
-        digest = hashlib.blake2s(f"{self.seed}:{example_id}".encode(), digest_size=8).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "big"))
+        rng = _example_rng(self.seed, example_id)
         if self.error_rate == 0 or rng.random() >= self.error_rate:
             return true_label
         row = np.full(n_classes, 1.0 / (n_classes - 1))

@@ -294,6 +294,11 @@ OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)
     ("burden", "--subsample-fraction", "0.0001", "subsample_fraction 0.0001 keeps 0 of 1200 rows"),
     ("relabel", "--oracle-error-rate", "1",
      "[experiment] oracle_error_rate must be in [0, 1), got 1.0"),
+    ("graders", "--mismatch-threshold", "-1",
+     "[experiment] mismatch_threshold must be in [0, 1), got -1.0"),
+    ("pipeline", "--k-grid", "0.0001", "[experiment] k_grid 0.0001 keeps 0 of 1200 rows"),
+    ("burden", "--k-grid", "0.0001", "[experiment] k_grid 0.0001 keeps 0 of 686 rows"),
+    ("bands", "--k-grid", "0.0001", "[experiment] k_grid 0.0001 keeps 0 of 1200 rows"),
 ]
 
 
@@ -351,7 +356,7 @@ class TestInputErrors:
     def test_out_of_range_flag_exits_2_before_running(self, mini_config, generated, scored_csv,
                                                       tmp_path, capsys, command, flag, value,
                                                       message):
-        train = scored_csv if command == "relabel" else generated / "train.csv"
+        train = scored_csv if command in ("relabel", "graders") else generated / "train.csv"
         rc = run_cli(mini_config, tmp_path / "out", command, "--train", str(train),
                      "--tune", str(generated / "tune.csv"), "--test", str(generated / "test.csv"),
                      "--scheme", str(generated / "scheme.json"), flag, value)

@@ -201,6 +201,10 @@ REJECTED = {
                                r"\[experiment\] oracle_error_rate must be in \[0, 1\), got 1.0"),
     "negative oracle error rate": ("[experiment]\noracle_error_rate = -0.1\n",
                                    r"\[experiment\] oracle_error_rate must be in \[0, 1\)"),
+    "negative mismatch threshold": ("[experiment]\nmismatch_threshold = -1\n",
+                                    r"\[experiment\] mismatch_threshold must be in \[0, 1\), got -1.0"),
+    "mismatch threshold of 1": ("[experiment]\nmismatch_threshold = 1\n",
+                                r"\[experiment\] mismatch_threshold must be in \[0, 1\)"),
 }
 
 

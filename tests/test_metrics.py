@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import norm
 
 from sncv import (
@@ -25,6 +25,67 @@ def pair_counting_auc(scores, labels):
     wins = (pos[:, None] > neg[None, :]).sum()
     ties = (pos[:, None] == neg[None, :]).sum()
     return (float(wins) + 0.5 * float(ties)) / (len(pos) * len(neg))
+
+
+def _midrank(x):
+    order = np.argsort(x, kind="mergesort")
+    z = x[order]
+    n = len(z)
+    starts = np.flatnonzero(np.r_[True, z[1:] != z[:-1]])
+    ends = np.r_[starts[1:], n]
+    mids = 0.5 * (starts + ends - 1) + 1.0
+    out = np.empty(n)
+    out[order] = np.repeat(mids, ends - starts)
+    return out
+
+
+def reference_roc_auc(scores, labels):
+    """Three-sort reference: midranks of the joint scores, of the positives and
+    of the negatives. Returns (auc, pos_placements, neg_placements)."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    m, n = len(pos), len(neg)
+    tz = _midrank(np.concatenate([pos, neg]))
+    tx = _midrank(pos)
+    ty = _midrank(neg)
+    return float((tz[:m] - tx).sum()) / (m * n), (tz[:m] - tx) / n, (tz[m:] - ty) / m
+
+
+def reference_bootstrap_auc_ci(scores, labels, n_boot, seed, level=0.95):
+    """Per-replicate reference: resample each class with the same seeded
+    draws, concatenate and run the reference AUC on the resample."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    pos = scores[labels == 1]
+    neg = scores[labels == 0]
+    m, n = len(pos), len(neg)
+    lab = np.r_[np.ones(m, dtype=int), np.zeros(n, dtype=int)]
+    reps = np.empty(n_boot)
+    for b in range(n_boot):
+        rng = np.random.default_rng([seed, b])
+        sample = np.concatenate([pos[rng.integers(0, m, size=m)],
+                                 neg[rng.integers(0, n, size=n)]])
+        reps[b] = reference_roc_auc(sample, lab)[0]
+    tail = (1.0 - level) / 2.0
+    lo, hi = np.quantile(reps, [tail, 1.0 - tail])
+    return float(lo), float(hi)
+
+
+# few distinct values (heavy ties), both zeros, and arbitrary finite floats
+SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def scored_labels(draw):
+    pos = draw(st.lists(SCORES, min_size=1, max_size=30))
+    neg = draw(st.lists(SCORES, min_size=1, max_size=30))
+    order = draw(st.permutations(range(len(pos) + len(neg))))
+    scores = np.array(pos + neg)[order]
+    labels = np.r_[np.ones(len(pos), dtype=int), np.zeros(len(neg), dtype=int)][order]
+    return scores, labels
 
 
 def random_instance(rng, n_max=200, tie_prob=0.5):
@@ -85,6 +146,34 @@ class TestRocAuc:
     def test_nan_score_errors(self):
         with pytest.raises(ValueError, match="finite"):
             roc_auc([0.1, np.nan], [0, 1])
+
+
+class TestAgainstThreeSortReference:
+    @given(scored_labels(), st.integers(min_value=0, max_value=2**32 - 1))
+    @example((np.array([0.0, -0.0, -0.0, 0.0]), np.array([1, 1, 0, 0])), 0)
+    @example((np.array([1.0, 0.5, 0.5, 1.0]), np.array([0, 1, 0, 1])), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal(self, data, seed):
+        scores, labels = data
+        auc, pos_placements, neg_placements = reference_roc_auc(scores, labels)
+        res = roc_auc(scores, labels)
+        assert res.auc == auc
+        assert np.array_equal(res.pos_placements, pos_placements)
+        assert np.array_equal(res.neg_placements, neg_placements)
+        assert bootstrap_auc_ci(scores, labels, 100, seed) == \
+            reference_bootstrap_auc_ci(scores, labels, 100, seed)
+
+    def test_bitwise_equal_at_20k(self):
+        rng = np.random.default_rng(20_000)
+        labels = (rng.random(20_000) < 0.25).astype(int)
+        scores = np.round(rng.standard_normal(20_000) + labels, 2)  # ties included
+        auc, pos_placements, neg_placements = reference_roc_auc(scores, labels)
+        res = roc_auc(scores, labels)
+        assert res.auc == auc
+        assert np.array_equal(res.pos_placements, pos_placements)
+        assert np.array_equal(res.neg_placements, neg_placements)
+        assert bootstrap_auc_ci(scores, labels, 200, 4) == \
+            reference_bootstrap_auc_ci(scores, labels, 200, 4)
 
 
 class TestDelongTwoTailed:

@@ -1,5 +1,7 @@
 """Relabeling-workflow and grader-analysis tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ class TestSpecialistOracle:
         labels_a = [oracle.label(f"e{i}", 1, 4) for i in range(100)]
         labels_b = [oracle.label(f"e{i}", 1, 4) for i in range(100)]
         assert labels_a == labels_b
+
+    def test_noisy_labels_pinned(self):
+        # the per-id draws at a nonzero error rate, which the golden study
+        # (error rate 0) never makes
+        oracle = SpecialistOracle(error_rate=0.3, seed=2024)
+        labels = [oracle.label(f"ex{i:06d}", i % 4, 4) for i in range(500)]
+        assert hashlib.sha256(",".join(map(str, labels)).encode()).hexdigest() == \
+            "19c6fc84f13d73bb1be0c5f8e06d99e8dee13ea40520bff4722b487c4340bb8f"
 
     def test_error_rate_bounds(self):
         with pytest.raises(ValueError, match="error_rate"):
