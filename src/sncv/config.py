@@ -94,8 +94,6 @@ class RunConfig:
     mismatch_threshold: float = _key("experiment", 0.30, "command", interval="[0, 1)")
     bin_width: float = _key("experiment", 0.05, interval="(0, inf)")
     min_fold_size: int = _key("experiment", 100)
-    high_band: float = _key("experiment", 0.45)
-    low_band: float = _key("experiment", 0.15)
     select_mode: str = _key("experiment", "stratified", "command", choices=SELECT_MODES)
     seed: int | None = _key("experiment", None, "main", "pipeline seed (overrides config)")
 

@@ -60,13 +60,13 @@ GOLDEN = {
     "bands/bands_composition.csv":
         "0c53afc81dd61aa67668721ce358a4b1cb74dc740b84023000f7e15a08624615",
     "bands/bands_report.json":
-        "b8db16be389b92ce2b848f0c1d94f7ad7666b90646d06ce06de90d6e36265a50",
+        "3522fec464f69167246586904e1e2a83538c8ebc18b9df4b9437cd8d96e98dab",
     "burden/burden_report.json":
-        "1cbc9952b3f45a299b709bf4b9340003e24ba608212946777c14b6dea95d3270",
+        "965b2e9eaacd25407083f01f900e961dabd3be55fcb86802146e2e61a7a33cd9",
     "eval/eval_report.json":
-        "fc912a82d653ab179edc63e37c103d1183f06962cf5ee21dc4ed61484f5eeb3a",
+        "44fbcdc85e202ef9a321242f7826d826738fc6cbba285e772fb5c707b7dcfe28",
     "gen/gen_report.json":
-        "a2b46fc8df9ee42f6d2e9b9ac3d51188d35099bfdb58395ed15d146ef750798d",
+        "5fb110cf63be9749567acd60616df342183ee1b6d55f837abf5f8bc6919e3008",
     "gen/pool.json":
         "31996043ec27561e1d04a8d7184c4294e86912b36f3cd9f94a2d63532f28ac7b",
     "gen/population.csv":
@@ -80,43 +80,43 @@ GOLDEN = {
     "gen/tune.csv":
         "798326c83d08d98228e400561f5f639997aa09fefcd25834af10268edf7ed479",
     "graders/grader_report.json":
-        "0c85c9d2cd3f5bfe75eca63834a7733015c9d1b076f11e939af8b10f277cac58",
+        "d3c5e65abe9c9dc0f2ae56401185e1055df7528aa344acea4afbac13fb4665ae",
     "model/model.json":
         "c2d5177400705367a49bccf5273963e7bd8387dfe5067ac43e6f062d3bbd1364",
     "model/train_report.json":
-        "f1f1159300214950818893e306ae4bc39ee17bd45ac11ffd045840139f6b4c46",
+        "d3b4b05a6bdaac37aba5199282cee1aef74e0ea0419be9279ccfdf1a360bc2cd",
     "pipeline/model_final.json":
         "2ca79f8c50485d5ed60e3727ec633b511bb8fd9a60a33c12edab12a199a08f93",
     "pipeline/pipeline_report.json":
-        "f740d2459466d6c691c2ec1dc4ba7582d132c0c5e66e072f88c9fc078cb46399",
+        "0b2d25377d1bc6df90c62f4aaa3d7fc813e9962115adc744077d84f071b820d5",
     "pipeline/qs_histogram.csv":
         "0f671298035e88f7704434ee47c338ac93c725d6e5a828bd3a0541ea255497e1",
     "pipeline/scored.csv":
         "1c7ff9e526e3555d5ecf43fe97492b56a6bff3031ffbdd3c4e4118b328b6daf1",
     "relabel/relabel_report.json":
-        "018286037bff3215a51befe7caba4f7178b8dc110f84170ad6006806ffad10e5",
+        "6e223e082ff92ffb24d340c0af40360aa0ee1e219b417347409208d6f09c5e46",
     "relabel/relabel_rows.csv":
         "92cf1c447bf9dbc55b8bb18bacc3096106eff17d20e7082bc2af666a854892c1",
     "score/score_report.json":
-        "74dc78df1e545bbb6ef08a655b8b690e270513ec8465f58783d76dbfd8b85203",
+        "c373bf649a30fd5dafc8db343bce7ea80c3b1ceb839ec8f9ba5203d5ddfcacb6",
     "score/scored.csv":
         "bba0b8c3349e489e2ce4c433b8d6da2ec17e0329113f3d71f94d180017dcfcb6",
     "sel-lowest/selected_ids.csv":
         "62e2125823dbf97f6b585369f4d94c343cd12ad956461a4ef853cb04f9af9002",
     "sel-lowest/selection_summary.json":
-        "63df7a04e7f845f5d440ef1e4b7443ae5afb1d4d88fb888f750686d7f9f601fe",
+        "41fbaac75e46880a5da45a80d0c50ca041fe28b8c1895dbba7c44de587d175c4",
     "sel-ncv-exact/selected_ids.csv":
         "6d0183b6a015d30d598b2659e6ddd6ea156151077016081a5695639a2ff29a07",
     "sel-ncv-exact/selection_summary.json":
-        "3777a5e1171e5e6bbdd489bd6048246a01629a56b3cf37f1cb6990915ded0924",
+        "19f7b283ea7da7a1cfca4c08bd41a098d8a25293aa51515fd4726c6b53dbfa22",
     "sel-ncv/selected_ids.csv":
         "30f5bbbde06e9380ddaae7e8804ed258b899bfcf813a6ea2aa0febeb8db902c1",
     "sel-ncv/selection_summary.json":
-        "6bc55d8929feb66fb40fb518fa1a254568aa0db561e82fb78b87d4b4a8f415d0",
+        "cd6fac28cc67a3bc1869c3a402fb07a5a7bbd08772ce4527a1f4d7e71e536e9e",
     "sel-stratified/selected_ids.csv":
         "7316056dd51eccd6f2b4c9af858ffbfa7898cd75bec9eb1fa2b471716ee4cf5f",
     "sel-stratified/selection_summary.json":
-        "e4688303c52b7c8658937e7dc7b94ecb94c5a05e6bcf336931605483b2b34ba0",
+        "ee892851ef75ec84e2d62e955de3e73fc9b25dede5eb0b47599838f5288c6b2d",
     "split/d1.csv":
         "738d76e1ad09e912c8cc67e157c6026d534692ff7b4dc6b5383f47d589e37888",
     "split/d2.csv":
