@@ -26,7 +26,6 @@ from .relabel import (
     GraderReport,
     RelabelReport,
     SpecialistOracle,
-    filter_by_grader_role,
     grader_mismatch_analysis,
     run_relabel_experiment,
 )
@@ -35,7 +34,6 @@ from .scoring import (
     cross_fold_score,
     derive_seed,
     qs_histogram,
-    quality_score,
     read_scored_dataset,
     write_scored_dataset,
 )
@@ -60,11 +58,8 @@ from .synth import (
 from .trainer import (
     Hyperparams,
     Model,
-    gradient_check,
-    predict,
     predict_proba,
     read_model,
-    referable_score,
     referable_scores,
     train,
     write_model,

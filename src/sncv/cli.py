@@ -195,7 +195,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
     result = selection.run_sncv_pipeline(
         dataset, tune_set, _resolve_k_grid(cfg, len(dataset)), cfg.hyperparams,
-        cfg.stage_seed("pipeline"))
+        cfg.stage_seed("pipeline"), cfg.min_fold_size)
     histogram = scoring.qs_histogram(result.scored, cfg.bin_width)
     tune_scores = trainer.referable_scores(result.model, tune_set.X)
     tune_auc = metrics.roc_auc(tune_scores, tune_set.binary_labels())
@@ -234,11 +234,11 @@ def cmd_bands(cfg: RunConfig) -> int:
         hi = selection.select_stratified(scored, k)
         lo = selection.select_lowest_stratified(scored, k)
         # paired design: both arms share the band's training seed, so
-        # coinciding selections (the full band) yield identical models
+        # coinciding selections (the full band) share one model
         m_hi = trainer.train(dataset.subset(hi.selected_ids), tune_set,
                              cfg.hp_for_stage(f"bands-{j}"))
-        m_lo = trainer.train(dataset.subset(lo.selected_ids), tune_set,
-                             cfg.hp_for_stage(f"bands-{j}"))
+        m_lo = m_hi if set(lo.selected_ids) == set(hi.selected_ids) else trainer.train(
+            dataset.subset(lo.selected_ids), tune_set, cfg.hp_for_stage(f"bands-{j}"))
         band_rows.append((k, m_hi.tune_auc_at_stop, m_lo.tune_auc_at_stop))
     # unstratified composition: positive share of the top-k and bottom-k by QS
     pos_mask = scored.dataset.binary_labels()[np.argsort(-scored.qs, kind="stable")]
@@ -272,7 +272,8 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     sub_model = trainer.train(sub_train, tune_set, cfg.hp_for_stage("burden-sub"))
 
     sncv_result = selection.run_sncv_pipeline(
-        sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"))
+        sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"),
+        cfg.min_fold_size)
 
     ncv_sel = selection.select_ncv(sncv_result.scored)
     ncv_model = trainer.train(sub_train.subset(ncv_sel.selected_ids), tune_set,
@@ -404,17 +405,21 @@ COMMANDS = {
 }
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sncv",
+    # no abbreviations: `bands --k` must not pass for `bands --k-grid`
+    parser = argparse.ArgumentParser(prog="sncv", allow_abbrev=False,
                                      description="Label-quality scoring and selection toolkit")
     parser.add_argument("--config", help="INI config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [sub.add_parser(name) for name in COMMANDS]
+    commands = {name: sub.add_parser(name, allow_abbrev=False) for name in COMMANDS}
     for (_, key), f in KEYS.items():
-        for p in {"main": [parser], "command": commands}.get(f.metadata["flag"], []):
+        flag = f.metadata["flag"] or ()
+        targets = ([parser] if flag == "main" else commands.values() if flag == "command"
+                   else [commands[name] for name in flag])
+        for p in targets:
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=value_parser(f),
                            help=f.metadata["help"], choices=f.metadata["choices"])
-    sub.choices["eval"].add_argument("--model", action="append", dest="models",
-                                     help="model JSON (repeat for a pair comparison)")
+    commands["eval"].add_argument("--model", action="append", dest="models",
+                                   help="model JSON (repeat for a pair comparison)")
     return parser
 
 

@@ -31,11 +31,12 @@ def float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
 
 
-def _key(section: str, default, flag: str | None = None, help: str | None = None, *,
-         key: str | None = None, choices: tuple[str, ...] | None = None,
-         interval: str | None = None):
+def _key(section: str, default, flag: str | tuple[str, ...] | None = None,
+         help: str | None = None, *, key: str | None = None,
+         choices: tuple[str, ...] | None = None, interval: str | None = None):
     """Declare a config key stored in a RunConfig field. `flag` places its
-    `--key-name` flag before the command ("main") or after it ("command");
+    `--key-name` flag before the command ("main"), after every command
+    ("command") or after just the commands that read the key (their names);
     `key` names it in the file and the report when the field name does not;
     `interval`, such as "(0, 1]", is the range its value (or, for a list,
     each of at least one value) must lie in."""
@@ -82,19 +83,20 @@ class RunConfig:
     hidden_units: int = _key("train", 48)
     l2: float = _key("train", 0.0)
 
-    k: int | None = _key("experiment", None, "command", "selection size")
-    k_grid: tuple[float, ...] = _key("experiment", (0.625, 0.75, 0.875), "command",
+    k: int | None = _key("experiment", None, ("select", "pipeline", "burden"), "selection size")
+    k_grid: tuple[float, ...] = _key("experiment", (0.625, 0.75, 0.875),
+                                     ("pipeline", "bands", "burden"),
                                      "k fractions, separated by ',' or ';'", interval="(0, 1]")
-    subsample_fraction: float = _key("experiment", 4.0 / 7.0, "command", interval="(0, 1]")
-    margin: float = _key("experiment", 0.02, "command", interval="(0, inf)")
+    subsample_fraction: float = _key("experiment", 4.0 / 7.0, ("burden",), interval="(0, 1]")
+    margin: float = _key("experiment", 0.02, ("burden", "eval"), interval="(0, inf)")
     alpha: float = _key("experiment", 0.05, interval="(0, 1)")
     n_boot: int = _key("experiment", 1000, interval="[100, inf)")
-    n_lowest: int = _key("experiment", 800, "command", "relabel tranche size")
-    oracle_error_rate: float = _key("experiment", 0.0, "command", interval="[0, 1)")
-    mismatch_threshold: float = _key("experiment", 0.30, "command", interval="[0, 1)")
+    n_lowest: int = _key("experiment", 800, ("relabel",), "relabel tranche size")
+    oracle_error_rate: float = _key("experiment", 0.0, ("relabel",), interval="[0, 1)")
+    mismatch_threshold: float = _key("experiment", 0.30, ("graders",), interval="[0, 1)")
     bin_width: float = _key("experiment", 0.05, interval="(0, inf)")
     min_fold_size: int = _key("experiment", 100)
-    select_mode: str = _key("experiment", "stratified", "command", choices=SELECT_MODES)
+    select_mode: str = _key("experiment", "stratified", ("select",), choices=SELECT_MODES)
     seed: int | None = _key("experiment", None, "main", "pipeline seed (overrides config)")
 
     model_paths: list[str] = field(default_factory=list)

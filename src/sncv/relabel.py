@@ -9,12 +9,11 @@ the original label on boundary disagreements.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, InputError
+from .dataset import InputError
 from .metrics import confusion_matrix
 from .scoring import ScoredDataset
 from .synth import GRADER_ROLES, GraderProfile, _example_rng
@@ -187,14 +186,3 @@ def grader_mismatch_analysis(scored: ScoredDataset, pool: list[GraderProfile] | 
         pool_role_shares=role_shares(stats),
     )
 
-
-def filter_by_grader_role(dataset: Dataset, pool: list[GraderProfile], roles) -> Dataset:
-    """Subset of examples graded by any of the given roles."""
-    roles = list(roles)
-    for role in roles:
-        if role not in GRADER_ROLES:
-            raise ValueError(f"unknown grader role {role!r}")
-    if not roles:
-        warnings.warn("empty role list: returning an empty dataset")
-    wanted = sorted({p.grader_id for p in pool if p.role in set(roles)})
-    return dataset.take(np.flatnonzero(np.isin(dataset.grader, wanted)))

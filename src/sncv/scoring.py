@@ -18,8 +18,6 @@ import numpy as np
 from .dataset import FOLD_NAMES, ClassScheme, Dataset, _read_csv, _write_csv, split_mask
 from .trainer import Hyperparams, Model, predict_proba, train
 
-MIN_FOLD_SIZE = 100
-
 
 @dataclass(eq=False)
 class ScoredDataset:
@@ -51,27 +49,9 @@ class ScoredDataset:
         return self.dataset.scheme
 
 
-def quality_score(probs, label: int, scheme: ClassScheme) -> float:
-    """Signed max-probability confidence; sign set at the referability boundary.
-
-    Argmax ties break toward the lowest class index.
-    """
-    p = np.asarray(probs, dtype=float)
-    if p.shape != (scheme.n_classes,):
-        raise ValueError(f"probability vector must have length {scheme.n_classes}")
-    if (p < 0).any():
-        raise ValueError("invalid probability vector: negative entry")
-    if abs(p.sum() - 1.0) > 1e-6:
-        raise ValueError(f"invalid probability vector: sum {p.sum()} != 1")
-    if not 0 <= label < scheme.n_classes:
-        raise ValueError("label out of range")
-    i = int(np.argmax(p))
-    top = float(p[i])
-    same_side = scheme.is_positive(i) == scheme.is_positive(label)
-    return top if same_side else -top
-
-
 def quality_scores_batch(probs: np.ndarray, labels: np.ndarray, scheme: ClassScheme) -> np.ndarray:
+    """Each row's signed max probability; the sign is set at the referability
+    boundary. Argmax ties break toward the lowest class index."""
     i = probs.argmax(axis=1)
     top = probs[np.arange(len(labels)), i]
     same = scheme.positive_mask(i) == scheme.positive_mask(labels)
@@ -79,7 +59,7 @@ def quality_scores_batch(probs: np.ndarray, labels: np.ndarray, scheme: ClassSch
 
 
 def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int,
-                     min_fold_size: int = MIN_FOLD_SIZE) -> tuple[ScoredDataset, Model, Model]:
+                     min_fold_size: int) -> tuple[ScoredDataset, Model, Model]:
     """Split, train one model per fold, score every example with the opposite fold.
 
     No example is ever scored by a model that saw it in training. Returns the

@@ -111,13 +111,13 @@ class PipelineResult:
 
 
 def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k, hp: Hyperparams,
-                      seed: int) -> PipelineResult:
+                      seed: int, min_fold_size: int) -> PipelineResult:
     """Cross-fold score, stratified-select, train the final model on the kept set.
 
     k may be a single size or an iterable of candidate sizes; with several
     candidates the size whose final model scores best on the tune set wins.
     """
-    scored, m1, m2 = cross_fold_score(dataset, tune_set, hp, seed)
+    scored, m1, m2 = cross_fold_score(dataset, tune_set, hp, seed, min_fold_size)
     k_values = [int(k)] if np.isscalar(k) else [int(v) for v in k]
     if not k_values:
         raise ValueError("k grid is empty")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassScheme, Dataset, read_scheme
+from .dataset import ClassScheme, Dataset
 from .metrics import roc_auc
 
 MODEL_FORMAT_VERSION = 1
@@ -58,12 +58,6 @@ class Model:
     train_loss_by_epoch: list[float] = field(default_factory=list)
     tune_auc_by_epoch: list[float] = field(default_factory=list)
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        if self.hidden_units > 0:
-            H = np.tanh(X @ self.weights["w1"] + self.weights["b1"])
-            return H @ self.weights["w2"] + self.weights["b2"]
-        return X @ self.weights["w"] + self.weights["b"]
-
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
@@ -71,12 +65,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def predict(model: Model, features) -> np.ndarray:
-    """Probability vector over classes for a single feature vector."""
-    x = np.asarray(features, dtype=float)
-    if x.shape != (model.feature_dim,):
-        raise ValueError(f"feature dimension mismatch: got {x.shape}, expected ({model.feature_dim},)")
-    return _softmax(model.logits(x[None, :]))[0]
+def _forward(weights: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations H (X itself without a hidden layer) and logits Z."""
+    if "w1" in weights:
+        H = np.tanh(X @ weights["w1"] + weights["b1"])
+        return H, H @ weights["w2"] + weights["b2"]
+    return X, X @ weights["w"] + weights["b"]
 
 
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
@@ -84,13 +78,7 @@ def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise ValueError(f"feature dimension mismatch: got {X.shape}, expected (*, {model.feature_dim})")
-    return _softmax(model.logits(X))
-
-
-def referable_score(model: Model, features) -> float:
-    """Summed probability mass on the referable classes for one example."""
-    probs = predict(model, features)
-    return float(probs[sorted(model.scheme.positive_indices)].sum())
+    return _softmax(_forward(model.weights, X)[1])
 
 
 def referable_scores(model: Model, X: np.ndarray) -> np.ndarray:
@@ -113,32 +101,22 @@ def _init_weights(d: int, k: int, hidden: int, rng: np.random.Generator) -> dict
     return {"w": rng.uniform(-b, b, size=(d, k)), "b": rng.uniform(-b, b, size=k)}
 
 
-def _forward_backward(weights, hidden, X, y, k, l2):
+def _forward_backward(weights, X, y, l2):
     """Mean cross-entropy loss and gradients for one batch."""
     n = len(X)
-    if hidden > 0:
-        H = np.tanh(X @ weights["w1"] + weights["b1"])
-        Z = H @ weights["w2"] + weights["b2"]
-    else:
-        Z = X @ weights["w"] + weights["b"]
+    H, Z = _forward(weights, X)
     P = _softmax(Z)
-    eps = 1e-12
-    loss = float(-np.log(P[np.arange(n), y] + eps).mean())
-    G = P.copy()
+    loss = float(-np.log(P[np.arange(n), y] + 1e-12).mean())
+    G = P
     G[np.arange(n), y] -= 1.0
     G /= n
-    grads = {}
-    if hidden > 0:
-        grads["w2"] = H.T @ G + l2 * weights["w2"]
-        grads["b2"] = G.sum(axis=0)
+    w, b = ("w2", "b2") if "w1" in weights else ("w", "b")
+    grads = {w: H.T @ G + l2 * weights[w], b: G.sum(axis=0)}
+    if "w1" in weights:
         GH = (G @ weights["w2"].T) * (1.0 - H * H)
         grads["w1"] = X.T @ GH + l2 * weights["w1"]
         grads["b1"] = GH.sum(axis=0)
-        loss += 0.5 * l2 * (np.sum(weights["w1"] ** 2) + np.sum(weights["w2"] ** 2))
-    else:
-        grads["w"] = X.T @ G + l2 * weights["w"]
-        grads["b"] = G.sum(axis=0)
-        loss += 0.5 * l2 * np.sum(weights["w"] ** 2)
+    loss += 0.5 * l2 * sum(np.sum(weights[key] ** 2) for key in ("w1", w) if key in weights)
     return loss, grads
 
 
@@ -176,11 +154,12 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
     bad_epochs = 0
     for epoch in range(1, hp.max_epochs + 1):
         perm = rng.permutation(n)
+        X_epoch, y_epoch = X[perm], y[perm]
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, hp.batch_size):
-            idx = perm[start:start + hp.batch_size]
-            loss, grads = _forward_backward(weights, hp.hidden_units, X[idx], y[idx], k, hp.l2)
+            end = start + hp.batch_size
+            loss, grads = _forward_backward(weights, X_epoch[start:end], y_epoch[start:end], hp.l2)
             if not np.isfinite(loss):
                 raise ValueError(f"diverged: non-finite loss at epoch {epoch}")
             for key, g in grads.items():
@@ -206,57 +185,6 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
     model.tune_auc_at_stop = best_auc
     model.epochs_run = len(model.train_loss_by_epoch)
     return model
-
-
-def batch_loss(model: Model, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> float:
-    loss, _ = _forward_backward(model.weights, model.hidden_units, X, y,
-                                model.scheme.n_classes, l2)
-    return loss
-
-
-def analytic_gradients(model: Model, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> dict[str, np.ndarray]:
-    _, grads = _forward_backward(model.weights, model.hidden_units, X, y,
-                                 model.scheme.n_classes, l2)
-    return grads
-
-
-def numeric_gradients(model: Model, X: np.ndarray, y: np.ndarray,
-                      l2: float = 0.0, step: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central finite differences on every parameter."""
-    grads = {}
-    for key, w in model.weights.items():
-        g = np.zeros_like(w)
-        flat = w.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = batch_loss(model, X, y, l2)
-            flat[i] = orig - step
-            down = batch_loss(model, X, y, l2)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * step)
-        grads[key] = g
-    return grads
-
-
-def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
-    worst = 0.0
-    for key in analytic:
-        a = analytic[key].reshape(-1)
-        b = numeric[key].reshape(-1)
-        rel = np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-8)
-        worst = max(worst, float(rel.max()))
-    return worst
-
-
-def gradient_check(model: Model, X: np.ndarray, y: np.ndarray,
-                   l2: float = 0.0, step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    if len(X) == 0:
-        raise ValueError("gradient check needs a non-empty batch")
-    return max_relative_error(analytic_gradients(model, X, y, l2),
-                              numeric_gradients(model, X, y, l2, step))
 
 
 def write_model(model: Model, path) -> None:

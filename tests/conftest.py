@@ -1,5 +1,6 @@
 """Shared fixtures: small synthetic datasets plus the cached reference runs
-used by the experiment-level tests and the acceptance suite."""
+used by the experiment-level tests and the acceptance suite, and the gradient
+check that tests the trainer's analytic gradients."""
 
 from __future__ import annotations
 
@@ -21,8 +22,10 @@ from sncv import (
 )
 from sncv.config import RunConfig
 from sncv.scoring import derive_seed
+from sncv.trainer import Model, _forward_backward
 
 REFERENCE_SEEDS = (0, 1, 2, 3, 4)
+MIN_FOLD_SIZE = RunConfig().min_fold_size
 
 
 def make_reference_data(seed: int, n_train: int = 20000, n_tune: int = 2000,
@@ -62,7 +65,7 @@ class ReferenceRuns:
             d = self.data(seed)
             hp = reference_hyperparams()
             self._scored[seed] = cross_fold_score(
-                d["train"], d["tune"], hp, derive_seed(seed, "score"))
+                d["train"], d["tune"], hp, derive_seed(seed, "score"), MIN_FOLD_SIZE)
         return self._scored[seed]
 
     def model(self, seed: int, which: str):
@@ -108,10 +111,61 @@ def small_noisy_setup():
 def small_scored(small_noisy_setup):
     hp = dataclasses.replace(reference_hyperparams(7), max_epochs=40)
     scored, m1, m2 = cross_fold_score(
-        small_noisy_setup["train"], small_noisy_setup["tune"], hp, seed=7)
+        small_noisy_setup["train"], small_noisy_setup["tune"], hp, seed=7,
+        min_fold_size=MIN_FOLD_SIZE)
     return {"scored": scored, "m1": m1, "m2": m2, **small_noisy_setup}
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def batch_loss(model: Model, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> float:
+    loss, _ = _forward_backward(model.weights, X, y, l2)
+    return loss
+
+
+def analytic_gradients(model: Model, X: np.ndarray, y: np.ndarray,
+                       l2: float = 0.0) -> dict[str, np.ndarray]:
+    _, grads = _forward_backward(model.weights, X, y, l2)
+    return grads
+
+
+def numeric_gradients(model: Model, X: np.ndarray, y: np.ndarray,
+                      l2: float = 0.0, step: float = 1e-5) -> dict[str, np.ndarray]:
+    """Central finite differences on every parameter."""
+    grads = {}
+    for key, w in model.weights.items():
+        g = np.zeros_like(w)
+        flat = w.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = batch_loss(model, X, y, l2)
+            flat[i] = orig - step
+            down = batch_loss(model, X, y, l2)
+            flat[i] = orig
+            gflat[i] = (up - down) / (2 * step)
+        grads[key] = g
+    return grads
+
+
+def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]) -> float:
+    worst = 0.0
+    for key in analytic:
+        a = analytic[key].reshape(-1)
+        b = numeric[key].reshape(-1)
+        rel = np.abs(a - b) / np.maximum(np.abs(a) + np.abs(b), 1e-8)
+        worst = max(worst, float(rel.max()))
+    return worst
+
+
+def gradient_check(model: Model, X: np.ndarray, y: np.ndarray,
+                   l2: float = 0.0, step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
+    if len(X) == 0:
+        raise ValueError("gradient check needs a non-empty batch")
+    return max_relative_error(analytic_gradients(model, X, y, l2),
+                              numeric_gradients(model, X, y, l2, step))

@@ -22,9 +22,7 @@ from sncv import (
     default_scheme,
     delong_two_tailed,
     grader_mismatch_analysis,
-    gradient_check,
     positive_rate,
-    quality_score,
     roc_auc,
     run_relabel_experiment,
     select_ncv,
@@ -33,10 +31,10 @@ from sncv import (
 from sncv.cli import main, run_burden_study
 from sncv.config import RunConfig
 from sncv.dataset import Dataset
-from sncv.scoring import ScoredDataset
+from sncv.scoring import ScoredDataset, quality_scores_batch
 from sncv.trainer import Model, _init_weights
 
-from conftest import REFERENCE_SEEDS
+from conftest import REFERENCE_SEEDS, gradient_check
 from test_metrics import pair_counting_auc
 
 N_LOWEST = RunConfig().n_lowest
@@ -82,8 +80,9 @@ class TestAcceptance:
 
     def test_02_worked_quality_score_examples(self):
         scheme = default_scheme()
-        qs_a = quality_score([0.02, 0.02, 0.95, 0.01], 0, scheme)
-        qs_b = quality_score([0.20, 0.15, 0.60, 0.05], 0, scheme)
+        qs_a, qs_b = quality_scores_batch(
+            np.array([[0.02, 0.02, 0.95, 0.01], [0.20, 0.15, 0.60, 0.05]]), np.array([0, 0]),
+            scheme)
         ok = qs_a == -0.95 and qs_b == -0.60
         report(2, "confident and moderate cross-boundary disagreements score -0.95 / -0.60",
                ok, f"got {qs_a}, {qs_b}")

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from sncv.cli import main
+from sncv import trainer
+from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
 [population]
@@ -261,6 +262,51 @@ class TestBandsAndBurden:
         assert report["n_subsample"] == 1200
 
 
+SMALL_CONFIG = MINI_CONFIG.replace("n_train = 1200", "n_train = 180").replace(
+    "n_tune = 400", "n_tune = 200").replace("n_test = 600", "n_test = 200")
+
+
+@pytest.fixture(scope="module")
+def small_generated(tmp_path_factory):
+    """A 180-row train set: below 2 x 100 rows, above 2 x min_fold_size (50)."""
+    out = tmp_path_factory.mktemp("small")
+    (out / "small.cfg").write_text(SMALL_CONFIG)
+    assert run_cli(out / "small.cfg", out, "gen") == 0
+    return out
+
+
+class TestMinFoldSize:
+    @pytest.mark.parametrize("command", ["pipeline", "burden"])
+    def test_config_min_fold_size_reaches_cross_fold_scoring(self, small_generated, tmp_path,
+                                                              command):
+        # pipeline scores all 180 rows, burden its 103-row subsample
+        rc = run_cli(small_generated / "small.cfg", tmp_path, command,
+                     "--train", str(small_generated / "train.csv"),
+                     "--tune", str(small_generated / "tune.csv"),
+                     "--test", str(small_generated / "test.csv"),
+                     "--scheme", str(small_generated / "scheme.json"))
+        assert rc == 0
+
+
+def test_bands_trains_the_full_band_once(small_generated, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_train(*args, **kwargs):
+        calls.append(len(args[0]))
+        return train(*args, **kwargs)
+
+    train = trainer.train
+    monkeypatch.setattr(trainer, "train", counting_train)
+    rc = run_cli(small_generated / "small.cfg", tmp_path, "bands",
+                 "--train", str(small_generated / "train.csv"),
+                 "--tune", str(small_generated / "tune.csv"),
+                 "--scheme", str(small_generated / "scheme.json"), "--k-grid", "0.5,0.75")
+    assert rc == 0
+    sizes = [90, 135, 180]
+    assert len(calls) == 2 * len(sizes) - 1
+    assert calls == [90, 90, 135, 135, 180]
+
+
 class TestEval:
     def test_single_and_pair_eval(self, mini_config, generated, model_json, tmp_path):
         out = tmp_path / "eval"
@@ -302,7 +348,44 @@ OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)
 ]
 
 
+# The commands that read each [experiment] flag; every other command rejects it.
+READERS = {
+    "--k": {"select", "pipeline", "burden"},
+    "--k-grid": {"pipeline", "bands", "burden"},
+    "--subsample-fraction": {"burden"},
+    "--margin": {"burden", "eval"},
+    "--n-lowest": {"relabel"},
+    "--oracle-error-rate": {"relabel"},
+    "--mismatch-threshold": {"graders"},
+    "--select-mode": {"select"},
+}
+FOREIGN_FLAGS = [  # (command, a flag it does not read, value)
+    ("gen", "--k", "5"), ("split", "--k-grid", "0.5"), ("train", "--margin", "0.1"),
+    ("score", "--k", "5"), ("select", "--k-grid", "0.5"), ("pipeline", "--margin", "0.1"),
+    ("bands", "--k", "5"), ("burden", "--n-lowest", "20"), ("relabel", "--margin", "9"),
+    ("graders", "--select-mode", "ncv"), ("eval", "--subsample-fraction", "0.5"),
+]
+
+
+@pytest.mark.parametrize("flag", sorted(READERS))
+def test_experiment_flag_only_on_reading_commands(flag):
+    value = {"--k": "5", "--n-lowest": "5", "--select-mode": "ncv"}.get(flag, "0.5")
+    parser = build_parser()
+    accepting = {command for command in COMMANDS
+                 if not parser.parse_known_args([command, flag, value])[1]}
+    assert accepting == READERS[flag]
+
+
 class TestInputErrors:
+    @pytest.mark.parametrize("command, flag, value", FOREIGN_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _ in FOREIGN_FLAGS])
+    def test_foreign_flag_exits_2(self, mini_config, tmp_path, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(mini_config, tmp_path / "out", command, flag, value)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_scored_csv_exits_2_naming_row(self, mini_config, generated,
                                                      scored_csv, tmp_path, capsys):
         lines = scored_csv.read_text().splitlines()

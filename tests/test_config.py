@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from sncv.cli import _apply_overrides, build_parser
-from sncv.config import RunConfig, load_config
+from sncv.cli import COMMANDS, _apply_overrides, build_parser
+from sncv.config import KEYS, RunConfig, load_config
 from sncv.dataset import InputError
 
 from test_acceptance import MINI_CONFIG as ACCEPTANCE_CONFIG
@@ -103,12 +103,21 @@ FLAGS = [  # (flag, value, section, key, expected)
 ]
 
 
+def commands_taking(flag: str) -> set[str]:
+    """The commands that accept `flag` after them."""
+    [f] = [f for (_, key), f in KEYS.items() if "--" + key.replace("_", "-") == flag]
+    commands = f.metadata["flag"]
+    return set(commands) if isinstance(commands, tuple) else set(COMMANDS)
+
+
 def resolve(cfg_path, *flags):
-    """The config of `sncv --config cfg_path <flags> select`, with --seed and
-    --out placed before the command and every other flag after it."""
+    """The config of `sncv --config cfg_path <flags> <command>`, with --seed and
+    --out placed before the command and every other flag after it, under the
+    first command (by name) that accepts all of those."""
     before = [f for f in flags if f.split("=")[0] in ("--seed", "--out")]
     after = [f for f in flags if f not in before]
-    args = build_parser().parse_args(["--config", str(cfg_path), *before, "select", *after])
+    command = min(set(COMMANDS).intersection(*(commands_taking(f.split("=")[0]) for f in after)))
+    args = build_parser().parse_args(["--config", str(cfg_path), *before, command, *after])
     return _apply_overrides(load_config(args.config), args).to_dict()
 
 

@@ -9,7 +9,6 @@ from sncv import (
     SpecialistOracle,
     default_grader_pool,
     default_scheme,
-    filter_by_grader_role,
     grader_mismatch_analysis,
     run_relabel_experiment,
 )
@@ -166,29 +165,12 @@ class TestGraderMismatchAnalysis:
 
 
 class TestFilterByGraderRole:
-    def test_all_roles_is_identity(self, small_noisy_setup):
-        from sncv.synth import GRADER_ROLES
-
-        ds = small_noisy_setup["train"]
-        out = filter_by_grader_role(ds, small_noisy_setup["pool"], GRADER_ROLES)
-        np.testing.assert_array_equal(out.ids, ds.ids)
-
     def test_specialist_share_matches_workload(self, small_noisy_setup):
+        # the rows whose grader has a role make up that role's workload share
         ds = small_noisy_setup["train"]
         pool = small_noisy_setup["pool"]
-        out = filter_by_grader_role(ds, pool, ["glaucoma-specialist"])
-        share = len(out) / len(ds)
+        specialists = [p.grader_id for p in pool if p.role == "glaucoma-specialist"]
+        share = np.isin(ds.grader, specialists).mean()
         expected = sum(p.workload_weight for p in pool
                        if p.role == "glaucoma-specialist")
         assert share == pytest.approx(expected, abs=0.03)
-
-    def test_empty_roles_warns_and_returns_empty(self, small_noisy_setup):
-        with pytest.warns(UserWarning, match="empty role list"):
-            out = filter_by_grader_role(small_noisy_setup["train"],
-                                        small_noisy_setup["pool"], [])
-        assert len(out) == 0
-
-    def test_unknown_role_errors(self, small_noisy_setup):
-        with pytest.raises(ValueError, match="unknown grader role"):
-            filter_by_grader_role(small_noisy_setup["train"],
-                                  small_noisy_setup["pool"], ["wizard"])

@@ -220,7 +220,7 @@ class TestRunPipeline:
         tune = generate_population(dataclasses.replace(cfg, n=400, seed=14), scheme)
         hp = Hyperparams(hidden_units=0, max_epochs=30, patience=6,
                          learning_rate=0.2, seed=5)
-        result = run_sncv_pipeline(ds, tune, len(ds), hp, seed=15)
+        result = run_sncv_pipeline(ds, tune, len(ds), hp, seed=15, min_fold_size=100)
         assert len(result.selection.selected_ids) == len(ds)
         baseline = train(ds, tune, hp)
         s = referable_scores(result.model, tune.X)
@@ -237,7 +237,7 @@ class TestRunPipeline:
         n = len(small_noisy_setup["train"])
         grid = [int(0.625 * n), int(0.75 * n), int(0.875 * n)]
         result = run_sncv_pipeline(small_noisy_setup["train"], small_noisy_setup["tune"],
-                                   grid, hp, seed=4)
+                                   grid, hp, seed=4, min_fold_size=100)
         assert result.k_used in grid
         assert set(result.k_grid_tune_auc) == set(grid)
         best = max(result.k_grid_tune_auc.values())

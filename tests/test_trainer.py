@@ -10,16 +10,16 @@ from sncv import (
     Hyperparams,
     Model,
     default_scheme,
-    gradient_check,
-    predict,
+    predict_proba,
     read_model,
-    referable_score,
     referable_scores,
     roc_auc,
     train,
     write_model,
 )
-from sncv.trainer import analytic_gradients, max_relative_error, numeric_gradients, _init_weights
+from sncv.trainer import _init_weights
+
+from conftest import analytic_gradients, gradient_check, max_relative_error, numeric_gradients
 
 
 def toy_dataset(n, d, n_classes=2, seed=0, separation=4.0):
@@ -49,7 +49,7 @@ class TestTrain:
         hp = Hyperparams(hidden_units=0, max_epochs=60, patience=60, seed=0,
                          learning_rate=1.0)
         model = train(ds, tune, hp)
-        probs = np.stack([predict(model, x) for x in ds.X])
+        probs = predict_proba(model, ds.X)
         acc = (probs.argmax(axis=1) == ds.y).mean()
         assert acc == 1.0
 
@@ -121,14 +121,14 @@ class TestPredict:
     def test_zero_weight_model_is_uniform(self):
         model = small_random_model(d=3, hidden=0)
         model.weights = {"w": np.zeros((3, 4)), "b": np.zeros(4)}
-        np.testing.assert_allclose(predict(model, np.ones(3)), [0.25] * 4, atol=1e-15)
+        np.testing.assert_allclose(predict_proba(model, np.ones((1, 3)))[0], [0.25] * 4, atol=1e-15)
 
     def test_softmax_shift_invariance(self):
         model = small_random_model(d=3, hidden=0, seed=4)
         x = np.array([0.3, -1.0, 2.0])
-        base = predict(model, x)
+        base = predict_proba(model, x[None])[0]
         model.weights["b"] = model.weights["b"] + 7.5
-        np.testing.assert_allclose(predict(model, x), base, atol=1e-12)
+        np.testing.assert_allclose(predict_proba(model, x[None])[0], base, atol=1e-12)
 
     def test_matches_hand_computed_softmax(self):
         # 2-feature, 4-class linear model checked against manual exp/normalize
@@ -140,18 +140,18 @@ class TestPredict:
         x = np.array([0.8, -1.2])
         logits = x @ w + b
         expected = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(predict(model, x), expected, atol=1e-12)
+        np.testing.assert_allclose(predict_proba(model, x[None])[0], expected, atol=1e-12)
 
     def test_outputs_sum_to_one(self):
         model = small_random_model(seed=5)
-        p = predict(model, np.linspace(-1, 1, 5))
+        p = predict_proba(model, np.linspace(-1, 1, 5)[None])[0]
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert (p > 0).all()
 
     def test_dimension_mismatch_errors(self):
         model = small_random_model(d=5)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            predict(model, np.zeros(4))
+            predict_proba(model, np.zeros((1, 4)))
 
 
 class TestReferableScore:
@@ -161,18 +161,18 @@ class TestReferableScore:
         model = small_random_model(d=4, hidden=0)
         logits = np.log(np.array([0.05, 0.4, 0.3, 0.25]))
         model.weights = {"w": np.zeros((4, 4)), "b": logits}
-        assert referable_score(model, np.zeros(4)) == pytest.approx(0.55, abs=1e-12)
+        assert referable_scores(model, np.zeros((1, 4)))[0] == pytest.approx(0.55, abs=1e-12)
 
     def test_high_negative_mass_example(self):
         model = small_random_model(d=4, hidden=0)
         probs = np.array([0.9, 1e-9, 0.1 - 2e-9, 1e-9])
         model.weights = {"w": np.zeros((4, 4)), "b": np.log(probs)}
-        assert referable_score(model, np.zeros(4)) == pytest.approx(0.1, abs=1e-6)
+        assert referable_scores(model, np.zeros((1, 4)))[0] == pytest.approx(0.1, abs=1e-6)
 
     def test_uniform_prediction_gives_half(self):
         model = small_random_model(d=4, hidden=0)
         model.weights = {"w": np.zeros((4, 4)), "b": np.zeros(4)}
-        assert referable_score(model, np.zeros(4)) == pytest.approx(0.5, abs=1e-12)
+        assert referable_scores(model, np.zeros((1, 4)))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestGradientCheck:
@@ -227,8 +227,7 @@ class TestSerialization:
         write_model(model, path)
         back = read_model(path)
         X = rng.standard_normal((20, 4))
-        for x in X:
-            np.testing.assert_allclose(predict(back, x), predict(model, x), atol=1e-12, rtol=0)
+        np.testing.assert_allclose(predict_proba(back, X), predict_proba(model, X), atol=1e-12, rtol=0)
         assert back.stopped_epoch == model.stopped_epoch
         assert back.tune_auc_at_stop == model.tune_auc_at_stop
         assert back.seed == model.seed
