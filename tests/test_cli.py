@@ -290,12 +290,12 @@ class TestMinFoldSize:
 
 def test_bands_trains_the_full_band_once(small_generated, tmp_path, monkeypatch):
     calls = []
+    train = trainer.train
 
     def counting_train(*args, **kwargs):
         calls.append(len(args[0]))
         return train(*args, **kwargs)
 
-    train = trainer.train
     monkeypatch.setattr(trainer, "train", counting_train)
     rc = run_cli(small_generated / "small.cfg", tmp_path, "bands",
                  "--train", str(small_generated / "train.csv"),
