@@ -13,6 +13,8 @@ import csv
 import itertools
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,59 +189,81 @@ def read_scheme(path) -> ClassScheme:
 # One CSV layout: id,label,true_label,grader_id,f0..f{d-1}; a scored file adds
 # fold,quality_score,p0..p{K-1}. true_label and grader_id may be blank or absent.
 BASE_COLUMNS = ["id", "label", "true_label", "grader_id"]
+# Rows written and parsed per block, so that a large file is never held in
+# memory as text.
+CHUNK_ROWS = 4096
+
+
+# A text cell holding one of these is quoted, as csv's minimal quoting does.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _text_cells(values: list[str]) -> list[str]:
+    """Text cells as csv writes them: one holding a comma, a quote, CR or LF
+    is wrapped in quotes with its inner quotes doubled; the rest are bare."""
+    if not _NEEDS_QUOTES.search("".join(values)):
+        return values
+    return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v
+            for v in values]
 
 
 def _write_csv(path, dataset: Dataset, scored=None) -> None:
     """Write the CSV form; scored = (fold, qs, probs) appends the scored columns.
 
-    Floats are written as repr(float), which round-trips exactly.
+    The bytes are those of csv.writer's default dialect: CRLF line ends and
+    minimal quoting. Floats are written as repr(float), which round-trips
+    exactly. Rows are formatted and written CHUNK_ROWS at a time, a column
+    at a time.
     """
     header = BASE_COLUMNS + [f"f{i}" for i in range(dataset.feature_dim)]
-    rows = ([i, str(y), "" if t < 0 else str(t), g, *map(repr, x)]
-            for i, y, t, g, x in zip(dataset.ids.tolist(), dataset.y.tolist(),
-                                     dataset.true_y.tolist(), dataset.grader.tolist(),
-                                     dataset.X.tolist()))
     if scored is not None:
         fold, qs, probs = scored
         header += ["fold", "quality_score"] + [f"p{i}" for i in range(probs.shape[1])]
-        rows = (row + [f, repr(q), *map(repr, p)]
-                for row, f, q, p in zip(rows, fold.tolist(), qs.tolist(), probs.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(dataset), CHUNK_ROWS):
+            block = slice(start, start + CHUNK_ROWS)
+            columns = [_text_cells(dataset.ids[block].tolist()),
+                       map(str, dataset.y[block].tolist()),
+                       ["" if t < 0 else str(t) for t in dataset.true_y[block].tolist()],
+                       _text_cells(dataset.grader[block].tolist()),
+                       *(map(repr, c) for c in dataset.X[block].T.tolist())]
+            if scored is not None:
+                columns += [fold[block].tolist(), map(repr, qs[block].tolist()),
+                            *(map(repr, c) for c in probs[block].T.tolist())]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-# Rows parsed per block, so that a large file is never held in memory as text.
-CHUNK_ROWS = 4096
+def _parse_cells(cells, n_rows, first_row, names, dtype, what) -> np.ndarray:
+    """Cell strings, row by row with one cell per name, as an (n_rows, len(names)) array.
 
-
-def _parse_cells(cells, first_row, names, dtype, what) -> np.ndarray:
-    """A grid of cell strings, one list per data row, as an (n_rows, len(names)) array.
-
-    A cell that does not parse as dtype, or a non-finite float, raises an
-    error naming its row and column; cells[0] is file row first_row.
+    Floats are parsed by float(), as np.array(cells, dtype=float) parses
+    them. A cell that does not parse as dtype, or a non-finite float, raises
+    an error naming its row and column; the first row is file row first_row.
     """
+    shape = (n_rows, len(names))
     try:
-        values = np.array(cells, dtype=dtype).reshape(len(cells), len(names))
-        if dtype is int or np.isfinite(values).all():
+        if dtype is int:
+            return np.array(cells, dtype=int).reshape(shape)
+        values = np.fromiter(map(float, cells), float, len(cells)).reshape(shape)
+        if np.isfinite(values).all():
             return values
     except (ValueError, OverflowError):
         pass
-    for row_no, row in enumerate(cells, start=first_row):
-        for name, cell in zip(names, row):
-            try:
-                value = dtype(cell)
-            except ValueError:
-                problem = f"non-{'integer' if dtype is int else 'numeric'} {what}"
+    for i, cell in enumerate(cells):
+        try:
+            value = dtype(cell)
+        except ValueError:
+            problem = f"non-{'integer' if dtype is int else 'numeric'} {what}"
+        else:
+            if dtype is float and not math.isfinite(value):
+                problem = f"non-finite {what}"
+            elif dtype is int and not -2**63 <= value < 2**63:
+                problem = f"{what}-out-of-range"
             else:
-                if dtype is float and not math.isfinite(value):
-                    problem = f"non-finite {what}"
-                elif dtype is int and not -2**63 <= value < 2**63:
-                    problem = f"{what}-out-of-range"
-                else:
-                    continue
-            raise InputError(f"row {row_no}: {problem} in column {name}: {cell!r}")
+                continue
+        raise InputError(f"row {first_row + i // len(names)}: {problem} in column "
+                         f"{names[i % len(names)]}: {cell!r}")
     raise InputError(f"unparsable {what} in columns {names}")
 
 
@@ -251,15 +275,19 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
             raise InputError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
 
     def cells(names):
-        idx = [header.index(name) for name in names]
-        return [[row[j] for j in idx] for row in body]
+        """The named cells of every row, row by row, in one flat list."""
+        if not names:
+            return []
+        get = operator.itemgetter(*(header.index(name) for name in names))
+        if len(names) == 1:  # an itemgetter of one index returns the bare cell, not a tuple
+            return list(map(get, body))
+        return list(itertools.chain.from_iterable(map(get, body)))
 
     def column(name):
-        j = header.index(name) if name in header else None
-        return [row[j] if j is not None else "" for row in body]
+        return cells([name]) if name in header else [""] * len(body)
 
     def numbers(names, dtype, what):
-        return _parse_cells(cells(names), first_row, names, dtype, what)
+        return _parse_cells(cells(names), len(body), first_row, names, dtype, what)
 
     k = scheme.n_classes
 
@@ -274,8 +302,8 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
     # a blank true label reads as the -1 sentinel; an explicit -1 is out of range
     true_cells = column("true_label")
     blank = np.array([c == "" for c in true_cells], dtype=bool)
-    true_y = _parse_cells([[c or "-1"] for c in true_cells], first_row, ["true_label"], int,
-                          "label")[:, 0]
+    true_y = _parse_cells([c or "-1" for c in true_cells], len(body), first_row, ["true_label"],
+                          int, "label")[:, 0]
     check_labels(true_y, blank | ((true_y >= 0) & (true_y < k)), "true_label")
     columns = [np.array(column("id"), dtype=str), numbers(feats, float, "feature"), y, true_y,
                np.array(column("grader_id"), dtype=str)]

@@ -1,5 +1,9 @@
 """Data model, splitting, and file round-trip tests."""
 
+import csv
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +20,11 @@ from sncv import (
     split_random,
     write_dataset,
     write_scheme,
+    write_scored_dataset,
 )
 import sncv.dataset
-from sncv.dataset import split_mask
+from sncv.dataset import BASE_COLUMNS, split_mask
+from sncv.scoring import ScoredDataset
 
 
 def make_dataset(labels, scheme=None, d=3, true_labels=None, graders=None):
@@ -315,3 +321,134 @@ class TestFileIO:
         path.write_text('{"classes": ["a", "b"], "positive": ["zz"]}')
         with pytest.raises(ValueError, match="unknown-class"):
             read_scheme(path)
+
+
+def reference_write_csv(path, dataset, scored=None):
+    """Row-by-row reference writer: every row goes through csv.writer's
+    default dialect (CRLF line ends, minimal quoting)."""
+    header = BASE_COLUMNS + [f"f{i}" for i in range(dataset.feature_dim)]
+    rows = ([i, str(y), "" if t < 0 else str(t), g, *map(repr, x)]
+            for i, y, t, g, x in zip(dataset.ids.tolist(), dataset.y.tolist(),
+                                     dataset.true_y.tolist(), dataset.grader.tolist(),
+                                     dataset.X.tolist()))
+    if scored is not None:
+        fold, qs, probs = scored
+        header += ["fold", "quality_score"] + [f"p{i}" for i in range(probs.shape[1])]
+        rows = (row + [f, repr(q), *map(repr, p)]
+                for row, f, q, p in zip(rows, fold.tolist(), qs.tolist(), probs.tolist()))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def reference_parse_cells(cells, first_row, names, dtype, what):
+    """Reference parse: the whole grid through np.array(cells, dtype=dtype),
+    then cell by cell to name the first bad cell."""
+    try:
+        values = np.array(cells, dtype=dtype).reshape(len(cells), len(names))
+        if dtype is int or np.isfinite(values).all():
+            return values
+    except (ValueError, OverflowError):
+        pass
+    for row_no, row in enumerate(cells, start=first_row):
+        for name, cell in zip(names, row):
+            try:
+                value = dtype(cell)
+            except ValueError:
+                problem = f"non-{'integer' if dtype is int else 'numeric'} {what}"
+            else:
+                if dtype is float and not math.isfinite(value):
+                    problem = f"non-finite {what}"
+                elif dtype is int and not -2**63 <= value < 2**63:
+                    problem = f"{what}-out-of-range"
+                else:
+                    continue
+            raise InputError(f"row {row_no}: {problem} in column {name}: {cell!r}")
+    raise InputError(f"unparsable {what} in columns {names}")
+
+
+# Text with the characters csv must quote, and floats whose text is hardest
+# to read back exactly.
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "a", "Z", "0", "é",
+                                "\u2028", "\U0001d518"]), max_size=6)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 0.1 + 0.2,
+                     1 / 3, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300]))
+
+
+@st.composite
+def csv_datasets(draw):
+    """A dataset of 0-50 rows with awkward ids, graders, labels and floats,
+    and (fold, qs, probs) for it or None."""
+    n = draw(st.integers(0, 50))
+    d = draw(st.integers(0, 3))
+    k = default_scheme().n_classes
+    ids = draw(st.lists(TEXT, min_size=n, max_size=n, unique=True))
+    ds = Dataset(default_scheme(), ids=ids,
+                 X=np.array(draw(st.lists(FLOATS, min_size=n * d, max_size=n * d))).reshape(n, d),
+                 y=draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+                 true_y=draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)),
+                 grader=draw(st.lists(st.one_of(st.just(""), TEXT), min_size=n, max_size=n)))
+    if not draw(st.booleans()):
+        return ds, None
+    fold = np.array(draw(st.lists(st.sampled_from(["D1", "D2"]), min_size=n, max_size=n)),
+                    dtype=str)
+    qs = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
+    probs = np.array(draw(st.lists(FLOATS, min_size=n * k, max_size=n * k))).reshape(n, k)
+    return ds, (fold, qs, probs)
+
+
+def assert_bitwise_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+CELLS = st.one_of(
+    st.sampled_from(["1_000", " 1.5", "\uff11", "nan", "-inf", "1e400", "0x10", "", "1.5",
+                     "-0.0", "5e-324", "1e-400", "Infinity", "+1", "1e", ".", "1.5 x"]),
+    FLOATS.map(repr), st.integers().map(str), st.text(max_size=4))
+
+
+class TestCodecAgainstReference:
+    @given(case=csv_datasets(), chunk_rows=st.sampled_from([2, 3, sncv.dataset.CHUNK_ROWS]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_and_exact_read_back(self, tmp_path_factory, case, chunk_rows):
+        ds, scored = case
+        root = tmp_path_factory.mktemp("codec")
+        with mock.patch.object(sncv.dataset, "CHUNK_ROWS", chunk_rows):
+            if scored is None:
+                write_dataset(ds, root / "new.csv")
+                back = read_dataset(root / "new.csv", ds.scheme)
+            else:
+                write_scored_dataset(ScoredDataset(ds, *scored), root / "new.csv")
+                back_scored = read_scored_dataset(root / "new.csv", ds.scheme)
+                back = back_scored.dataset
+                for name, column in zip(("fold", "qs", "probs"), scored):
+                    assert_bitwise_equal(getattr(back_scored, name), column)
+        reference_write_csv(root / "ref.csv", ds, scored)
+        assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
+        for name in ("ids", "X", "y", "true_y", "grader"):
+            assert_bitwise_equal(getattr(back, name), getattr(ds, name))
+
+    @given(cells=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
+           width=st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_float_parse_matches_array_parse(self, cells, width):
+        rows = [row[:width] for row in cells]
+        names = [f"f{i}" for i in range(width)]
+        flat = [cell for row in rows for cell in row]
+        outcomes = []
+        for parse in (lambda: reference_parse_cells(rows, 2, names, float, "feature"),
+                      lambda: sncv.dataset._parse_cells(flat, len(rows), 2, names, float,
+                                                        "feature")):
+            try:
+                outcomes.append(parse())
+            except InputError as err:
+                outcomes.append(str(err))
+        ref, new = outcomes
+        if isinstance(ref, str):
+            assert new == ref
+        else:
+            assert_bitwise_equal(new, ref)
