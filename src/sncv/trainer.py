@@ -132,6 +132,9 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
         raise ValueError("train and tune sets must share a class scheme")
     if train_set.feature_dim != tune_set.feature_dim:
         raise ValueError("train and tune sets must share feature_dim")
+    if len(np.unique(train_set.binary_labels())) < 2:
+        raise ValueError("degenerate-train-set: training set must contain both classes under "
+                         "binarization")
     tune_bin = tune_set.binary_labels()
     if len(np.unique(tune_bin)) < 2:
         raise ValueError("degenerate-tune-set: tune set must contain both classes under binarization")

@@ -3,9 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sncv import trainer
+from sncv import read_dataset, read_scheme, trainer, write_dataset
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -138,6 +139,19 @@ class TestSplitTrainScore:
         summary = json.loads((ncv_dir / "selection_summary.json").read_text())
         assert summary["mode"] == "ncv-binary"
         assert summary["k_requested"] is None
+
+    def test_score_one_class_train_set_exits_1_naming_fold(self, mini_config, generated,
+                                                            tmp_path, capsys):
+        scheme = read_scheme(generated / "scheme.json")
+        train = read_dataset(generated / "train.csv", scheme)
+        negatives = train.take(np.flatnonzero(train.binary_labels() == 0))
+        write_dataset(negatives, tmp_path / "negatives.csv")
+        rc = run_cli(mini_config, tmp_path / "out", "score",
+                     "--train", str(tmp_path / "negatives.csv"),
+                     "--tune", str(generated / "tune.csv"),
+                     "--scheme", str(generated / "scheme.json"))
+        assert rc == 1
+        assert "fold-D1: degenerate-train-set" in capsys.readouterr().err
 
 
 class TestPipeline:

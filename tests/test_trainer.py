@@ -17,6 +17,7 @@ from sncv import (
     train,
     write_model,
 )
+from sncv import trainer
 from sncv.trainer import _init_weights
 
 from conftest import analytic_gradients, gradient_check, max_relative_error, numeric_gradients
@@ -103,6 +104,15 @@ class TestTrain:
         all_neg = Dataset(ds.scheme, ids=ds.ids, X=ds.X, y=np.zeros(len(ds)))
         with pytest.raises(ValueError, match="degenerate-tune-set"):
             train(ds, all_neg, Hyperparams(seed=0))
+
+    def test_one_class_train_set_errors_before_training(self, monkeypatch):
+        # every observed label on the non-referable side; a batch step would
+        # fail with TypeError, so the error must come before the epoch loop
+        tune = toy_dataset(50, 3, seed=9)
+        all_neg = Dataset(tune.scheme, ids=tune.ids, X=tune.X, y=np.zeros(len(tune)))
+        monkeypatch.setattr(trainer, "_forward_backward", None)
+        with pytest.raises(ValueError, match="degenerate-train-set"):
+            train(all_neg, tune, Hyperparams(seed=0))
 
     def test_empty_train_set_errors(self):
         tune = toy_dataset(20, 3, seed=10)
