@@ -235,22 +235,24 @@ def _write_csv(path, dataset: Dataset, scored=None) -> None:
 
 
 def _parse_cells(cells, n_rows, first_row, names, dtype, what) -> np.ndarray:
-    """Cell strings, row by row with one cell per name, as an (n_rows, len(names)) array.
+    """The cell strings that cells() yields, row by row with one cell per name,
+    as an (n_rows, len(names)) array.
 
     Floats are parsed by float(), as np.array(cells, dtype=float) parses
-    them. A cell that does not parse as dtype, or a non-finite float, raises
-    an error naming its row and column; the first row is file row first_row.
+    them, straight from the iterator, so no per-block list of cells is held.
+    A cell that does not parse as dtype, or a non-finite float, raises an
+    error naming its row and column; the first row is file row first_row.
     """
     shape = (n_rows, len(names))
     try:
         if dtype is int:
-            return np.array(cells, dtype=int).reshape(shape)
-        values = np.fromiter(map(float, cells), float, len(cells)).reshape(shape)
+            return np.array(list(cells()), dtype=int).reshape(shape)
+        values = np.fromiter(map(float, cells()), float, n_rows * len(names)).reshape(shape)
         if np.isfinite(values).all():
             return values
     except (ValueError, OverflowError):
         pass
-    for i, cell in enumerate(cells):
+    for i, cell in enumerate(cells()):
         try:
             value = dtype(cell)
         except ValueError:
@@ -275,19 +277,19 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
             raise InputError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
 
     def cells(names):
-        """The named cells of every row, row by row, in one flat list."""
+        """A new iterator over the named cells of every row, row by row."""
         if not names:
-            return []
+            return iter(())
         get = operator.itemgetter(*(header.index(name) for name in names))
         if len(names) == 1:  # an itemgetter of one index returns the bare cell, not a tuple
-            return list(map(get, body))
-        return list(itertools.chain.from_iterable(map(get, body)))
+            return map(get, body)
+        return itertools.chain.from_iterable(map(get, body))
 
     def column(name):
-        return cells([name]) if name in header else [""] * len(body)
+        return list(cells([name])) if name in header else [""] * len(body)
 
     def numbers(names, dtype, what):
-        return _parse_cells(cells(names), len(body), first_row, names, dtype, what)
+        return _parse_cells(lambda: cells(names), len(body), first_row, names, dtype, what)
 
     k = scheme.n_classes
 
@@ -302,8 +304,8 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
     # a blank true label reads as the -1 sentinel; an explicit -1 is out of range
     true_cells = column("true_label")
     blank = np.array([c == "" for c in true_cells], dtype=bool)
-    true_y = _parse_cells([c or "-1" for c in true_cells], len(body), first_row, ["true_label"],
-                          int, "label")[:, 0]
+    true_y = _parse_cells(lambda: (c or "-1" for c in true_cells), len(body), first_row,
+                          ["true_label"], int, "label")[:, 0]
     check_labels(true_y, blank | ((true_y >= 0) & (true_y < k)), "true_label")
     columns = [np.array(column("id"), dtype=str), numbers(feats, float, "feature"), y, true_y,
                np.array(column("grader_id"), dtype=str)]

@@ -441,8 +441,8 @@ class TestCodecAgainstReference:
         flat = [cell for row in rows for cell in row]
         outcomes = []
         for parse in (lambda: reference_parse_cells(rows, 2, names, float, "feature"),
-                      lambda: sncv.dataset._parse_cells(flat, len(rows), 2, names, float,
-                                                        "feature")):
+                      lambda: sncv.dataset._parse_cells(lambda: iter(flat), len(rows), 2, names,
+                                                        float, "feature")):
             try:
                 outcomes.append(parse())
             except InputError as err:
