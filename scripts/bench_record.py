@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Write one parent-versus-change benchmark record from perfbench result files.
+
+    python3 scripts/bench_record.py PARENT_CHECKOUT CHANGE_CHECKOUT OUT.json \\
+        --suite-s PARENT_SECONDS CHANGE_SECONDS
+
+Each checkout holds the `.bench_work/<workload>-s<seed>-t0/result.json` files
+of `perfbench/run.py --trace 0`, one per seed (two or more). Per workload and
+side it holds each end-to-end metric's median, IQR over median and per-seed
+values, and the environment. Suite wall times are pytest's; it times nothing.
+"""
+
+import argparse
+import json
+import statistics
+from pathlib import Path
+
+METRICS = ("setup_s", "cycle_s", "peak_rss_mb", "quality")
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "iqr_over_median": (q3 - q1) / median, "per_seed": values}
+
+
+def side(checkout: Path) -> dict:
+    runs: dict[str, list[dict]] = {}
+    for path in sorted(checkout.glob(".bench_work/*-t0/result.json")):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        runs.setdefault(record["workload"], []).append(record)
+    out = {}
+    for workload, records in sorted(runs.items()):
+        records.sort(key=lambda r: r["seed"])
+        ok = [r for r in records if not (r["failures"] or r["problems"])]
+        out[workload] = {
+            "seeds": [r["seed"] for r in ok],
+            "failed_seeds": [r["seed"] for r in records if r not in ok],
+            **{name: summary([r["named"][name]["value"] for r in ok]) for name in METRICS},
+            "environment": {k: v for k, v in records[0]["environment"].items() if k != "seed"}}
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--suite-s", type=float, nargs=2, required=True, metavar=("PARENT", "CHANGE"))
+    args = parser.parse_args()
+    parent, change = side(args.parent), side(args.change)
+    ratios = {w: {m: change[w][m]["median"] / parent[w][m]["median"] for m in METRICS}
+              for w in parent if w in change}
+    record = {"parent": parent, "change": change, "change_over_parent": ratios,
+              "tier1_suite_s": dict(zip(("parent", "change"), args.suite_s))}
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
