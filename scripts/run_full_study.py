@@ -20,13 +20,8 @@ FAST_OVERRIDES = """
 n_train = 4000
 n_tune = 1000
 n_test = 4000
-feature_dim = 12
-clusters_per_class = 24
-cluster_scatter = 8.0
-cluster_bulk_shares = 0.5, 0.5, 0.7, 1.0
 
 [train]
-hidden_units = 48
 max_epochs = 40
 patience = 6
 

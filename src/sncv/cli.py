@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -38,11 +39,21 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, taken shallowly (dataclasses.asdict deep-copies).
+    A field left out of the repr, such as the relabel tranche's per-row table,
+    is left out of the report too."""
+    if not dataclasses.is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
+
+
 def _write_report(cfg: RunConfig, name: str, body: dict) -> None:
-    """Write the JSON report `name`: body plus the resolved config and seed."""
+    """Write the JSON report `name`: body plus the resolved config and seed.
+    A dataclass anywhere in body is written as its fields."""
     report = {"config": cfg.to_dict(), "seed": cfg.seed, **body}
-    (_out_dir(cfg) / name).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                      encoding="utf-8")
+    (_out_dir(cfg) / name).write_text(
+        json.dumps(report, indent=2, sort_keys=True, default=_fields) + "\n", encoding="utf-8")
 
 
 def _write_table(path, header, rows) -> None:
@@ -58,7 +69,7 @@ def _load(kind: str, path, read, *args):
         raise InputError(f"{kind} file not found: {path}")
     try:
         return read(path, *args)
-    except (ValueError, KeyError, TypeError) as err:
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
         raise InputError(f"{path}: malformed {kind} file: {err}") from None
 
 
@@ -341,11 +352,11 @@ def cmd_relabel(cfg: RunConfig) -> int:
     oracle = relabel.SpecialistOracle(error_rate=cfg.oracle_error_rate,
                                       seed=cfg.stage_seed("relabel-oracle"))
     report = relabel.run_relabel_experiment(scored, cfg.n_lowest, oracle)
-    _write_report(cfg, "relabel_report.json", report.to_dict())
+    _write_report(cfg, "relabel_report.json", _fields(report))
     _write_table(_out_dir(cfg) / "relabel_rows.csv",
-                 ["id", "qs", "original_label", "oracle_label", "true_label", "model_side_win"],
-                 ([row.id, repr(row.qs), row.original_label, row.oracle_label,
-                   row.true_label, int(row.model_side_win)] for row in report.rows))
+                 [f.name for f in dataclasses.fields(relabel.RelabelRow)],
+                 ([int(v) if isinstance(v, bool) else v for v in _fields(row).values()]
+                  for row in report.rows))
     print(f"relabeled {report.n_relabeled}: relabel_rate={report.relabel_rate:.4f} "
           f"model_agreement={report.model_agreement_rate:.4f}")
     return 0
@@ -355,7 +366,7 @@ def cmd_graders(cfg: RunConfig) -> int:
     scored = _scored_input(cfg)
     pool = _load_pool(cfg, scored.dataset.scheme)
     report = relabel.grader_mismatch_analysis(scored, pool, cfg.mismatch_threshold)
-    _write_report(cfg, "grader_report.json", report.to_dict())
+    _write_report(cfg, "grader_report.json", _fields(report))
     flagged = [g.grader_id for g in report.graders if g.flagged]
     print(f"flagged {len(flagged)}/{len(report.graders)} graders: {flagged}")
     return 0
@@ -372,6 +383,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     score_vectors = {}
     for path in cfg.model_paths:
         model = _load("model", path, trainer.read_model)
+        if model.scheme != dataset.scheme or model.feature_dim != dataset.feature_dim:
+            raise InputError(f"{path}: model does not fit the dataset: its scheme "
+                             f"{model.scheme} and feature_dim {model.feature_dim} against "
+                             f"{dataset.scheme} and {dataset.feature_dim}")
         s = trainer.referable_scores(model, X)
         score_vectors[path] = s
         ci = metrics.bootstrap_auc_ci(s, y, cfg.n_boot, cfg.stage_seed(f"eval-{Path(path).name}"))

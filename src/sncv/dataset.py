@@ -164,16 +164,13 @@ def split_random(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     return dataset.take(np.flatnonzero(in_d1)), dataset.take(np.flatnonzero(~in_d1))
 
 
-def write_scheme(scheme: ClassScheme, path) -> None:
-    payload = {
-        "classes": list(scheme.class_names),
-        "positive": sorted(scheme.positive_indices),
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def scheme_payload(scheme: ClassScheme) -> dict:
+    """The JSON form of a scheme, as a scheme file and a model file hold it."""
+    return {"classes": list(scheme.class_names), "positive": sorted(scheme.positive_indices)}
 
 
-def read_scheme(path) -> ClassScheme:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def scheme_from_payload(payload: dict) -> ClassScheme:
+    """The scheme in a JSON form; a positive entry is a class index or a class name."""
     classes = payload["classes"]
     positive = set()
     for p in payload["positive"]:
@@ -181,9 +178,19 @@ def read_scheme(path) -> ClassScheme:
             if p not in classes:
                 raise ValueError(f"unknown-class: {p!r} not in scheme classes")
             positive.add(classes.index(p))
+        elif isinstance(p, int) and not isinstance(p, bool):
+            positive.add(p)
         else:
-            positive.add(int(p))
+            raise ValueError(f"positive entry {p!r} is neither a class index nor a class name")
     return ClassScheme(class_names=tuple(classes), positive_indices=frozenset(positive))
+
+
+def write_scheme(scheme: ClassScheme, path) -> None:
+    Path(path).write_text(json.dumps(scheme_payload(scheme), indent=2) + "\n", encoding="utf-8")
+
+
+def read_scheme(path) -> ClassScheme:
+    return scheme_from_payload(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # One CSV layout: id,label,true_label,grader_id,f0..f{d-1}; a scored file adds

@@ -13,7 +13,7 @@ pair counting bitwise and gives exact midrank symmetry under score negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.stats import norm
@@ -167,20 +167,12 @@ def confusion_matrix(labels_a, labels_b, scheme) -> np.ndarray:
 
 
 def comparison_record(name_a: str, name_b: str, comp: DelongComparison) -> dict:
-    """JSON-ready summary of one model-pair comparison."""
-    record = {
-        "model_a": name_a,
-        "model_b": name_b,
-        "auc_a": comp.auc_a,
-        "auc_b": comp.auc_b,
-        "delta": comp.delta,
-        "variance_of_delta": comp.variance_of_delta,
-        "z": comp.z,
-    }
-    if comp.p_two_tailed is not None:
-        record["p_two_tailed"] = comp.p_two_tailed
-    if comp.p_noninferiority is not None:
-        record["p_noninferiority"] = comp.p_noninferiority
-        record["margin"] = comp.margin
-        record["decision"] = "non-inferior" if comp.non_inferior else "-"
+    """JSON-ready summary of one model-pair comparison: the comparison's
+    fields that are not None, with non_inferior written as its decision."""
+    record = {"model_a": name_a, "model_b": name_b}
+    for f in fields(comp):
+        if getattr(comp, f.name) is not None:
+            record[f.name] = getattr(comp, f.name)
+    if "non_inferior" in record:
+        record["decision"] = "non-inferior" if record.pop("non_inferior") else "-"
     return record

@@ -51,24 +51,14 @@ class RelabelRow:
 @dataclass
 class RelabelReport:
     n_relabeled: int
-    confusion: np.ndarray
+    confusion: list[list[int]]
     relabel_rate: float
     binarized_relabel_rate: float
     model_agreement_rate: float
     model_agreement_rate_all: float
     n_boundary_disagreements: int
-    rows: list[RelabelRow] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_relabeled": self.n_relabeled,
-            "confusion": self.confusion.tolist(),
-            "relabel_rate": self.relabel_rate,
-            "binarized_relabel_rate": self.binarized_relabel_rate,
-            "model_agreement_rate": self.model_agreement_rate,
-            "model_agreement_rate_all": self.model_agreement_rate_all,
-            "n_boundary_disagreements": self.n_boundary_disagreements,
-        }
+    # the per-row table is too long for a repr, and for the JSON report
+    rows: list[RelabelRow] = field(default_factory=list, repr=False)
 
 
 def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
@@ -103,7 +93,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
                                         side_win.tolist())]
     return RelabelReport(
         n_relabeled=n_lowest,
-        confusion=confusion_matrix(originals, oracles, scheme),
+        confusion=confusion_matrix(originals, oracles, scheme).tolist(),
         relabel_rate=float((originals != oracles).mean()),
         binarized_relabel_rate=float(
             (scheme.positive_mask(originals) != scheme.positive_mask(oracles)).mean()
@@ -130,23 +120,6 @@ class GraderReport:
     graders: list[GraderStats]
     flagged_role_shares: dict[str, float]
     pool_role_shares: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "graders": [
-                {
-                    "grader_id": g.grader_id,
-                    "role": g.role,
-                    "n_examples": g.n_examples,
-                    "mismatch_rate": g.mismatch_rate,
-                    "flagged": g.flagged,
-                }
-                for g in self.graders
-            ],
-            "flagged_role_shares": self.flagged_role_shares,
-            "pool_role_shares": self.pool_role_shares,
-        }
 
 
 def grader_mismatch_analysis(scored: ScoredDataset, pool: list[GraderProfile] | None = None,

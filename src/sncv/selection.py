@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -137,13 +137,7 @@ def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k, hp: Hyperparams,
 
 
 def selection_summary(result: SelectionResult) -> dict:
-    return {
-        "mode": result.mode,
-        "k_requested": result.k_requested,
-        "tau_used": result.tau_used,
-        "n_selected": len(result.selected_ids),
-        "n_positive_selected": result.n_positive_selected,
-        "n_negative_selected": result.n_negative_selected,
-        "positive_shortfall": result.positive_shortfall,
-        "negative_shortfall": result.negative_shortfall,
-    }
+    """The result's fields for a report, with the id list replaced by its length."""
+    summary = {f.name: getattr(result, f.name) for f in fields(result)}
+    summary["n_selected"] = len(summary.pop("selected_ids"))
+    return summary

@@ -308,6 +308,8 @@ def read_grader_pool(path, scheme: ClassScheme) -> list[GraderProfile]:
         )
         if profile.confusion.shape != (k, k):
             raise ValueError(f"grader {profile.grader_id!r}: confusion must be {k}x{k}")
+        if any(other.grader_id == profile.grader_id for other in pool):
+            raise ValueError(f"duplicate grader id {profile.grader_id!r}")
         pool.append(profile)
     return pool
 

@@ -9,12 +9,12 @@ example id before the seeded per-epoch shuffles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassScheme, Dataset
+from .dataset import ClassScheme, Dataset, scheme_from_payload, scheme_payload
 from .metrics import roc_auc
 
 MODEL_FORMAT_VERSION = 1
@@ -86,19 +86,23 @@ def referable_scores(model: Model, X: np.ndarray) -> np.ndarray:
     return probs[:, sorted(model.scheme.positive_indices)].sum(axis=1)
 
 
-def _init_weights(d: int, k: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    # seeded uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]
+def _weight_shapes(d: int, k: int, hidden: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each weight array for d features, k classes and a hidden
+    layer of that width (none when hidden is 0)."""
     if hidden > 0:
-        b1 = 1.0 / np.sqrt(d)
-        b2 = 1.0 / np.sqrt(hidden)
-        return {
-            "w1": rng.uniform(-b1, b1, size=(d, hidden)),
-            "b1": rng.uniform(-b1, b1, size=hidden),
-            "w2": rng.uniform(-b2, b2, size=(hidden, k)),
-            "b2": rng.uniform(-b2, b2, size=k),
-        }
-    b = 1.0 / np.sqrt(d)
-    return {"w": rng.uniform(-b, b, size=(d, k)), "b": rng.uniform(-b, b, size=k)}
+        return {"w1": (d, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
+    return {"w": (d, k), "b": (k,)}
+
+
+def _init_weights(d: int, k: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    # seeded uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], drawn in _weight_shapes order;
+    # a bias shares the fan-in of its layer's matrix (b1 of w1, b of w)
+    shapes = _weight_shapes(d, k, hidden)
+    weights = {}
+    for key, shape in shapes.items():
+        bound = 1.0 / np.sqrt(shapes["w" + key[1:]][0])
+        weights[key] = rng.uniform(-bound, bound, size=shape)
+    return weights
 
 
 def _forward_backward(weights, X, y, l2):
@@ -191,42 +195,29 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
 
 
 def write_model(model: Model, path) -> None:
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "scheme": {
-            "classes": list(model.scheme.class_names),
-            "positive": sorted(model.scheme.positive_indices),
-        },
-        "feature_dim": model.feature_dim,
-        "hidden_units": model.hidden_units,
-        "weights": {key: w.tolist() for key, w in model.weights.items()},
-        "seed": model.seed,
-        "stopped_epoch": model.stopped_epoch,
-        "tune_auc_at_stop": model.tune_auc_at_stop,
-        "epochs_run": model.epochs_run,
-        "train_loss_by_epoch": model.train_loss_by_epoch,
-        "tune_auc_by_epoch": model.tune_auc_by_epoch,
-    }
+    payload = {f.name: getattr(model, f.name) for f in fields(Model)}
+    payload.update(format_version=MODEL_FORMAT_VERSION, scheme=scheme_payload(model.scheme),
+                   weights={key: w.tolist() for key, w in model.weights.items()})
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_model(path) -> Model:
+    """Load a model file. Its keys must be exactly the Model fields plus
+    format_version, and its weights must have the shapes that feature_dim,
+    hidden_units and the scheme's class count give them."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {payload.get('format_version')}")
-    scheme = ClassScheme(
-        class_names=tuple(payload["scheme"]["classes"]),
-        positive_indices=frozenset(payload["scheme"]["positive"]),
-    )
-    return Model(
-        scheme=scheme,
-        feature_dim=payload["feature_dim"],
-        hidden_units=payload["hidden_units"],
-        weights={key: np.array(w, dtype=float) for key, w in payload["weights"].items()},
-        seed=payload["seed"],
-        stopped_epoch=payload["stopped_epoch"],
-        tune_auc_at_stop=payload["tune_auc_at_stop"],
-        epochs_run=payload["epochs_run"],
-        train_loss_by_epoch=list(payload["train_loss_by_epoch"]),
-        tune_auc_by_epoch=list(payload["tune_auc_by_epoch"]),
-    )
+    del payload["format_version"]
+    names = {f.name for f in fields(Model)}
+    if payload.keys() != names:
+        raise ValueError(f"missing keys {sorted(names - payload.keys())}, "
+                         f"unknown keys {sorted(payload.keys() - names)}")
+    payload["scheme"] = scheme = scheme_from_payload(payload["scheme"])
+    shapes = _weight_shapes(payload["feature_dim"], scheme.n_classes, payload["hidden_units"])
+    weights = {key: np.array(w, dtype=float) for key, w in payload["weights"].items()}
+    got = {key: w.shape for key, w in weights.items()}
+    if got != shapes:
+        raise ValueError(f"weight shapes {got} do not match {shapes}")
+    payload["weights"] = weights
+    return Model(**payload)

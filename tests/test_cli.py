@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import read_dataset, read_scheme, trainer, write_dataset
+from sncv import Dataset, read_dataset, read_scheme, trainer, write_dataset
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -88,6 +88,16 @@ class TestGen:
         rc = run_cli(mini_config, tmp_path / "out", "gen", "--pool", str(pool))
         assert rc == 2
         assert "pool.json: malformed grader pool file: grader 'g0': confusion must be 4x4" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_pool_repeating_a_grader_id_exits_2(self, mini_config, generated, tmp_path, capsys):
+        entries = json.loads((generated / "pool.json").read_text())
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps(entries + [dict(entries[0], role="optometrist")]))
+        rc = run_cli(mini_config, tmp_path / "out", "gen", "--pool", str(pool))
+        assert rc == 2
+        assert f"malformed grader pool file: duplicate grader id {entries[0]['grader_id']!r}" \
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -342,6 +352,27 @@ class TestEval:
                      "--scheme", str(generated / "scheme.json"))
         assert rc == 2
 
+    @pytest.mark.parametrize("mismatch", ["feature_dim", "scheme"])
+    def test_model_not_fitting_dataset_exits_2_naming_model(self, mini_config, generated,
+                                                            model_json, tmp_path, capsys,
+                                                            mismatch):
+        test = read_dataset(generated / "test.csv", read_scheme(generated / "scheme.json"))
+        scheme = tmp_path / "scheme.json"
+        if mismatch == "feature_dim":
+            scheme.write_text((generated / "scheme.json").read_text())
+            test = Dataset(test.scheme, test.ids, test.X[:, :-1], test.y, test.true_y)
+        else:  # the 4-class model under a 2-class scheme
+            scheme.write_text('{"classes": ["refer-not", "refer"], "positive": [1]}')
+            binary = read_scheme(scheme)
+            test = Dataset(binary, test.ids, test.X, test.binary_labels(),
+                           test.scheme.positive_mask(test.true_y).astype(int))
+        write_dataset(test, tmp_path / "test.csv")
+        rc = run_cli(mini_config, tmp_path / "out", "eval", "--train", str(tmp_path / "test.csv"),
+                     "--scheme", str(scheme), "--model", str(model_json))
+        assert rc == 2
+        assert f"{model_json}: model does not fit the dataset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)
     ("pipeline", "--k-grid", ";",
@@ -431,6 +462,26 @@ class TestInputErrors:
             run_cli(mini_config, tmp_path, "pipeline", "--k-grid", value)
         assert exit_info.value.code == 2
         assert "--k-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["weights"].update(w1=[row[:-1] for row in m["weights"]["w1"]]),
+         "weight shapes"),
+        (lambda m: m.update(hiden_units=3), "unknown keys ['hiden_units']"),
+        (lambda m: m.pop("seed"), "missing keys ['seed']"),
+        (lambda m: m.update(weights=[]), "'list' object has no attribute 'items'"),
+    ], ids=["w1-one-column-short", "unknown-key", "missing-key", "weights-not-an-object"])
+    def test_malformed_model_file_exits_2(self, mini_config, generated, model_json, tmp_path,
+                                          capsys, edit, message):
+        model = json.loads(model_json.read_text())
+        edit(model)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(model))
+        rc = run_cli(mini_config, tmp_path / "out", "eval", "--train", str(generated / "test.csv"),
+                     "--scheme", str(generated / "scheme.json"), "--model", str(bad))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed model file" in err and message in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text, message", [
         ("[train]\nhiden_units = 3\n", "unknown key [train] hiden_units"),

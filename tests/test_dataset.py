@@ -322,6 +322,13 @@ class TestFileIO:
         with pytest.raises(ValueError, match="unknown-class"):
             read_scheme(path)
 
+    @pytest.mark.parametrize("positive", ["[2.7, 3]", "[true]", "[null]"])
+    def test_scheme_positive_entry_neither_index_nor_name(self, tmp_path, positive):
+        path = tmp_path / "scheme.json"
+        path.write_text('{"classes": ["a", "b", "c", "d"], "positive": %s}' % positive)
+        with pytest.raises(ValueError, match="neither a class index nor a class name"):
+            read_scheme(path)
+
 
 def reference_write_csv(path, dataset, scored=None):
     """Row-by-row reference writer: every row goes through csv.writer's

@@ -1,5 +1,6 @@
 """Relabeling-workflow and grader-analysis tests."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -121,7 +122,7 @@ class TestRunRelabelExperiment:
         oracle = SpecialistOracle(error_rate=0.2, seed=11)
         a = run_relabel_experiment(scored, 40, oracle)
         b = run_relabel_experiment(scored, 40, oracle)
-        assert a.to_dict() == b.to_dict()
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 class TestGraderMismatchAnalysis:
