@@ -117,10 +117,10 @@ def cmd_gen(cfg: RunConfig) -> int:
     scheme = _load_scheme(cfg)
     pool = _load_pool(cfg, scheme)
     population = synth.generate_population(
-        cfg.population(cfg.n_train, cfg.stage_seed("gen-train")), scheme)
+        cfg.population(cfg.n_train), cfg.stage_seed("gen-train"), scheme)
     noisy = synth.apply_grader_noise(population, pool, cfg.stage_seed("gen-noise"))
-    tune = synth.generate_population(cfg.population(cfg.n_tune, cfg.stage_seed("gen-tune")), scheme)
-    test = synth.generate_population(cfg.population(cfg.n_test, cfg.stage_seed("gen-test")), scheme)
+    tune = synth.generate_population(cfg.population(cfg.n_tune), cfg.stage_seed("gen-tune"), scheme)
+    test = synth.generate_population(cfg.population(cfg.n_test), cfg.stage_seed("gen-test"), scheme)
 
     out = _out_dir(cfg)
     write_scheme(scheme, out / "scheme.json")
@@ -155,7 +155,7 @@ def cmd_split(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     train_set, tune_set = _inputs(cfg, "train", "tune")
-    model = trainer.train(train_set, tune_set, cfg.hp_for_stage("train"))
+    model = trainer.train(train_set, tune_set, cfg.hyperparams, cfg.stage_seed("train"))
     trainer.write_model(model, _out_dir(cfg) / "model.json")
     _write_report(cfg, "train_report.json", {
         "stopped_epoch": model.stopped_epoch,
@@ -169,7 +169,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_score(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
     scored, m1, m2 = scoring.cross_fold_score(
-        dataset, tune_set, cfg.hp_for_stage("score"), cfg.stage_seed("score"),
+        dataset, tune_set, cfg.hyperparams, cfg.stage_seed("score"),
         min_fold_size=cfg.min_fold_size)
     scoring.write_scored_dataset(scored, _out_dir(cfg) / "scored.csv")
     _write_report(cfg, "score_report.json", {
@@ -237,7 +237,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
     sizes = [_rows_kept("k_grid", frac, len(dataset)) for frac in sorted(set(cfg.k_grid) | {1.0})]
     scored, _, _ = scoring.cross_fold_score(
-        dataset, tune_set, cfg.hp_for_stage("bands-score"), cfg.stage_seed("bands-score"),
+        dataset, tune_set, cfg.hyperparams, cfg.stage_seed("bands-score"),
         min_fold_size=cfg.min_fold_size)
 
     band_rows = []
@@ -246,10 +246,10 @@ def cmd_bands(cfg: RunConfig) -> int:
         lo = selection.select_lowest_stratified(scored, k)
         # paired design: both arms share the band's training seed, so
         # coinciding selections (the full band) share one model
-        m_hi = trainer.train(dataset.subset(hi.selected_ids), tune_set,
-                             cfg.hp_for_stage(f"bands-{j}"))
+        band_seed = cfg.stage_seed(f"bands-{j}")
+        m_hi = trainer.train(dataset.subset(hi.selected_ids), tune_set, cfg.hyperparams, band_seed)
         m_lo = m_hi if set(lo.selected_ids) == set(hi.selected_ids) else trainer.train(
-            dataset.subset(lo.selected_ids), tune_set, cfg.hp_for_stage(f"bands-{j}"))
+            dataset.subset(lo.selected_ids), tune_set, cfg.hyperparams, band_seed)
         band_rows.append((k, m_hi.tune_auc_at_stop, m_lo.tune_auc_at_stop))
     # unstratified composition: positive share of the top-k and bottom-k by QS
     pos_mask = scored.dataset.binary_labels()[np.argsort(-scored.qs, kind="stable")]
@@ -279,8 +279,9 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     sub_train = full_train.subset(sub_ids)
     k_grid = _resolve_k_grid(cfg, n_sub)
 
-    full_model = trainer.train(full_train, tune_set, cfg.hp_for_stage("burden-full"))
-    sub_model = trainer.train(sub_train, tune_set, cfg.hp_for_stage("burden-sub"))
+    full_model = trainer.train(full_train, tune_set, cfg.hyperparams,
+                               cfg.stage_seed("burden-full"))
+    sub_model = trainer.train(sub_train, tune_set, cfg.hyperparams, cfg.stage_seed("burden-sub"))
 
     sncv_result = selection.run_sncv_pipeline(
         sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"),
@@ -288,7 +289,7 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
 
     ncv_sel = selection.select_ncv(sncv_result.scored)
     ncv_model = trainer.train(sub_train.subset(ncv_sel.selected_ids), tune_set,
-                              cfg.hp_for_stage("burden-ncv"))
+                              cfg.hyperparams, cfg.stage_seed("burden-ncv"))
 
     models = {
         "full_baseline": full_model,

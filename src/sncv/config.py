@@ -113,13 +113,10 @@ class RunConfig:
             raise InputError("seed required: pass --seed or set [experiment] seed")
         return derive_seed(self.seed, stage)
 
-    def hp_for_stage(self, stage: str) -> Hyperparams:
-        return Hyperparams(**self._section("train"), seed=self.stage_seed(stage))
-
-    def population(self, n: int, seed: int) -> PopulationConfig:
+    def population(self, n: int) -> PopulationConfig:
         """Generator settings for an n-example draw under this run's population config."""
         generator = {f.name for f in fields(PopulationConfig)}
-        return PopulationConfig(n=n, seed=seed, cluster_region_offsets=CLUSTER_REGION_OFFSETS, **{
+        return PopulationConfig(n=n, cluster_region_offsets=CLUSTER_REGION_OFFSETS, **{
             k: v for k, v in self._section("population").items() if k in generator})
 
     def to_dict(self) -> dict:
@@ -199,7 +196,7 @@ def check(cfg: RunConfig, source) -> None:
         raise InputError(f"{source}: [train] {err}") from None
     for name in ("n_train", "n_tune", "n_test"):
         try:
-            cfg.population(getattr(cfg, name), seed=0)
+            cfg.population(getattr(cfg, name))
         except ValueError as err:
             raise InputError(f"{source}: [population] {err} (building the {name} draw)") from None
 

@@ -9,7 +9,6 @@ empty gap around zero.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 
@@ -70,13 +69,11 @@ def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams, seed:
     in_d1 = split_mask(dataset, derive_seed(seed, "split"))
     d1_rows, d2_rows = np.flatnonzero(in_d1), np.flatnonzero(~in_d1)
     try:
-        m1 = train(dataset.take(d1_rows), tune_set,
-                   dataclasses.replace(hp, seed=derive_seed(seed, "train-d1")))
+        m1 = train(dataset.take(d1_rows), tune_set, hp, derive_seed(seed, "train-d1"))
     except ValueError as err:
         raise ValueError(f"fold-D1: {err}") from err
     try:
-        m2 = train(dataset.take(d2_rows), tune_set,
-                   dataclasses.replace(hp, seed=derive_seed(seed, "train-d2")))
+        m2 = train(dataset.take(d2_rows), tune_set, hp, derive_seed(seed, "train-d2"))
     except ValueError as err:
         raise ValueError(f"fold-D2: {err}") from err
 

@@ -10,7 +10,6 @@ is kept as the unstratified baseline.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -126,8 +125,7 @@ def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k, hp: Hyperparams,
     for j, k_val in enumerate(k_values):
         selection = select_stratified(scored, k_val)
         subset = dataset.subset(selection.selected_ids)
-        model = train(subset, tune_set,
-                      dataclasses.replace(hp, seed=derive_seed(seed, f"train-final-{j}")))
+        model = train(subset, tune_set, hp, derive_seed(seed, f"train-final-{j}"))
         grid_auc[k_val] = model.tune_auc_at_stop
         if best is None or model.tune_auc_at_stop > best[0].tune_auc_at_stop:
             best = (model, selection, k_val)

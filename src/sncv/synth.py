@@ -40,7 +40,6 @@ class PopulationConfig:
     class_priors: tuple[float, ...]
     class_spread: float = 1.0
     ambiguity_overlap: float = 0.0
-    seed: int = 0
     # cluster extension: 1 cluster per class reproduces the plain line layout
     clusters_per_class: int = 1
     cluster_scatter: float = 0.0
@@ -140,13 +139,14 @@ def _cluster_weights(config: PopulationConfig, class_idx: int) -> np.ndarray:
     return w
 
 
-def generate_population(config: PopulationConfig, scheme: ClassScheme | None = None) -> Dataset:
+def generate_population(config: PopulationConfig, seed: int,
+                        scheme: ClassScheme | None = None) -> Dataset:
     """Draw n examples; label starts equal to true_label (noiseless)."""
     scheme = scheme or default_scheme()
     if len(config.class_priors) != scheme.n_classes:
         raise ValueError("class_priors length must match scheme")
     centers = cluster_centers(config)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n, d = config.n, config.feature_dim
     y = rng.choice(scheme.n_classes, size=n, p=np.array(config.class_priors))
     j = np.empty(n, dtype=int)

@@ -28,7 +28,6 @@ class Hyperparams:
     patience: int = 8
     hidden_units: int = 16
     l2: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -124,7 +123,7 @@ def _forward_backward(weights, X, y, l2):
     return loss, grads
 
 
-def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
+def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> Model:
     """Minimize cross-entropy on observed labels; return the best-tune-AUC snapshot.
 
     Tune AUC is the referable-score AUC against the tune set's binarized
@@ -150,10 +149,10 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams) -> Model:
     X_tune = tune_set.X
     n, d = X.shape
 
-    rng = np.random.default_rng(hp.seed)
+    rng = np.random.default_rng(seed)
     weights = _init_weights(d, k, hp.hidden_units, rng)
     model = Model(scheme=train_set.scheme, feature_dim=d, hidden_units=hp.hidden_units,
-                  weights=weights, seed=hp.seed)
+                  weights=weights, seed=seed)
 
     best_auc = -np.inf
     best_weights = None

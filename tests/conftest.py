@@ -35,16 +35,16 @@ def make_reference_data(seed: int, n_train: int = 20000, n_tune: int = 2000,
     pool = default_grader_pool(scheme)
     cfg = RunConfig()
     population = generate_population(
-        cfg.population(n_train, derive_seed(seed, "gen-train")), scheme)
+        cfg.population(n_train), derive_seed(seed, "gen-train"), scheme)
     noisy = apply_grader_noise(population, pool, derive_seed(seed, "gen-noise"))
-    tune = generate_population(cfg.population(n_tune, derive_seed(seed, "gen-tune")), scheme)
-    test = generate_population(cfg.population(n_test, derive_seed(seed, "gen-test")), scheme)
+    tune = generate_population(cfg.population(n_tune), derive_seed(seed, "gen-tune"), scheme)
+    test = generate_population(cfg.population(n_test), derive_seed(seed, "gen-test"), scheme)
     return {"population": population, "train": noisy, "tune": tune, "test": test,
             "pool": pool, "scheme": scheme}
 
 
-def reference_hyperparams(seed: int = 0) -> Hyperparams:
-    return dataclasses.replace(RunConfig().hyperparams, seed=seed)
+def reference_hyperparams() -> Hyperparams:
+    return RunConfig().hyperparams
 
 
 class ReferenceRuns:
@@ -84,9 +84,8 @@ class ReferenceRuns:
                 subset = d["train"].subset(sel.selected_ids)
             else:
                 raise KeyError(which)
-            hp = dataclasses.replace(reference_hyperparams(),
-                                     seed=derive_seed(seed, f"model-{which}"))
-            self._models[key] = train(subset, d["tune"], hp)
+            self._models[key] = train(subset, d["tune"], reference_hyperparams(),
+                                      derive_seed(seed, f"model-{which}"))
         return self._models[key]
 
 
@@ -100,16 +99,16 @@ def small_noisy_setup():
     """A 4000-example noisy set with tune data, for mid-cost integration tests."""
     scheme = default_scheme()
     pool = default_grader_pool(scheme)
-    population = generate_population(RunConfig().population(4000, seed=101), scheme)
+    population = generate_population(RunConfig().population(4000), 101, scheme)
     noisy = apply_grader_noise(population, pool, seed=102)
-    tune = generate_population(RunConfig().population(1200, seed=103), scheme)
+    tune = generate_population(RunConfig().population(1200), 103, scheme)
     return {"population": population, "train": noisy, "tune": tune,
             "pool": pool, "scheme": scheme}
 
 
 @pytest.fixture(scope="session")
 def small_scored(small_noisy_setup):
-    hp = dataclasses.replace(reference_hyperparams(7), max_epochs=40)
+    hp = dataclasses.replace(reference_hyperparams(), max_epochs=40)
     scored, m1, m2 = cross_fold_score(
         small_noisy_setup["train"], small_noisy_setup["tune"], hp, seed=7,
         min_fold_size=MIN_FOLD_SIZE)

@@ -114,11 +114,11 @@ class TestCrossFoldScore:
 
         scheme = ClassScheme(("neg", "pos"), frozenset({1}))
         cfg = PopulationConfig(n=600, feature_dim=4, class_priors=(0.6, 0.4),
-                               class_spread=0.05, ambiguity_overlap=0.0, seed=5)
-        ds = generate_population(cfg, scheme)
-        tune = generate_population(dataclasses.replace(cfg, n=300, seed=6), scheme)
+                               class_spread=0.05, ambiguity_overlap=0.0)
+        ds = generate_population(cfg, 5, scheme)
+        tune = generate_population(dataclasses.replace(cfg, n=300), 6, scheme)
         hp = Hyperparams(hidden_units=0, batch_size=8, max_epochs=40, patience=8,
-                         learning_rate=1.0, seed=1)
+                         learning_rate=1.0)
         scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
         assert (scored.qs > 0).all()
 
@@ -130,13 +130,13 @@ class TestCrossFoldScore:
 
         scheme = default_scheme()
         cfg = PopulationConfig(n=6000, feature_dim=6, class_priors=(0.4, 0.3, 0.2, 0.1),
-                               class_spread=0.5, ambiguity_overlap=0.0, seed=31)
-        population = generate_population(cfg, scheme)
+                               class_spread=0.5, ambiguity_overlap=0.0)
+        population = generate_population(cfg, 31, scheme)
         conf = confusion_from_flip_rates((0.3, 0.3, 0.3, 0.3), scheme, within_rate=0.0)
         pool = [GraderProfile("g", "trainee-fellow", conf, 1.0)]
         noisy = apply_grader_noise(population, pool, seed=32)
-        tune = generate_population(dataclasses.replace(cfg, n=1000, seed=33), scheme)
-        hp = Hyperparams(hidden_units=16, max_epochs=40, patience=6, seed=3)
+        tune = generate_population(dataclasses.replace(cfg, n=1000), 33, scheme)
+        hp = Hyperparams(hidden_units=16, max_epochs=40, patience=6)
         scored, _, _ = cross_fold_score(noisy, tune, hp, seed=34, min_fold_size=100)
         flipped = noisy.y != population.y
         order = np.argsort(scored.qs)
@@ -148,12 +148,12 @@ class TestCrossFoldScore:
         bad_tune = Dataset(tune.scheme, ids=tune.ids[:50], X=tune.X[:50], y=np.zeros(50))
         with pytest.raises(ValueError, match="fold-D1"):
             cross_fold_score(small_noisy_setup["train"], bad_tune,
-                             Hyperparams(seed=0), seed=1, min_fold_size=100)
+                             Hyperparams(), seed=1, min_fold_size=100)
 
     def test_minimum_size_enforced(self, small_noisy_setup):
         tiny = small_noisy_setup["train"].subset(small_noisy_setup["train"].ids[:150])
         with pytest.raises(ValueError, match="too small"):
-            cross_fold_score(tiny, small_noisy_setup["tune"], Hyperparams(seed=0), seed=1,
+            cross_fold_score(tiny, small_noisy_setup["tune"], Hyperparams(), seed=1,
                              min_fold_size=100)
 
 
@@ -191,11 +191,11 @@ class TestQsHistogram:
 
         scheme = ClassScheme(("neg", "pos"), frozenset({1}))
         cfg = PopulationConfig(n=600, feature_dim=4, class_priors=(0.6, 0.4),
-                               class_spread=0.05, ambiguity_overlap=0.0, seed=7)
-        ds = generate_population(cfg, scheme)
-        tune = generate_population(dataclasses.replace(cfg, n=300, seed=8), scheme)
+                               class_spread=0.05, ambiguity_overlap=0.0)
+        ds = generate_population(cfg, 7, scheme)
+        tune = generate_population(dataclasses.replace(cfg, n=300), 8, scheme)
         hp = Hyperparams(hidden_units=0, batch_size=8, max_epochs=40, patience=8,
-                         learning_rate=1.0, seed=1)
+                         learning_rate=1.0)
         scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
         assert (scored.qs > 0).all()
         rows = qs_histogram(scored, bin_width=0.1)

@@ -215,14 +215,13 @@ class TestRunPipeline:
 
         scheme = default_scheme()
         cfg = PopulationConfig(n=800, feature_dim=4, class_priors=(0.4, 0.3, 0.2, 0.1),
-                               class_spread=0.4, ambiguity_overlap=0.0, seed=13)
-        ds = generate_population(cfg, scheme)
-        tune = generate_population(dataclasses.replace(cfg, n=400, seed=14), scheme)
-        hp = Hyperparams(hidden_units=0, max_epochs=30, patience=6,
-                         learning_rate=0.2, seed=5)
+                               class_spread=0.4, ambiguity_overlap=0.0)
+        ds = generate_population(cfg, 13, scheme)
+        tune = generate_population(dataclasses.replace(cfg, n=400), 14, scheme)
+        hp = Hyperparams(hidden_units=0, max_epochs=30, patience=6, learning_rate=0.2)
         result = run_sncv_pipeline(ds, tune, len(ds), hp, seed=15, min_fold_size=100)
         assert len(result.selection.selected_ids) == len(ds)
-        baseline = train(ds, tune, hp)
+        baseline = train(ds, tune, hp, seed=5)
         s = referable_scores(result.model, tune.X)
         y = tune.binary_labels()
         auc_m3 = roc_auc(s, y).auc
@@ -233,7 +232,7 @@ class TestRunPipeline:
     def test_grid_reports_chosen_k(self, small_noisy_setup):
         from sncv import Hyperparams
 
-        hp = Hyperparams(hidden_units=16, max_epochs=15, patience=4, seed=3)
+        hp = Hyperparams(hidden_units=16, max_epochs=15, patience=4)
         n = len(small_noisy_setup["train"])
         grid = [int(0.625 * n), int(0.75 * n), int(0.875 * n)]
         result = run_sncv_pipeline(small_noisy_setup["train"], small_noisy_setup["tune"],

@@ -26,10 +26,10 @@ from sncv.dataset import Dataset, split_random
 from sncv.synth import confusion_from_flip_rates
 
 
-def simple_config(n=500, d=4, seed=0, **kw):
+def simple_config(n=500, d=4, **kw):
     defaults = dict(
         n=n, feature_dim=d, class_priors=(0.4, 0.3, 0.2, 0.1),
-        class_spread=1.0, ambiguity_overlap=0.0, seed=seed,
+        class_spread=1.0, ambiguity_overlap=0.0,
     )
     defaults.update(kw)
     return PopulationConfig(**defaults)
@@ -58,35 +58,34 @@ class TestPopulationConfig:
 
 class TestGeneratePopulation:
     def test_deterministic_under_seed(self):
-        a = generate_population(simple_config(seed=5))
-        b = generate_population(simple_config(seed=5))
+        a = generate_population(simple_config(), 5)
+        b = generate_population(simple_config(), 5)
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.X, b.X)
 
     def test_labels_start_noiseless(self):
-        ds = generate_population(simple_config())
+        ds = generate_population(simple_config(), 0)
         np.testing.assert_array_equal(ds.y, ds.true_y)
 
     def test_positive_rate_matches_priors(self):
         # priors tuned to the 24.6% referable share at n=20000
-        cfg = simple_config(n=20000, class_priors=(0.508, 0.246, 0.160, 0.086), seed=3)
-        ds = generate_population(cfg)
+        cfg = simple_config(n=20000, class_priors=(0.508, 0.246, 0.160, 0.086))
+        ds = generate_population(cfg, 3)
         assert positive_rate(ds) == pytest.approx(0.246, abs=0.01)
 
     def test_separable_limit_trains_to_high_auc(self):
         # tight clusters far apart: a trained classifier nails the tune set
-        cfg = simple_config(n=800, d=4, class_spread=0.05, seed=1)
-        tune = generate_population(simple_config(n=400, d=4, class_spread=0.05, seed=2))
-        model = train(generate_population(cfg), tune,
-                      Hyperparams(hidden_units=0, max_epochs=30, patience=5, seed=0))
+        cfg = simple_config(n=800, d=4, class_spread=0.05)
+        tune = generate_population(simple_config(n=400, d=4, class_spread=0.05), 2)
+        model = train(generate_population(cfg, 1), tune,
+                      Hyperparams(hidden_units=0, max_epochs=30, patience=5), seed=0)
         scores = referable_scores(model, tune.X)
         assert roc_auc(scores, tune.binary_labels()).auc > 0.99
 
     def test_cluster_extension_reduces_to_line_when_disabled(self):
-        base = generate_population(simple_config(seed=9))
-        ext = generate_population(simple_config(seed=9, clusters_per_class=1,
-                                                cluster_scatter=0.0))
+        base = generate_population(simple_config(), 9)
+        ext = generate_population(simple_config(clusters_per_class=1, cluster_scatter=0.0), 9)
         np.testing.assert_array_equal(base.X, ext.X)
 
 
@@ -117,21 +116,21 @@ class TestGraderProfiles:
 class TestApplyGraderNoise:
     def test_identity_pool_is_noiseless(self):
         scheme = default_scheme()
-        ds = generate_population(simple_config(n=300), scheme)
+        ds = generate_population(simple_config(n=300), 0, scheme)
         noisy = apply_grader_noise(ds, identity_pool(scheme), seed=0)
         np.testing.assert_array_equal(noisy.y, ds.y)
         assert (noisy.grader != "").all()
 
     def test_never_mutates_features_or_truth(self):
         scheme = default_scheme()
-        ds = generate_population(simple_config(n=300), scheme)
+        ds = generate_population(simple_config(n=300), 0, scheme)
         noisy = apply_grader_noise(ds, default_grader_pool(scheme), seed=1)
         np.testing.assert_array_equal(noisy.X, ds.X)
         np.testing.assert_array_equal(noisy.true_y, ds.true_y)
 
     def test_deterministic_and_order_independent(self):
         scheme = default_scheme()
-        ds = generate_population(simple_config(n=200), scheme)
+        ds = generate_population(simple_config(n=200), 0, scheme)
         pool = default_grader_pool(scheme)
         a = apply_grader_noise(ds, pool, seed=3)
         b = apply_grader_noise(ds.take(np.arange(len(ds))[::-1]), pool, seed=3)
@@ -147,7 +146,7 @@ class TestApplyGraderNoise:
 
     def test_empty_pool_errors(self):
         scheme = default_scheme()
-        ds = generate_population(simple_config(n=10), scheme)
+        ds = generate_population(simple_config(n=10), 0, scheme)
         with pytest.raises(ValueError, match="empty"):
             apply_grader_noise(ds, [], seed=0)
 
@@ -157,8 +156,8 @@ class TestApplyGraderNoise:
         conf = np.eye(4)
         conf[1] = 0.25
         pool = [GraderProfile("u", "ophthalmologist", conf, 1.0)]
-        cfg = simple_config(n=20000, class_priors=(0.0, 1.0, 0.0, 0.0), seed=11)
-        ds = generate_population(cfg, scheme)
+        cfg = simple_config(n=20000, class_priors=(0.0, 1.0, 0.0, 0.0))
+        ds = generate_population(cfg, 11, scheme)
         noisy = apply_grader_noise(ds, pool, seed=12)
         counts = np.bincount(noisy.y, minlength=4)
         assert chisquare(counts).pvalue > 0.01
@@ -167,8 +166,8 @@ class TestApplyGraderNoise:
         scheme = default_scheme()
         conf = confusion_from_flip_rates((0.1, 0.15, 0.2, 0.3), scheme)
         pool = [GraderProfile("g", "trainee-fellow", conf, 1.0)]
-        cfg = simple_config(n=24000, class_priors=(0.25, 0.25, 0.25, 0.25), seed=21)
-        ds = generate_population(cfg, scheme)
+        cfg = simple_config(n=24000, class_priors=(0.25, 0.25, 0.25, 0.25))
+        ds = generate_population(cfg, 21, scheme)
         noisy = apply_grader_noise(ds, pool, seed=22)
         y_true = noisy.true_y
         y_obs = noisy.y
@@ -180,8 +179,8 @@ class TestApplyGraderNoise:
     def test_marginal_noise_matches_workload_weighted_mixture(self):
         scheme = default_scheme()
         pool = default_grader_pool(scheme)
-        cfg = simple_config(n=20000, class_priors=(0.508, 0.246, 0.160, 0.086), seed=31)
-        ds = generate_population(cfg, scheme)
+        cfg = simple_config(n=20000, class_priors=(0.508, 0.246, 0.160, 0.086))
+        ds = generate_population(cfg, 31, scheme)
         noisy = apply_grader_noise(ds, pool, seed=32)
         y_true = ds.y
         crossed = scheme.positive_mask(noisy.y) != scheme.positive_mask(y_true)
@@ -193,8 +192,8 @@ class TestApplyGraderNoise:
     def test_trainee_noise_exceeds_specialist_noise_downstream(self):
         scheme = default_scheme()
         pool = default_grader_pool(scheme)
-        cfg = simple_config(n=20000, class_priors=(0.508, 0.246, 0.160, 0.086), seed=41)
-        ds = generate_population(cfg, scheme)
+        cfg = simple_config(n=20000, class_priors=(0.508, 0.246, 0.160, 0.086))
+        ds = generate_population(cfg, 41, scheme)
         noisy = apply_grader_noise(ds, pool, seed=42)
         role_by_grader = {p.grader_id: p.role for p in pool}
         mismatch = {}

@@ -47,9 +47,8 @@ class TestTrain:
     def test_separable_two_class_reaches_full_accuracy(self):
         ds = toy_dataset(200, 3, seed=1)
         tune = toy_dataset(80, 3, seed=2)
-        hp = Hyperparams(hidden_units=0, max_epochs=60, patience=60, seed=0,
-                         learning_rate=1.0)
-        model = train(ds, tune, hp)
+        hp = Hyperparams(hidden_units=0, max_epochs=60, patience=60, learning_rate=1.0)
+        model = train(ds, tune, hp, seed=0)
         probs = predict_proba(model, ds.X)
         acc = (probs.argmax(axis=1) == ds.y).mean()
         assert acc == 1.0
@@ -57,9 +56,9 @@ class TestTrain:
     def test_bitwise_deterministic(self):
         ds = toy_dataset(150, 4, n_classes=4, seed=3, separation=1.0)
         tune = toy_dataset(60, 4, n_classes=4, seed=4, separation=1.0)
-        hp = Hyperparams(max_epochs=10, patience=3, seed=77)
-        a = train(ds, tune, hp)
-        b = train(ds, tune, hp)
+        hp = Hyperparams(max_epochs=10, patience=3)
+        a = train(ds, tune, hp, seed=77)
+        b = train(ds, tune, hp, seed=77)
         for key in a.weights:
             np.testing.assert_array_equal(a.weights[key], b.weights[key])
         assert a.stopped_epoch == b.stopped_epoch
@@ -69,9 +68,9 @@ class TestTrain:
         ds = toy_dataset(150, 4, n_classes=4, seed=3, separation=1.0)
         reordered = ds.take(np.arange(len(ds))[::-1])
         tune = toy_dataset(60, 4, n_classes=4, seed=4, separation=1.0)
-        hp = Hyperparams(max_epochs=8, patience=3, seed=77)
-        a = train(ds, tune, hp)
-        b = train(reordered, tune, hp)
+        hp = Hyperparams(max_epochs=8, patience=3)
+        a = train(ds, tune, hp, seed=77)
+        b = train(reordered, tune, hp, seed=77)
         for key in a.weights:
             np.testing.assert_array_equal(a.weights[key], b.weights[key])
 
@@ -89,13 +88,13 @@ class TestTrain:
     def test_training_loss_decreases(self):
         ds = toy_dataset(300, 4, n_classes=4, seed=5, separation=1.5)
         tune = toy_dataset(100, 4, n_classes=4, seed=6, separation=1.5)
-        model = train(ds, tune, Hyperparams(max_epochs=15, patience=15, seed=0))
+        model = train(ds, tune, Hyperparams(max_epochs=15, patience=15), seed=0)
         assert model.train_loss_by_epoch[-1] < model.train_loss_by_epoch[0]
 
     def test_snapshot_beats_final_epoch(self):
         ds = toy_dataset(300, 4, n_classes=4, seed=7, separation=0.8)
         tune = toy_dataset(100, 4, n_classes=4, seed=8, separation=0.8)
-        model = train(ds, tune, Hyperparams(max_epochs=25, patience=5, seed=1))
+        model = train(ds, tune, Hyperparams(max_epochs=25, patience=5), seed=1)
         assert model.tune_auc_at_stop >= model.tune_auc_by_epoch[-1]
         assert model.tune_auc_at_stop == max(model.tune_auc_by_epoch)
 
@@ -103,7 +102,7 @@ class TestTrain:
         ds = toy_dataset(50, 3, seed=9)
         all_neg = Dataset(ds.scheme, ids=ds.ids, X=ds.X, y=np.zeros(len(ds)))
         with pytest.raises(ValueError, match="degenerate-tune-set"):
-            train(ds, all_neg, Hyperparams(seed=0))
+            train(ds, all_neg, Hyperparams(), seed=0)
 
     def test_one_class_train_set_errors_before_training(self, monkeypatch):
         # every observed label on the non-referable side; a batch step would
@@ -112,19 +111,19 @@ class TestTrain:
         all_neg = Dataset(tune.scheme, ids=tune.ids, X=tune.X, y=np.zeros(len(tune)))
         monkeypatch.setattr(trainer, "_forward_backward", None)
         with pytest.raises(ValueError, match="degenerate-train-set"):
-            train(all_neg, tune, Hyperparams(seed=0))
+            train(all_neg, tune, Hyperparams(), seed=0)
 
     def test_empty_train_set_errors(self):
         tune = toy_dataset(20, 3, seed=10)
         empty = tune.take([])
         with pytest.raises(ValueError, match="empty-train-set"):
-            train(empty, tune, Hyperparams(seed=0))
+            train(empty, tune, Hyperparams(), seed=0)
 
     def test_mismatched_feature_dim_errors(self):
         ds = toy_dataset(50, 3, seed=9)
         tune = toy_dataset(20, 4, seed=10)
         with pytest.raises(ValueError, match="feature_dim"):
-            train(ds, tune, Hyperparams(seed=0))
+            train(ds, tune, Hyperparams(), seed=0)
 
 
 class TestPredict:
@@ -232,7 +231,7 @@ class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path, rng):
         ds = toy_dataset(120, 4, n_classes=4, seed=20, separation=1.0)
         tune = toy_dataset(60, 4, n_classes=4, seed=21, separation=1.0)
-        model = train(ds, tune, Hyperparams(max_epochs=6, patience=3, seed=2))
+        model = train(ds, tune, Hyperparams(max_epochs=6, patience=3), seed=2)
         path = tmp_path / "model.json"
         write_model(model, path)
         back = read_model(path)
