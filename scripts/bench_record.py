@@ -8,11 +8,13 @@ Each checkout holds the `.bench_work/<workload>-s<seed>-t0/result.json` files
 of `perfbench/run.py --trace 0`, one per seed (two or more). Per workload and
 side it holds each end-to-end metric's median, IQR over median and per-seed
 values, and the environment. Suite wall times are pytest's; it times nothing.
+A workload with fewer than two passing seeds on either side exits 2.
 """
 
 import argparse
 import json
 import statistics
+import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "cycle_s", "peak_rss_mb", "quality")
@@ -32,21 +34,26 @@ def side(checkout: Path) -> dict:
     for workload, records in sorted(runs.items()):
         records.sort(key=lambda r: r["seed"])
         ok = [r for r in records if not (r["failures"] or r["problems"])]
+        failed = [r["seed"] for r in records if r not in ok]
+        if len(ok) < 2:
+            print(f"error: {checkout}: {workload} has {len(ok)} passing seed(s), needs 2; "
+                  f"failed seeds {failed}", file=sys.stderr)
+            sys.exit(2)
         out[workload] = {
             "seeds": [r["seed"] for r in ok],
-            "failed_seeds": [r["seed"] for r in records if r not in ok],
+            "failed_seeds": failed,
             **{name: summary([r["named"][name]["value"] for r in ok]) for name in METRICS},
             "environment": {k: v for k, v in records[0]["environment"].items() if k != "seed"}}
     return out
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("out", type=Path)
     parser.add_argument("--suite-s", type=float, nargs=2, required=True, metavar=("PARENT", "CHANGE"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     parent, change = side(args.parent), side(args.change)
     ratios = {w: {m: change[w][m]["median"] / parent[w][m]["median"] for m in METRICS}
               for w in parent if w in change}

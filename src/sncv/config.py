@@ -95,7 +95,7 @@ class RunConfig:
     oracle_error_rate: float = _key("experiment", 0.0, ("relabel",), interval="[0, 1)")
     mismatch_threshold: float = _key("experiment", 0.30, ("graders",), interval="[0, 1)")
     bin_width: float = _key("experiment", 0.05, interval="(0, inf)")
-    min_fold_size: int = _key("experiment", 100)
+    min_fold_size: int = _key("experiment", 100, interval="[1, inf)")
     select_mode: str = _key("experiment", "stratified", ("select",), choices=SELECT_MODES)
     seed: int | None = _key("experiment", None, "main", "pipeline seed (overrides config)")
 

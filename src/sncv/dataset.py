@@ -170,8 +170,11 @@ def scheme_payload(scheme: ClassScheme) -> dict:
 
 
 def scheme_from_payload(payload: dict) -> ClassScheme:
-    """The scheme in a JSON form; a positive entry is a class index or a class name."""
+    """The scheme in a JSON form: classes is a list of class names, and a
+    positive entry is a class index or a class name."""
     classes = payload["classes"]
+    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+        raise ValueError(f"classes must be a list of class names, got {classes!r}")
     positive = set()
     for p in payload["positive"]:
         if isinstance(p, str):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,21 +54,28 @@ class PopulationConfig:
             raise ValueError("population size must be positive")
         if self.feature_dim <= 0:
             raise ValueError("feature_dim must be positive")
-        if any(p < 0 for p in priors):
+        # written as `not x >= 0` rather than `x < 0` so that NaN fails too
+        if not all(p >= 0 for p in priors):
             raise ValueError("class priors must be non-negative")
         if abs(sum(priors) - 1.0) > 1e-9:
             raise ValueError(f"class priors must sum to 1, got {sum(priors)}")
-        if self.class_spread <= 0:
+        if not self.class_spread > 0:
             raise ValueError("class_spread must be positive")
-        if self.ambiguity_overlap < 0:
+        if not self.ambiguity_overlap >= 0:
             raise ValueError("ambiguity_overlap must be >= 0")
         if self.clusters_per_class < 1:
             raise ValueError("clusters_per_class must be >= 1")
+        if not 0 <= self.cluster_scatter < np.inf:
+            raise ValueError("cluster_scatter must be finite and >= 0")
+        if self.structure_seed < 0:
+            raise ValueError("structure_seed must be >= 0")
         if self.cluster_bulk_shares is not None:
             shares = tuple(float(s) for s in self.cluster_bulk_shares)
             object.__setattr__(self, "cluster_bulk_shares", shares)
             if len(shares) != len(priors):
                 raise ValueError("cluster_bulk_shares needs one entry per class")
+            if not all(0 <= s <= 1 for s in shares):
+                raise ValueError(f"cluster_bulk_shares must each be in [0, 1], got {list(shares)}")
         if self.cluster_region_offsets is not None:
             offs = tuple(tuple(float(v) for v in row) for row in self.cluster_region_offsets)
             object.__setattr__(self, "cluster_region_offsets", offs)
@@ -80,8 +87,8 @@ class PopulationConfig:
 class GraderProfile:
     grader_id: str
     role: str
-    confusion: np.ndarray
     workload_weight: float
+    confusion: np.ndarray
 
     def __post_init__(self):
         if self.role not in GRADER_ROLES:
@@ -278,34 +285,30 @@ def marginal_flip_rates(pool: list[GraderProfile], scheme: ClassScheme) -> np.nd
 
 
 def write_grader_pool(pool: list[GraderProfile], path) -> None:
-    payload = [
-        {
-            "grader_id": p.grader_id,
-            "role": p.role,
-            "workload_weight": p.workload_weight,
-            "confusion": [[float(v) for v in row] for row in p.confusion],
-        }
-        for p in pool
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    """One JSON object per grader, its keys in GraderProfile field order."""
+    payload = [{f.name: getattr(p, f.name) for f in fields(GraderProfile)} for p in pool]
+    Path(path).write_text(json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n",
+                          encoding="utf-8")
 
 
 def read_grader_pool(path, scheme: ClassScheme) -> list[GraderProfile]:
-    """Load profiles; confusion may be explicit rows or {"flip_to_adjacent": p}."""
+    """Load profiles. Each entry's keys must be exactly the GraderProfile
+    fields; confusion may be explicit rows or {"flip_to_adjacent": p}."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     k = scheme.n_classes
+    names = {f.name for f in fields(GraderProfile)}
     pool = []
     for entry in payload:
+        if entry.keys() != names:
+            raise ValueError(f"grader entry {len(pool)}: missing keys "
+                             f"{sorted(names - entry.keys())}, unknown keys "
+                             f"{sorted(entry.keys() - names)}")
         conf = entry["confusion"]
         if isinstance(conf, dict):
             p = float(conf["flip_to_adjacent"])
             conf = _adjacent_flip_matrix(k, p)
-        profile = GraderProfile(
-            grader_id=entry["grader_id"],
-            role=entry["role"],
-            confusion=np.asarray(conf, dtype=float),
-            workload_weight=float(entry["workload_weight"]),
-        )
+        profile = GraderProfile(entry["grader_id"], entry["role"],
+                                float(entry["workload_weight"]), np.asarray(conf, dtype=float))
         if profile.confusion.shape != (k, k):
             raise ValueError(f"grader {profile.grader_id!r}: confusion must be {k}x{k}")
         if any(other.grader_id == profile.grader_id for other in pool):

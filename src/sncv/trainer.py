@@ -30,7 +30,8 @@ class Hyperparams:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # written as `not x > 0` rather than `x <= 0` so that NaN fails too
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -40,7 +41,7 @@ class Hyperparams:
             raise ValueError("max_epochs must be >= 1")
         if self.hidden_units < 0:
             raise ValueError("hidden_units must be >= 0")
-        if self.l2 < 0:
+        if not self.l2 >= 0:
             raise ValueError("l2 must be >= 0")
 
 

@@ -101,6 +101,18 @@ class TestGen:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_pool_with_unknown_key_exits_2_naming_it(self, mini_config, generated, tmp_path,
+                                                     capsys):
+        entries = json.loads((generated / "pool.json").read_text())
+        entries[1]["workload_wieght"] = 5.0
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps(entries))
+        rc = run_cli(mini_config, tmp_path / "out", "gen", "--pool", str(pool))
+        assert rc == 2
+        assert "malformed grader pool file: grader entry 1: missing keys [], " \
+            "unknown keys ['workload_wieght']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSplitTrainScore:
     def test_split(self, mini_config, generated, tmp_path):

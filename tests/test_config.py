@@ -2,6 +2,7 @@
 file, and anything the loader does not know is rejected."""
 
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from sncv.cli import COMMANDS, _apply_overrides, build_parser
 from sncv.config import KEYS, RunConfig, load_config
 from sncv.dataset import InputError
+from sncv.synth import PopulationConfig
+from sncv.trainer import Hyperparams
 
 from test_acceptance import MINI_CONFIG as ACCEPTANCE_CONFIG
 from test_cli import MINI_CONFIG as CLI_CONFIG
@@ -76,6 +79,17 @@ def test_float_keys_written_as_integers_stay_floats(tmp_path):
     report = load_config(path).to_dict()
     assert repr(report["population"]["cluster_scatter"]) == "8.0"
     assert report["experiment"]["k_grid"] == [1.0, 0.5]
+
+
+def test_settings_types_match_the_config_table():
+    # each [train] key is one Hyperparams field, and each [population] key
+    # one PopulationConfig field, but for the draw sizes that become `n`
+    def keys(section):
+        return {f.name for (s, _), f in KEYS.items() if s == section}
+
+    assert {f.name for f in fields(Hyperparams)} == keys("train")
+    assert {f.name for f in fields(PopulationConfig)} == (
+        keys("population") - {"n_train", "n_tune", "n_test"} | {"n", "cluster_region_offsets"})
 
 
 FILE = {"paths": {"scheme": "f/scheme.json", "train": "f/train.csv", "tune": "f/tune.csv",
@@ -214,6 +228,25 @@ REJECTED = {
                                     r"\[experiment\] mismatch_threshold must be in \[0, 1\), got -1.0"),
     "mismatch threshold of 1": ("[experiment]\nmismatch_threshold = 1\n",
                                 r"\[experiment\] mismatch_threshold must be in \[0, 1\)"),
+    "negative min fold size": ("[experiment]\nmin_fold_size = -5\n",
+                               r"\[experiment\] min_fold_size must be in \[1, inf\), got -5"),
+    "nan learning rate": ("[train]\nlearning_rate = nan\n", r"\[train\] learning_rate must be positive"),
+    "nan l2": ("[train]\nl2 = nan\n", r"\[train\] l2 must be >= 0"),
+    "nan class spread": ("[population]\nclass_spread = nan\n",
+                         r"\[population\] class_spread must be positive"),
+    "nan ambiguity overlap": ("[population]\nambiguity_overlap = nan\n",
+                              r"\[population\] ambiguity_overlap must be >= 0"),
+    "nan cluster scatter": ("[population]\ncluster_scatter = nan\n",
+                            r"\[population\] cluster_scatter must be finite and >= 0"),
+    "infinite cluster scatter": ("[population]\ncluster_scatter = inf\n",
+                                 r"\[population\] cluster_scatter must be finite and >= 0"),
+    "nan class prior": ("[population]\nclass_priors = nan, 0.5, 0.25, 0.25\n",
+                        r"\[population\] class priors must be non-negative"),
+    "bulk share above 1": ("[population]\ncluster_bulk_shares = 1.5, 0.5, 0.7, 1.0\n",
+                           r"\[population\] cluster_bulk_shares must each be in \[0, 1\], "
+                           r"got \[1.5, 0.5, 0.7, 1.0\]"),
+    "negative structure seed": ("[population]\nstructure_seed = -1\n",
+                                r"\[population\] structure_seed must be >= 0"),
 }
 
 

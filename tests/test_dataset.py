@@ -322,6 +322,13 @@ class TestFileIO:
         with pytest.raises(ValueError, match="unknown-class"):
             read_scheme(path)
 
+    @pytest.mark.parametrize("classes", ['"ab"', '["a", 2]', '{"a": 0, "b": 1}'])
+    def test_scheme_classes_must_be_a_list_of_names(self, tmp_path, classes):
+        path = tmp_path / "scheme.json"
+        path.write_text('{"classes": %s, "positive": [1]}' % classes)
+        with pytest.raises(ValueError, match="classes must be a list of class names"):
+            read_scheme(path)
+
     @pytest.mark.parametrize("positive", ["[2.7, 3]", "[true]", "[null]"])
     def test_scheme_positive_entry_neither_index_nor_name(self, tmp_path, positive):
         path = tmp_path / "scheme.json"

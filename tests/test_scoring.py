@@ -133,7 +133,7 @@ class TestCrossFoldScore:
                                class_spread=0.5, ambiguity_overlap=0.0)
         population = generate_population(cfg, 31, scheme)
         conf = confusion_from_flip_rates((0.3, 0.3, 0.3, 0.3), scheme, within_rate=0.0)
-        pool = [GraderProfile("g", "trainee-fellow", conf, 1.0)]
+        pool = [GraderProfile("g", "trainee-fellow", 1.0, conf)]
         noisy = apply_grader_noise(population, pool, seed=32)
         tune = generate_population(dataclasses.replace(cfg, n=1000), 33, scheme)
         hp = Hyperparams(hidden_units=16, max_epochs=40, patience=6)

@@ -93,11 +93,11 @@ class TestGraderProfiles:
     def test_rows_must_be_stochastic(self):
         bad = np.full((4, 4), 0.3)
         with pytest.raises(ValueError, match="sum to 1"):
-            GraderProfile("g", "optometrist", bad, 1.0)
+            GraderProfile("g", "optometrist", 1.0, bad)
 
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown grader role"):
-            GraderProfile("g", "barista", np.eye(4), 1.0)
+            GraderProfile("g", "barista", 1.0, np.eye(4))
 
     def test_confusion_from_flip_rates_rows_stochastic(self):
         conf = confusion_from_flip_rates((0.1, 0.2, 0.3, 0.4), default_scheme())
@@ -155,7 +155,7 @@ class TestApplyGraderNoise:
         scheme = default_scheme()
         conf = np.eye(4)
         conf[1] = 0.25
-        pool = [GraderProfile("u", "ophthalmologist", conf, 1.0)]
+        pool = [GraderProfile("u", "ophthalmologist", 1.0, conf)]
         cfg = simple_config(n=20000, class_priors=(0.0, 1.0, 0.0, 0.0))
         ds = generate_population(cfg, 11, scheme)
         noisy = apply_grader_noise(ds, pool, seed=12)
@@ -165,7 +165,7 @@ class TestApplyGraderNoise:
     def test_empirical_confusion_converges_to_configured(self):
         scheme = default_scheme()
         conf = confusion_from_flip_rates((0.1, 0.15, 0.2, 0.3), scheme)
-        pool = [GraderProfile("g", "trainee-fellow", conf, 1.0)]
+        pool = [GraderProfile("g", "trainee-fellow", 1.0, conf)]
         cfg = simple_config(n=24000, class_priors=(0.25, 0.25, 0.25, 0.25))
         ds = generate_population(cfg, 21, scheme)
         noisy = apply_grader_noise(ds, pool, seed=22)
