@@ -65,8 +65,11 @@ class PopulationConfig:
             raise ValueError("ambiguity_overlap must be >= 0")
         if self.clusters_per_class < 1:
             raise ValueError("clusters_per_class must be >= 1")
-        if not 0 <= self.cluster_scatter < np.inf:
-            raise ValueError("cluster_scatter must be finite and >= 0")
+        if not self.cluster_scatter >= 0:
+            raise ValueError("cluster_scatter must be >= 0")
+        for name in ("class_spread", "ambiguity_overlap", "cluster_scatter"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.structure_seed < 0:
             raise ValueError("structure_seed must be >= 0")
         if self.cluster_bulk_shares is not None:

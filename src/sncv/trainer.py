@@ -43,6 +43,9 @@ class Hyperparams:
             raise ValueError("hidden_units must be >= 0")
         if not self.l2 >= 0:
             raise ValueError("l2 must be >= 0")
+        for name in ("learning_rate", "l2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass

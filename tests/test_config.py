@@ -237,9 +237,14 @@ REJECTED = {
     "nan ambiguity overlap": ("[population]\nambiguity_overlap = nan\n",
                               r"\[population\] ambiguity_overlap must be >= 0"),
     "nan cluster scatter": ("[population]\ncluster_scatter = nan\n",
-                            r"\[population\] cluster_scatter must be finite and >= 0"),
+                            r"\[population\] cluster_scatter must be >= 0"),
     "infinite cluster scatter": ("[population]\ncluster_scatter = inf\n",
-                                 r"\[population\] cluster_scatter must be finite and >= 0"),
+                                 r"\[population\] cluster_scatter must be finite"),
+    "infinite class spread": ("[population]\nclass_spread = inf\n",
+                              r"\[population\] class_spread must be finite"),
+    "infinite learning rate": ("[train]\nlearning_rate = inf\n",
+                               r"\[train\] learning_rate must be finite"),
+    "infinite l2": ("[train]\nl2 = inf\n", r"\[train\] l2 must be finite"),
     "nan class prior": ("[population]\nclass_priors = nan, 0.5, 0.25, 0.25\n",
                         r"\[population\] class priors must be non-negative"),
     "bulk share above 1": ("[population]\ncluster_bulk_shares = 1.5, 0.5, 0.7, 1.0\n",
