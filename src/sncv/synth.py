@@ -100,12 +100,12 @@ class GraderProfile:
         object.__setattr__(self, "confusion", conf)
         if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
             raise ValueError("confusion matrix must be square")
-        if (conf < 0).any():
+        if not (conf >= 0).all():
             raise ValueError("confusion entries must be non-negative")
-        if np.abs(conf.sum(axis=1) - 1.0).max() > 1e-9:
+        if not np.abs(conf.sum(axis=1) - 1.0).max() <= 1e-9:
             raise ValueError("confusion rows must sum to 1")
-        if self.workload_weight <= 0:
-            raise ValueError("workload_weight must be positive")
+        if not 0 < self.workload_weight < np.inf:
+            raise ValueError("workload_weight must be positive and finite")
 
 
 def line_means(feature_dim: int, n_classes: int, ambiguity_overlap: float) -> np.ndarray:

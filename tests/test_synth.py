@@ -95,6 +95,15 @@ class TestGraderProfiles:
         with pytest.raises(ValueError, match="sum to 1"):
             GraderProfile("g", "optometrist", 1.0, bad)
 
+    @pytest.mark.parametrize("weight, conf, match", [
+        (float("nan"), np.eye(4), "workload_weight must be positive"),
+        (float("inf"), np.eye(4), "workload_weight must be positive and finite"),
+        (1.0, np.full((4, 4), np.nan), "confusion entries must be non-negative"),
+    ])
+    def test_non_finite_weight_or_confusion_rejected(self, weight, conf, match):
+        with pytest.raises(ValueError, match=match):
+            GraderProfile("g", "optometrist", weight, conf)
+
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown grader role"):
             GraderProfile("g", "barista", 1.0, np.eye(4))
