@@ -113,6 +113,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="degenerate-train-set"):
             train(all_neg, tune, Hyperparams(), seed=0)
 
+    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    def test_overflowing_weights_raise_diverged_at_epoch_1(self, hidden, l2):
+        # the softmax stays finite at learning_rate 1e300, so only the weights'
+        # overflow can flag the divergence, and it must do so with l2 == 0 too
+        ds = toy_dataset(100, 3, n_classes=4, seed=3, separation=1.0)
+        tune = toy_dataset(60, 3, n_classes=4, seed=4, separation=1.0)
+        hp = Hyperparams(learning_rate=1e300, hidden_units=hidden, l2=l2, max_epochs=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^diverged: non-finite loss at epoch 1$"):
+                train(ds, tune, hp, seed=0)
+
     def test_empty_train_set_errors(self):
         tune = toy_dataset(20, 3, seed=10)
         empty = tune.take([])
