@@ -43,6 +43,112 @@ def small_random_model(d=5, hidden=8, seed=0, scheme=None):
     return Model(scheme=scheme, feature_dim=d, hidden_units=hidden, weights=weights)
 
 
+def _reference_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_forward(weights, X):
+    if "w1" in weights:
+        H = np.tanh(X @ weights["w1"] + weights["b1"])
+        return H, H @ weights["w2"] + weights["b2"]
+    return X, X @ weights["w"] + weights["b"]
+
+
+def _reference_forward_backward(weights, X, y, l2):
+    n = len(X)
+    H, Z = _reference_forward(weights, X)
+    P = _reference_softmax(Z)
+    loss = float(-np.log(P[np.arange(n), y] + 1e-12).mean())
+    G = P
+    G[np.arange(n), y] -= 1.0
+    G /= n
+    w, b = ("w2", "b2") if "w1" in weights else ("w", "b")
+    grads = {w: H.T @ G + l2 * weights[w], b: G.sum(axis=0)}
+    if "w1" in weights:
+        GH = (G @ weights["w2"].T) * (1.0 - H * H)
+        grads["w1"] = X.T @ GH + l2 * weights["w1"]
+        grads["b1"] = GH.sum(axis=0)
+    loss += 0.5 * l2 * sum(np.sum(weights[key] ** 2) for key in ("w1", w) if key in weights)
+    return loss, grads
+
+
+def reference_train(train_set, tune_set, hp, seed):
+    """The per-batch loop `train` replaced: a gradient dict and one
+    `w -= lr * g` per weight array, the loss and its finiteness checked after
+    every batch. Returns what `train` reports, for a bitwise comparison."""
+    k = train_set.scheme.n_classes
+    order = np.argsort(train_set.ids)
+    X, y = train_set.X[order], train_set.y[order]
+    n, d = X.shape
+    positive = sorted(train_set.scheme.positive_indices)
+    tune_bin = tune_set.binary_labels()
+    rng = np.random.default_rng(seed)
+    weights = _init_weights(d, k, hp.hidden_units, rng)
+    losses, aucs = [], []
+    best_auc, best_weights, best_epoch, bad_epochs = -np.inf, None, 0, 0
+    for epoch in range(1, hp.max_epochs + 1):
+        perm = rng.permutation(n)
+        X_epoch, y_epoch = X[perm], y[perm]
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, n, hp.batch_size):
+            end = start + hp.batch_size
+            loss, grads = _reference_forward_backward(weights, X_epoch[start:end],
+                                                      y_epoch[start:end], hp.l2)
+            if not np.isfinite(loss):
+                raise ValueError(f"diverged: non-finite loss at epoch {epoch}")
+            for key, g in grads.items():
+                weights[key] -= hp.learning_rate * g
+            epoch_loss += loss
+            n_batches += 1
+        losses.append(epoch_loss / n_batches)
+        probs = _reference_softmax(_reference_forward(weights, tune_set.X)[1])
+        auc = roc_auc(probs[:, positive].sum(axis=1), tune_bin).auc
+        aucs.append(auc)
+        if auc > best_auc:
+            best_auc, best_epoch, bad_epochs = auc, epoch, 0
+            best_weights = {key: w.copy() for key, w in weights.items()}
+        else:
+            bad_epochs += 1
+            if bad_epochs >= hp.patience:
+                break
+    return {"weights": best_weights, "train_loss_by_epoch": losses, "tune_auc_by_epoch": aucs,
+            "stopped_epoch": best_epoch, "tune_auc_at_stop": best_auc, "epochs_run": len(losses)}
+
+
+class TestTrainMatchesReferenceLoop:
+    """`train` against the per-batch reference loop, bit for bit: weight
+    bytes, loss and AUC curves, and where and why it stopped."""
+
+    N_ROWS = 90  # ragged last batch for sizes 7, 32 and 128
+
+    @pytest.mark.parametrize("hidden", [0, 8])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 128])
+    @pytest.mark.parametrize("stop", ["patience", "max_epochs"])
+    def test_bitwise_equal(self, hidden, l2, batch_size, stop):
+        ds = toy_dataset(self.N_ROWS, 4, n_classes=4, seed=31, separation=0.7)
+        tune = toy_dataset(60, 4, n_classes=4, seed=32, separation=0.7)
+        max_epochs, patience = (40, 2) if stop == "patience" else (5, 40)
+        hp = Hyperparams(learning_rate=0.3, batch_size=batch_size, max_epochs=max_epochs,
+                         patience=patience, hidden_units=hidden, l2=l2)
+        got = train(ds, tune, hp, seed=5)
+        want = reference_train(ds, tune, hp, seed=5)
+        if stop == "patience":
+            assert got.epochs_run < max_epochs
+        else:
+            assert got.epochs_run == max_epochs
+        assert got.weights.keys() == want["weights"].keys()
+        for key, w in want["weights"].items():
+            assert got.weights[key].shape == w.shape
+            assert got.weights[key].tobytes() == w.tobytes()
+        for name in ("train_loss_by_epoch", "tune_auc_by_epoch", "stopped_epoch",
+                     "tune_auc_at_stop", "epochs_run"):
+            assert getattr(got, name) == want[name], name
+
+
 class TestTrain:
     def test_separable_two_class_reaches_full_accuracy(self):
         ds = toy_dataset(200, 3, seed=1)
