@@ -9,6 +9,7 @@ example id before the seeded per-epoch shuffles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -108,23 +109,55 @@ def _init_weights(d: int, k: int, hidden: int, rng: np.random.Generator) -> dict
     return weights
 
 
-def _forward_backward(weights, X, y, l2):
-    """Mean cross-entropy loss and gradients for one batch."""
+def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """The weight arrays of `shapes` as views of one flat buffer. The matrices
+    come first in the buffer, so its head holds every matrix entry."""
+    views, start = {}, 0
+    for key in sorted(shapes, key=lambda key: -len(shapes[key])):
+        size = math.prod(shapes[key])
+        views[key] = flat[start:start + size].reshape(shapes[key])
+        start += size
+    return {key: views[key] for key in shapes}
+
+
+def _batch_step(weights, grads, X, Y, label_at, label_prob, l2) -> None:
+    """Forward and backward pass of one batch, without the update.
+
+    Y holds each row's one-hot label and label_at its flat index into the
+    batch's (n, K) probabilities. Each row's probability of its label goes to
+    label_prob, and the gradient of the mean cross-entropy plus
+    0.5 * l2 * (sum of squared matrix entries) goes into the arrays of grads.
+    """
     n = len(X)
-    H, Z = _forward(weights, X)
-    P = _softmax(Z)
-    loss = float(-np.log(P[np.arange(n), y] + 1e-12).mean())
-    G = P
-    G[np.arange(n), y] -= 1.0
+    hidden = "w1" in weights
+    if hidden:
+        H = X @ weights["w1"]
+        H += weights["b1"]
+        np.tanh(H, out=H)
+        w, b = "w2", "b2"
+    else:
+        H, w, b = X, "w", "b"
+    G = H @ weights[w]
+    G += weights[b]
+    G -= G.max(axis=1, keepdims=True)
+    np.exp(G, out=G)
+    G /= G.sum(axis=1, keepdims=True)
+    np.take(G, label_at, out=label_prob)
+    G -= Y
     G /= n
-    w, b = ("w2", "b2") if "w1" in weights else ("w", "b")
-    grads = {w: H.T @ G + l2 * weights[w], b: G.sum(axis=0)}
-    if "w1" in weights:
-        GH = (G @ weights["w2"].T) * (1.0 - H * H)
-        grads["w1"] = X.T @ GH + l2 * weights["w1"]
-        grads["b1"] = GH.sum(axis=0)
-    loss += 0.5 * l2 * sum(np.sum(weights[key] ** 2) for key in ("w1", w) if key in weights)
-    return loss, grads
+    np.matmul(H.T, G, out=grads[w])
+    G.sum(axis=0, out=grads[b])
+    if hidden:
+        GH = G @ weights["w2"].T
+        H *= H
+        np.subtract(1.0, H, out=H)
+        GH *= H
+        np.matmul(X.T, GH, out=grads["w1"])
+        GH.sum(axis=0, out=grads["b1"])
+    if l2:
+        for key, g in grads.items():
+            if g.ndim == 2:
+                g += l2 * weights[key]
 
 
 def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> Model:
@@ -153,36 +186,67 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     X_tune = tune_set.X
     n, d = X.shape
 
+    # the weights and their gradients are views of two flat buffers, so one
+    # in-place update and one copy per snapshot cover every array
+    shapes = _weight_shapes(d, k, hp.hidden_units)
     rng = np.random.default_rng(seed)
-    weights = _init_weights(d, k, hp.hidden_units, rng)
+    initial = _init_weights(d, k, hp.hidden_units, rng)
+    flat_w = np.empty(sum(w.size for w in initial.values()))
+    flat_g = np.empty_like(flat_w)
+    weights, grads = _flat_views(flat_w, shapes), _flat_views(flat_g, shapes)
+    for key, w in initial.items():
+        weights[key][...] = w
+    matrices = flat_w[:sum(w.size for w in initial.values() if w.ndim == 2)]
     model = Model(scheme=train_set.scheme, feature_dim=d, hidden_units=hp.hidden_units,
                   weights=weights, seed=seed)
 
+    b = hp.batch_size
+    n_full = n // b
+    n_batches = -(-n // b)
+    one_hot = np.eye(k)[y]
+    row_at = np.arange(n) % b * k
+    label_prob = np.empty(n)
+    sq_norm = np.empty(n_batches)
     best_auc = -np.inf
-    best_weights = None
+    best_flat = None
     best_epoch = 0
     bad_epochs = 0
     for epoch in range(1, hp.max_epochs + 1):
         perm = rng.permutation(n)
-        X_epoch, y_epoch = X[perm], y[perm]
+        X_epoch, Y_epoch, label_at = X[perm], one_hot[perm], row_at + y[perm]
+        for i, start in enumerate(range(0, n, b)):
+            end = start + b
+            # each batch's loss carries 0.5 * l2 * the squared norm of the
+            # matrices it saw; with l2 == 0 that term is 0.0, or NaN once the
+            # norm overflows, which is what flags a diverged fit
+            if hp.l2:
+                sq_norm[i] = 0.0
+                for key, w in weights.items():
+                    if w.ndim == 2:
+                        sq_norm[i] += np.sum(w ** 2)
+            else:
+                sq_norm[i] = matrices @ matrices
+            _batch_step(weights, grads, X_epoch[start:end], Y_epoch[start:end],
+                        label_at[start:end], label_prob[start:end], hp.l2)
+            flat_g *= hp.learning_rate
+            flat_w -= flat_g
+        log_p = np.log(label_prob + 1e-12)
+        mean_log_p = log_p[:n_full * b].reshape(n_full, b).mean(axis=1)
+        if n % b:
+            mean_log_p = np.append(mean_log_p, log_p[n_full * b:].mean())
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, hp.batch_size):
-            end = start + hp.batch_size
-            loss, grads = _forward_backward(weights, X_epoch[start:end], y_epoch[start:end], hp.l2)
-            if not np.isfinite(loss):
-                raise ValueError(f"diverged: non-finite loss at epoch {epoch}")
-            for key, g in grads.items():
-                weights[key] -= hp.learning_rate * g
+        # summed in batch order, as a running total, without compensation
+        for loss in (-mean_log_p + 0.5 * hp.l2 * sq_norm).tolist():
             epoch_loss += loss
-            n_batches += 1
+        if not math.isfinite(epoch_loss):
+            raise ValueError(f"diverged: non-finite loss at epoch {epoch}")
         model.train_loss_by_epoch.append(epoch_loss / n_batches)
 
         auc = roc_auc(referable_scores(model, X_tune), tune_bin).auc
         model.tune_auc_by_epoch.append(auc)
         if auc > best_auc:
             best_auc = auc
-            best_weights = {key: w.copy() for key, w in weights.items()}
+            best_flat = flat_w.copy()
             best_epoch = epoch
             bad_epochs = 0
         else:
@@ -190,7 +254,7 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
             if bad_epochs >= hp.patience:
                 break
 
-    model.weights = best_weights
+    model.weights = {key: w.copy() for key, w in _flat_views(best_flat, shapes).items()}
     model.stopped_epoch = best_epoch
     model.tune_auc_at_stop = best_auc
     model.epochs_run = len(model.train_loss_by_epoch)

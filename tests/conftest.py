@@ -22,7 +22,7 @@ from sncv import (
 )
 from sncv.config import RunConfig
 from sncv.scoring import derive_seed
-from sncv.trainer import Model, _forward_backward
+from sncv.trainer import Model, _batch_step
 
 REFERENCE_SEEDS = (0, 1, 2, 3, 4)
 MIN_FOLD_SIZE = RunConfig().min_fold_size
@@ -120,15 +120,24 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def _step(model: Model, X: np.ndarray, y: np.ndarray, l2: float):
+    """The trainer's batch step on one batch: label probabilities and gradients."""
+    k = model.scheme.n_classes
+    label_prob = np.empty(len(X))
+    grads = {key: np.empty_like(w) for key, w in model.weights.items()}
+    _batch_step(model.weights, grads, X, np.eye(k)[y], np.arange(len(X)) * k + y, label_prob, l2)
+    return label_prob, grads
+
+
 def batch_loss(model: Model, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> float:
-    loss, _ = _forward_backward(model.weights, X, y, l2)
-    return loss
+    label_prob, _ = _step(model, X, y, l2)
+    sq_norm = sum(np.sum(w ** 2) for w in model.weights.values() if w.ndim == 2)
+    return float(-np.log(label_prob + 1e-12).mean()) + 0.5 * l2 * sq_norm
 
 
 def analytic_gradients(model: Model, X: np.ndarray, y: np.ndarray,
                        l2: float = 0.0) -> dict[str, np.ndarray]:
-    _, grads = _forward_backward(model.weights, X, y, l2)
-    return grads
+    return _step(model, X, y, l2)[1]
 
 
 def numeric_gradients(model: Model, X: np.ndarray, y: np.ndarray,

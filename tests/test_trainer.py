@@ -215,7 +215,7 @@ class TestTrain:
         # fail with TypeError, so the error must come before the epoch loop
         tune = toy_dataset(50, 3, seed=9)
         all_neg = Dataset(tune.scheme, ids=tune.ids, X=tune.X, y=np.zeros(len(tune)))
-        monkeypatch.setattr(trainer, "_forward_backward", None)
+        monkeypatch.setattr(trainer, "_batch_step", None)
         with pytest.raises(ValueError, match="degenerate-train-set"):
             train(all_neg, tune, Hyperparams(), seed=0)
 
