@@ -22,14 +22,13 @@ from .synth import GRADER_ROLES, GraderProfile, _example_rng
 @dataclass(frozen=True)
 class SpecialistOracle:
     error_rate: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.error_rate < 1:
             raise ValueError("error_rate must be in [0, 1)")
 
-    def label(self, example_id: str, true_label: int, n_classes: int) -> int:
-        rng = _example_rng(self.seed, example_id)
+    def label(self, example_id: str, true_label: int, n_classes: int, seed: int) -> int:
+        rng = _example_rng(seed, example_id)
         if self.error_rate == 0 or rng.random() >= self.error_rate:
             return true_label
         row = np.full(n_classes, 1.0 / (n_classes - 1))
@@ -62,7 +61,7 @@ class RelabelReport:
 
 
 def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
-                           oracle: SpecialistOracle) -> RelabelReport:
+                           oracle: SpecialistOracle, seed: int) -> RelabelReport:
     """Send the n_lowest globally lowest-scored examples to the oracle.
 
     The primary agreement rate is computed over tranche members whose quality
@@ -80,7 +79,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
     tranche = np.lexsort((ds.ids, scored.qs))[:n_lowest]
     ids, qs = ds.ids[tranche].tolist(), scored.qs[tranche].tolist()
     originals, truths = ds.y[tranche], ds.true_y[tranche].tolist()
-    oracles = np.array([oracle.label(i, t, scheme.n_classes) for i, t in zip(ids, truths)],
+    oracles = np.array([oracle.label(i, t, scheme.n_classes, seed) for i, t in zip(ids, truths)],
                        dtype=int)
     model_side = scheme.positive_mask(scored.probs[tranche].argmax(axis=1))
     side_win = scheme.positive_mask(oracles) == model_side

@@ -202,8 +202,7 @@ class TestAcceptance:
         rates = []
         for seed in REFERENCE_SEEDS:
             scored, _, _ = reference_runs.scored(seed)
-            oracle = SpecialistOracle(error_rate=0.0, seed=seed)
-            rep = run_relabel_experiment(scored, N_LOWEST, oracle)
+            rep = run_relabel_experiment(scored, N_LOWEST, SpecialistOracle(error_rate=0.0), seed)
             rates.append(rep.model_agreement_rate)
             hits += rep.model_agreement_rate >= 0.80
         report(9, "zero-error oracle sides with the model >= 80% in >= 4 of 5 seeds",

@@ -41,20 +41,20 @@ def make_scored_with_truth(labels, truths, qs_values, graders=None, model_sides=
 
 class TestSpecialistOracle:
     def test_zero_error_rate_reproduces_truth(self):
-        oracle = SpecialistOracle(error_rate=0.0, seed=1)
-        assert all(oracle.label(f"e{i}", 2, 4) == 2 for i in range(50))
+        oracle = SpecialistOracle(error_rate=0.0)
+        assert all(oracle.label(f"e{i}", 2, 4, seed=1) == 2 for i in range(50))
 
     def test_deterministic_under_seed(self):
-        oracle = SpecialistOracle(error_rate=0.5, seed=9)
-        labels_a = [oracle.label(f"e{i}", 1, 4) for i in range(100)]
-        labels_b = [oracle.label(f"e{i}", 1, 4) for i in range(100)]
+        oracle = SpecialistOracle(error_rate=0.5)
+        labels_a = [oracle.label(f"e{i}", 1, 4, seed=9) for i in range(100)]
+        labels_b = [oracle.label(f"e{i}", 1, 4, seed=9) for i in range(100)]
         assert labels_a == labels_b
 
     def test_noisy_labels_pinned(self):
         # the per-id draws at a nonzero error rate, which the golden study
         # (error rate 0) never makes
-        oracle = SpecialistOracle(error_rate=0.3, seed=2024)
-        labels = [oracle.label(f"ex{i:06d}", i % 4, 4) for i in range(500)]
+        oracle = SpecialistOracle(error_rate=0.3)
+        labels = [oracle.label(f"ex{i:06d}", i % 4, 4, seed=2024) for i in range(500)]
         assert hashlib.sha256(",".join(map(str, labels)).encode()).hexdigest() == \
             "19c6fc84f13d73bb1be0c5f8e06d99e8dee13ea40520bff4722b487c4340bb8f"
 
@@ -67,7 +67,7 @@ class TestRunRelabelExperiment:
     def test_noiseless_dataset_zero_relabel_rate(self):
         labels = [0, 1, 2, 3] * 10
         scored = make_scored_with_truth(labels, labels, [0.8] * 40)
-        report = run_relabel_experiment(scored, 10, SpecialistOracle(seed=0))
+        report = run_relabel_experiment(scored, 10, SpecialistOracle(), seed=0)
         assert report.relabel_rate == 0.0
         assert report.binarized_relabel_rate == 0.0
 
@@ -80,7 +80,7 @@ class TestRunRelabelExperiment:
         qs = [-0.9] * 180 + [-0.5] * 20         # model disputes everything
         model_sides = [True] * n                 # model says referable
         scored = make_scored_with_truth(labels, truths, qs, model_sides=model_sides)
-        report = run_relabel_experiment(scored, n, SpecialistOracle(seed=3))
+        report = run_relabel_experiment(scored, n, SpecialistOracle(), seed=3)
         assert report.relabel_rate == pytest.approx(0.9)
         assert report.model_agreement_rate > 0.85
 
@@ -88,7 +88,7 @@ class TestRunRelabelExperiment:
         labels = [0, 0, 2, 2]
         truths = [0, 2, 0, 2]
         scored = make_scored_with_truth(labels, truths, [-0.5, -0.6, -0.7, -0.8])
-        report = run_relabel_experiment(scored, 4, SpecialistOracle(seed=0))
+        report = run_relabel_experiment(scored, 4, SpecialistOracle(), seed=0)
         np.testing.assert_array_equal(report.confusion, [[1, 1], [1, 1]])
         assert report.n_relabeled == 4
 
@@ -100,7 +100,7 @@ class TestRunRelabelExperiment:
         qs = [-0.9, -0.8, 0.9, 0.8]
         model_sides = [True, True, False, False]
         scored = make_scored_with_truth(labels, truths, qs, model_sides=model_sides)
-        report = run_relabel_experiment(scored, 4, SpecialistOracle(seed=0))
+        report = run_relabel_experiment(scored, 4, SpecialistOracle(), seed=0)
         assert report.n_boundary_disagreements == 2
         assert report.model_agreement_rate == 1.0
         # unconditional rate counts the agreements' side-match too
@@ -110,7 +110,7 @@ class TestRunRelabelExperiment:
         ds = Dataset(default_scheme(), ids=["x"], X=np.zeros((1, 2)), y=[0])
         scored = ScoredDataset(ds, fold=["D1"], qs=[0.5], probs=[[0.7, 0.1, 0.1, 0.1]])
         with pytest.raises(ValueError, match="no-ground-truth"):
-            run_relabel_experiment(scored, 1, SpecialistOracle(seed=0))
+            run_relabel_experiment(scored, 1, SpecialistOracle(), seed=0)
 
     def test_deterministic_report(self):
         rng = np.random.default_rng(5)
@@ -119,9 +119,9 @@ class TestRunRelabelExperiment:
         labels[:30] = (truths[:30] + 2) % 4
         qs = np.where(np.arange(100) < 30, -0.8, 0.6)
         scored = make_scored_with_truth(labels, truths, qs)
-        oracle = SpecialistOracle(error_rate=0.2, seed=11)
-        a = run_relabel_experiment(scored, 40, oracle)
-        b = run_relabel_experiment(scored, 40, oracle)
+        oracle = SpecialistOracle(error_rate=0.2)
+        a = run_relabel_experiment(scored, 40, oracle, seed=11)
+        b = run_relabel_experiment(scored, 40, oracle, seed=11)
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
