@@ -7,8 +7,11 @@
 Each checkout holds the `.bench_work/<workload>-s<seed>-t0/result.json` files
 of `perfbench/run.py --trace 0`, one per seed (two or more). Per workload and
 side it holds each end-to-end metric's median, IQR over median and per-seed
-values, and the environment. Suite wall times are pytest's; it times nothing.
-A workload with fewer than two passing seeds on either side exits 2.
+values, and the environment. Per workload and metric it counts the seeds that
+both sides passed on which the change won, lost or tied, in the direction
+(`better`) that the change checkout's BENCHMARK.json declares. Suite wall
+times are pytest's; it times nothing. A workload with fewer than two passing
+seeds on either side exits 2.
 """
 
 import argparse
@@ -17,15 +20,13 @@ import statistics
 import sys
 from pathlib import Path
 
-METRICS = ("setup_s", "cycle_s", "peak_rss_mb", "quality")
-
 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "iqr_over_median": (q3 - q1) / median, "per_seed": values}
 
 
-def side(checkout: Path) -> dict:
+def side(checkout: Path, metrics) -> dict:
     runs: dict[str, list[dict]] = {}
     for path in sorted(checkout.glob(".bench_work/*-t0/result.json")):
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -42,9 +43,22 @@ def side(checkout: Path) -> dict:
         out[workload] = {
             "seeds": [r["seed"] for r in ok],
             "failed_seeds": failed,
-            **{name: summary([r["named"][name]["value"] for r in ok]) for name in METRICS},
+            **{name: summary([r["named"][name]["value"] for r in ok]) for name in metrics},
             "environment": {k: v for k, v in records[0]["environment"].items() if k != "seed"}}
     return out
+
+
+def pair_wins(parent: dict, change: dict, name: str, better: str) -> dict:
+    """How many seeds that both sides passed the change won, lost and tied on
+    one metric, given the two sides' records of one workload."""
+    sign = {"lower": -1, "higher": 1}[better]
+    before = dict(zip(parent["seeds"], parent[name]["per_seed"]))
+    counts = {"won": 0, "lost": 0, "tied": 0}
+    for seed, value in zip(change["seeds"], change[name]["per_seed"]):
+        if seed in before:
+            diff = sign * (value - before[seed])
+            counts["won" if diff > 0 else "lost" if diff < 0 else "tied"] += 1
+    return counts
 
 
 def main(argv=None) -> None:
@@ -54,10 +68,16 @@ def main(argv=None) -> None:
     parser.add_argument("out", type=Path)
     parser.add_argument("--suite-s", type=float, nargs=2, required=True, metavar=("PARENT", "CHANGE"))
     args = parser.parse_args(argv)
-    parent, change = side(args.parent), side(args.change)
-    ratios = {w: {m: change[w][m]["median"] / parent[w][m]["median"] for m in METRICS}
-              for w in parent if w in change}
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    parent, change = side(args.parent, better), side(args.change, better)
+    shared = [w for w in parent if w in change]
+    ratios = {w: {m: change[w][m]["median"] / parent[w][m]["median"] for m in better}
+              for w in shared}
+    wins = {w: {m: pair_wins(parent[w], change[w], m, b) for m, b in better.items()}
+            for w in shared}
     record = {"parent": parent, "change": change, "change_over_parent": ratios,
+              "change_pair_wins": wins,
               "tier1_suite_s": dict(zip(("parent", "change"), args.suite_s))}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
