@@ -196,7 +196,8 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     weights, grads = _flat_views(flat_w, shapes), _flat_views(flat_g, shapes)
     for key, w in initial.items():
         weights[key][...] = w
-    matrices = flat_w[:sum(w.size for w in initial.values() if w.ndim == 2)]
+    matrices = [w for w in weights.values() if w.ndim == 2]
+    flat_matrices = flat_w[:sum(w.size for w in matrices)]
     model = Model(scheme=train_set.scheme, feature_dim=d, hidden_units=hp.hidden_units,
                   weights=weights, seed=seed)
 
@@ -220,12 +221,12 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
             # matrices it saw; with l2 == 0 that term is 0.0, or NaN once the
             # norm overflows, which is what flags a diverged fit
             if hp.l2:
-                sq_norm[i] = 0.0
-                for key, w in weights.items():
-                    if w.ndim == 2:
-                        sq_norm[i] += np.sum(w ** 2)
+                norm = 0.0
+                for w in matrices:
+                    norm += np.sum(w ** 2)
+                sq_norm[i] = norm
             else:
-                sq_norm[i] = matrices @ matrices
+                sq_norm[i] = flat_matrices @ flat_matrices
             _batch_step(weights, grads, X_epoch[start:end], Y_epoch[start:end],
                         label_at[start:end], label_prob[start:end], hp.l2)
             flat_g *= hp.learning_rate
