@@ -64,26 +64,17 @@ class Model:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place; returns z."""
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forward(weights: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations H (X itself without a hidden layer) and logits Z.
-    Z, and H when there is a hidden layer, are new arrays."""
+    """Hidden activations H (X itself without a hidden layer) and logits Z."""
     if "w1" in weights:
-        H = X @ weights["w1"]
-        H += weights["b1"]
-        np.tanh(H, out=H)
-        w, b = "w2", "b2"
-    else:
-        H, w, b = X, "w", "b"
-    Z = H @ weights[w]
-    Z += weights[b]
-    return H, Z
+        H = np.tanh(X @ weights["w1"] + weights["b1"])
+        return H, H @ weights["w2"] + weights["b2"]
+    return X, X @ weights["w"] + weights["b"]
 
 
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
@@ -122,7 +113,7 @@ def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[st
     """The weight arrays of `shapes` as views of one flat buffer. The matrices
     come first in the buffer, so its head holds every matrix entry."""
     views, start = {}, 0
-    for key in sorted(shapes, key=lambda name: -len(shapes[name])):
+    for key in sorted(shapes, key=lambda key: -len(shapes[key])):
         size = math.prod(shapes[key])
         views[key] = flat[start:start + size].reshape(shapes[key])
         start += size
@@ -139,9 +130,18 @@ def _batch_step(weights, grads, X, Y, label_at, label_prob, l2) -> None:
     """
     n = len(X)
     hidden = "w1" in weights
-    w, b = ("w2", "b2") if hidden else ("w", "b")
-    H, G = _forward(weights, X)
-    _softmax(G)
+    if hidden:
+        H = X @ weights["w1"]
+        H += weights["b1"]
+        np.tanh(H, out=H)
+        w, b = "w2", "b2"
+    else:
+        H, w, b = X, "w", "b"
+    G = H @ weights[w]
+    G += weights[b]
+    G -= G.max(axis=1, keepdims=True)
+    np.exp(G, out=G)
+    G /= G.sum(axis=1, keepdims=True)
     np.take(G, label_at, out=label_prob)
     G -= Y
     G /= n
