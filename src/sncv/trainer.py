@@ -64,17 +64,26 @@ class Model:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place; returns z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _forward(weights: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations H (X itself without a hidden layer) and logits Z."""
+    """Hidden activations H (X itself without a hidden layer) and logits Z.
+    Z, and H when there is a hidden layer, are new arrays."""
     if "w1" in weights:
-        H = np.tanh(X @ weights["w1"] + weights["b1"])
-        return H, H @ weights["w2"] + weights["b2"]
-    return X, X @ weights["w"] + weights["b"]
+        H = X @ weights["w1"]
+        H += weights["b1"]
+        np.tanh(H, out=H)
+        w, b = "w2", "b2"
+    else:
+        H, w, b = X, "w", "b"
+    Z = H @ weights[w]
+    Z += weights[b]
+    return H, Z
 
 
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
@@ -130,18 +139,9 @@ def _batch_step(weights, grads, X, Y, label_at, label_prob, l2) -> None:
     """
     n = len(X)
     hidden = "w1" in weights
-    if hidden:
-        H = X @ weights["w1"]
-        H += weights["b1"]
-        np.tanh(H, out=H)
-        w, b = "w2", "b2"
-    else:
-        H, w, b = X, "w", "b"
-    G = H @ weights[w]
-    G += weights[b]
-    G -= G.max(axis=1, keepdims=True)
-    np.exp(G, out=G)
-    G /= G.sum(axis=1, keepdims=True)
+    w, b = ("w2", "b2") if hidden else ("w", "b")
+    H, G = _forward(weights, X)
+    _softmax(G)
     np.take(G, label_at, out=label_prob)
     G -= Y
     G /= n
@@ -219,7 +219,9 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
             end = start + b
             # each batch's loss carries 0.5 * l2 * the squared norm of the
             # matrices it saw; with l2 == 0 that term is 0.0, or NaN once the
-            # norm overflows, which is what flags a diverged fit
+            # norm overflows, which is what flags a diverged fit. Only l2 > 0
+            # needs the exact per-matrix sum; one dot product of the flat
+            # matrix head is a tenth of its cost and carries the same flag
             if hp.l2:
                 norm = 0.0
                 for w in matrices:
