@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, relabel, scoring, selection, synth, trainer
-from .config import KEYS, RunConfig, check, load_config, require_paths, value_parser
+from .config import KEYS, RunConfig, check, load_config, value_parser
 from .dataset import (
     Dataset,
     InputError,
@@ -64,9 +64,11 @@ def _write_table(path, header, rows) -> None:
 
 
 def _load(kind: str, path, read, *args):
-    """read(path, *args), with a missing or malformed file reported as InputError."""
-    if not Path(path).exists():
-        raise InputError(f"{kind} file not found: {path}")
+    """read(path, *args), the one way a command reads an input file. A path
+    not given, or a file that does not parse, is an InputError naming it; the
+    reader's own open() reports a file it cannot read, as an OSError."""
+    if path is None:
+        raise InputError(f"{kind} path is required for this command")
     try:
         return read(path, *args)
     except (ValueError, KeyError, TypeError, AttributeError) as err:
@@ -87,15 +89,13 @@ def _load_pool(cfg: RunConfig, scheme):
 
 def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
     """The datasets at the named paths ("train", "tune", "test") under the run's scheme."""
-    require_paths(cfg, *names)
     scheme = _load_scheme(cfg)
-    return [read_dataset(getattr(cfg, f"{name}_path"), scheme) for name in names]
+    return [_load(name, getattr(cfg, f"{name}_path"), read_dataset, scheme) for name in names]
 
 
 def _scored_input(cfg: RunConfig) -> scoring.ScoredDataset:
     """The scored dataset at the train path under the run's scheme."""
-    require_paths(cfg, "train")
-    return scoring.read_scored_dataset(cfg.train_path, _load_scheme(cfg))
+    return _load("scored train", cfg.train_path, scoring.read_scored_dataset, _load_scheme(cfg))
 
 
 def _rows_kept(key: str, fraction: float, n: int) -> int:
@@ -458,6 +458,10 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # an input file or --out that cannot be read or written
+        print(f"error: {err.filename}: {err.strerror}" if err.filename else f"error: {err}",
+              file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"failure: {err}", file=sys.stderr)

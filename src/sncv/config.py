@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import operator
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 from .dataset import InputError
 from .scoring import derive_seed
@@ -200,11 +199,3 @@ def check(cfg: RunConfig, source) -> None:
         except ValueError as err:
             raise InputError(f"{source}: [population] {err} (building the {name} draw)") from None
 
-
-def require_paths(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        value = getattr(cfg, f"{name}_path")
-        if value is None:
-            raise InputError(f"{name} path is required for this command")
-        if not Path(value).exists():
-            raise InputError(f"{name} file not found: {value}")

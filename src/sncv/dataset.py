@@ -331,7 +331,13 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
     return columns
 
 
-def _parse_csv(path, scheme: ClassScheme, scored: bool):
+def _read_csv(path, scheme: ClassScheme, scored: bool = False):
+    """Parse and validate a dataset CSV: (Dataset, None), or with scored=True
+    (Dataset, (fold, qs, probs)) from the columns a scored file must carry.
+
+    A problem in the file raises a ValueError that names its row, column or
+    example id, but not the file: the caller chose the path and names it.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -357,18 +363,6 @@ def _parse_csv(path, scheme: ClassScheme, scored: bool):
                 break
     ids, X, y, true_y, grader, *extra = (np.concatenate(c) for c in zip(*chunks))
     return Dataset(scheme, ids, X, y, true_y, grader), (tuple(extra) if scored else None)
-
-
-def _read_csv(path, scheme: ClassScheme, scored: bool = False):
-    """Parse and validate a dataset CSV: (Dataset, None), or with scored=True
-    (Dataset, (fold, qs, probs)) from the columns a scored file must carry.
-
-    Every problem raises InputError prefixed with the path.
-    """
-    try:
-        return _parse_csv(path, scheme, scored)
-    except ValueError as err:
-        raise InputError(f"{path}: {err}") from None
 
 
 def write_dataset(dataset: Dataset, path) -> None:

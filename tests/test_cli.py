@@ -1,6 +1,8 @@
 """End-to-end command-line tests on a miniature configuration."""
 
+import errno
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +386,63 @@ class TestEval:
         assert rc == 2
         assert f"{model_json}: model does not fit the dataset" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# (command, the path flag under test, the command's other inputs: a name ending
+# in .csv is that file of the generated set)
+PATH_FLAGS = [
+    ("split", "--train", []),
+    ("select", "--train", ["--k", "10"]),  # a scored dataset
+    ("train", "--tune", ["--train", "train.csv"]),
+    ("burden", "--test", ["--train", "train.csv", "--tune", "tune.csv"]),
+    ("gen", "--scheme", []),
+    ("gen", "--pool", []),
+    ("eval", "--model", ["--train", "test.csv"]),
+]
+PATH_FLAG_IDS = [f"{command}{flag}" for command, flag, _ in PATH_FLAGS]
+
+
+def with_files(generated, args):
+    return [str(generated / a) if a.endswith(".csv") else a for a in args]
+
+
+class TestPathErrors:
+    """A path that is not given, missing or a directory, and an --out that is
+    a file, exit 2 naming the path, before any --out directory is made."""
+
+    @pytest.mark.parametrize("command, flag, others", PATH_FLAGS[:4], ids=PATH_FLAG_IDS[:4])
+    def test_path_not_given_exits_2_naming_it(self, mini_config, generated, tmp_path, capsys,
+                                              command, flag, others):
+        rc = run_cli(mini_config, tmp_path / "out", command, *with_files(generated, others))
+        assert rc == 2
+        name = {"select": "scored train"}.get(command, flag[2:])
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {name} path is required for this command"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command, flag, others", PATH_FLAGS, ids=PATH_FLAG_IDS)
+    def test_unreadable_path_exits_2_naming_it(self, mini_config, generated, tmp_path, capsys,
+                                               command, flag, others, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        rc = run_cli(mini_config, tmp_path / "out", command, flag, str(path),
+                     *with_files(generated, others))
+        assert rc == 2
+        reason = os.strerror(errno.EISDIR if kind == "directory" else errno.ENOENT)
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {path}: {reason}"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_an_existing_file_exits_2(self, mini_config, generated, tmp_path,
+                                                 capsys):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        rc = run_cli(mini_config, out, "split", "--train", str(generated / "train.csv"))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {out}: {os.strerror(errno.EEXIST)}"
+        assert out.read_text() == "kept\n"
 
 
 OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)
