@@ -107,9 +107,12 @@ def _rows_kept(key: str, fraction: float, n: int) -> int:
 
 
 def _resolve_k_grid(cfg: RunConfig, n: int) -> list[int]:
-    if cfg.k is not None:
-        return [cfg.k]
-    return [_rows_kept("k_grid", f, n) for f in cfg.k_grid]
+    """The selection sizes to try on n rows, checked before any fit."""
+    if cfg.k is None:
+        return [_rows_kept("k_grid", f, n) for f in cfg.k_grid]
+    if not 1 <= cfg.k <= n:
+        raise InputError(f"k must be in [1, {n}], got {cfg.k}")
+    return [cfg.k]
 
 
 def cmd_gen(cfg: RunConfig) -> int:

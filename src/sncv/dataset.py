@@ -335,32 +335,36 @@ def _read_csv(path, scheme: ClassScheme, scored: bool = False):
     """Parse and validate a dataset CSV: (Dataset, None), or with scored=True
     (Dataset, (fold, qs, probs)) from the columns a scored file must carry.
 
-    A problem in the file raises a ValueError that names its row, column or
-    example id, but not the file: the caller chose the path and names it.
+    A problem in the file raises a ValueError that names its row (or line),
+    column or example id, but not the file: the caller chose the path and
+    names it.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError("empty file: no header row")
-        feats = [c for c in header if c.startswith("f") and c[1:].isdigit()]
-        if feats != [f"f{i}" for i in range(len(feats))]:
-            raise InputError(f"feature columns must be f0..f{len(feats) - 1} in order, "
-                             f"got {feats}")
-        required = ["id", "label"]
-        if scored:
-            required += ["fold", "quality_score"] + [f"p{i}" for i in range(scheme.n_classes)]
-        for name in required:
-            if name not in header:
-                kind = "scored dataset" if scored else "dataset"
-                raise InputError(f"{kind} missing column {name!r}")
-        chunks = []
-        while True:
-            body = list(itertools.islice(reader, CHUNK_ROWS))
-            chunks.append(_parse_chunk(body, 2 + CHUNK_ROWS * len(chunks), header, feats,
-                                       scheme, scored))
-            if len(body) < CHUNK_ROWS:
-                break
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise InputError("empty file: no header row")
+            feats = [c for c in header if c.startswith("f") and c[1:].isdigit()]
+            if feats != [f"f{i}" for i in range(len(feats))]:
+                raise InputError(f"feature columns must be f0..f{len(feats) - 1} in order, "
+                                 f"got {feats}")
+            required = ["id", "label"]
+            if scored:
+                required += ["fold", "quality_score"] + [f"p{i}" for i in range(scheme.n_classes)]
+            for name in required:
+                if name not in header:
+                    kind = "scored dataset" if scored else "dataset"
+                    raise InputError(f"{kind} missing column {name!r}")
+            chunks = []
+            while True:
+                body = list(itertools.islice(reader, CHUNK_ROWS))
+                chunks.append(_parse_chunk(body, 2 + CHUNK_ROWS * len(chunks), header, feats,
+                                           scheme, scored))
+                if len(body) < CHUNK_ROWS:
+                    break
+        except csv.Error as err:  # a line csv cannot split, such as an oversized cell
+            raise InputError(f"line {reader.line_num}: {err}") from None
     ids, X, y, true_y, grader, *extra = (np.concatenate(c) for c in zip(*chunks))
     return Dataset(scheme, ids, X, y, true_y, grader), (tuple(extra) if scored else None)
 

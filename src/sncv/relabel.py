@@ -74,7 +74,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
     scheme = scored.scheme
     ds = scored.dataset
     if (ds.true_y < 0).any():
-        raise ValueError("no-ground-truth: relabel experiment needs true labels")
+        raise InputError("no-ground-truth: relabel experiment needs true labels")
 
     tranche = np.lexsort((ds.ids, scored.qs))[:n_lowest]
     ids, qs = ds.ids[tranche].tolist(), scored.qs[tranche].tolist()
@@ -131,7 +131,7 @@ def grader_mismatch_analysis(scored: ScoredDataset, pool: list[GraderProfile] | 
     role_by_grader = {p.grader_id: p.role for p in pool} if pool else {}
     graded = scored.dataset.grader != ""
     if not graded.any():
-        raise ValueError("no grader ids present in scored dataset")
+        raise InputError("no grader ids present in scored dataset")
     graders, member = np.unique(scored.dataset.grader[graded], return_inverse=True)
     counts = np.bincount(member)
     rates = np.bincount(member, weights=scored.qs[graded] < 0) / counts

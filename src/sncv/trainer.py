@@ -271,23 +271,46 @@ def write_model(model: Model, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _is_number(value, integer: bool = False) -> bool:
+    """Whether a JSON value is a number (an integer when integer), not true or false."""
+    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+
+
+# The JSON type each plain Model field must have, by its annotation.
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: _is_number(v, integer=True)),
+    "float": ("a number", _is_number),
+    "list[float]": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
 def read_model(path) -> Model:
     """Load a model file. Its keys must be exactly the Model fields plus
-    format_version, and its weights must have the shapes that feature_dim,
-    hidden_units and the scheme's class count give them."""
+    format_version, each field must have its JSON type, and its weights must
+    be finite and have the shapes that feature_dim, hidden_units and the
+    scheme's class count give them."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {payload.get('format_version')}")
+    version = payload.get("format_version")
+    if not _is_number(version, integer=True) or version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {version}")
     del payload["format_version"]
     names = {f.name for f in fields(Model)}
     if payload.keys() != names:
         raise ValueError(f"missing keys {sorted(names - payload.keys())}, "
                          f"unknown keys {sorted(payload.keys() - names)}")
+    for f in fields(Model):
+        if f.type in _FIELD_TYPES:
+            description, valid = _FIELD_TYPES[f.type]
+            if not valid(payload[f.name]):
+                raise ValueError(f"{f.name} must be {description}, got {payload[f.name]!r}")
     payload["scheme"] = scheme = scheme_from_payload(payload["scheme"])
     shapes = _weight_shapes(payload["feature_dim"], scheme.n_classes, payload["hidden_units"])
-    weights = {key: np.array(w, dtype=float) for key, w in payload["weights"].items()}
+    weights = {key: np.array(w) for key, w in payload["weights"].items()}
     got = {key: w.shape for key, w in weights.items()}
     if got != shapes:
         raise ValueError(f"weight shapes {got} do not match {shapes}")
-    payload["weights"] = weights
+    for key, w in weights.items():
+        if w.dtype.kind not in "if" or not np.isfinite(w).all():
+            raise ValueError(f"weights {key} must be finite numbers")
+    payload["weights"] = {key: w.astype(float) for key, w in weights.items()}
     return Model(**payload)

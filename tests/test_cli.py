@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import Dataset, read_dataset, read_scheme, trainer, write_dataset
+from sncv import Dataset, read_dataset, read_scheme, scoring, selection, trainer, write_dataset
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -345,6 +345,42 @@ def test_bands_trains_the_full_band_once(small_generated, tmp_path, monkeypatch)
     assert calls == [90, 90, 135, 135, 180]
 
 
+@pytest.mark.parametrize("command, n", [("pipeline", 180), ("burden", 103)])
+def test_k_beyond_the_rows_exits_2_before_any_fit(small_generated, tmp_path, monkeypatch,
+                                                  capsys, command, n):
+    # burden's k selects from its 103-row subsample of the 180 rows
+    calls = []
+    for module in (trainer, scoring, selection):
+        def counting_train(*args, _train=module.train, **kwargs):
+            calls.append(len(args[0]))
+            return _train(*args, **kwargs)
+        monkeypatch.setattr(module, "train", counting_train)
+    rc = run_cli(small_generated / "small.cfg", tmp_path / "out", command,
+                 "--train", str(small_generated / "train.csv"),
+                 "--tune", str(small_generated / "tune.csv"),
+                 "--test", str(small_generated / "test.csv"), "--k", "5000")
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: k must be in [1, {n}], got 5000"
+    assert not (tmp_path / "out").exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, column, message", [
+    ("relabel", "true_label", "no-ground-truth: relabel experiment needs true labels"),
+    ("graders", "grader_id", "no grader ids present in scored dataset"),
+])
+def test_scored_file_without_needed_column_exits_2(mini_config, scored_csv, tmp_path, capsys,
+                                                   command, column, message):
+    rows = [line.split(",") for line in scored_csv.read_text().splitlines()]
+    drop = rows[0].index(column)
+    bad = tmp_path / "scored.csv"
+    bad.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+    rc = run_cli(mini_config, tmp_path / "out", command, "--train", str(bad))
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 class TestEval:
     def test_single_and_pair_eval(self, mini_config, generated, model_json, tmp_path):
         out = tmp_path / "eval"
@@ -540,7 +576,17 @@ class TestInputErrors:
         (lambda m: m.update(hiden_units=3), "unknown keys ['hiden_units']"),
         (lambda m: m.pop("seed"), "missing keys ['seed']"),
         (lambda m: m.update(weights=[]), "'list' object has no attribute 'items'"),
-    ], ids=["w1-one-column-short", "unknown-key", "missing-key", "weights-not-an-object"])
+        (lambda m: m["weights"]["b2"].__setitem__(0, float("nan")),
+         "weights b2 must be finite numbers"),
+        (lambda m: m.update(stopped_epoch=None), "stopped_epoch must be an integer, got None"),
+        (lambda m: m.update(train_loss_by_epoch="x"),
+         "train_loss_by_epoch must be a list of numbers, got 'x'"),
+        (lambda m: m.update(hidden_units=float(m["hidden_units"])),
+         "hidden_units must be an integer, got 16.0"),
+        (lambda m: m.update(epochs_run=True), "epochs_run must be an integer, got True"),
+    ], ids=["w1-one-column-short", "unknown-key", "missing-key", "weights-not-an-object",
+            "nan-weight", "null-stopped-epoch", "string-loss-curve", "float-hidden-units",
+            "bool-epochs-run"])
     def test_malformed_model_file_exits_2(self, mini_config, generated, model_json, tmp_path,
                                           capsys, edit, message):
         model = json.loads(model_json.read_text())

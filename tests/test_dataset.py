@@ -278,6 +278,12 @@ class TestFileIO:
         assert_both_readers_reject(tmp_path, BASE_HEADER, rows,
                                    r"row 6: non-finite feature in column f0")
 
+    def test_cell_beyond_the_csv_field_limit_names_line(self, tmp_path):
+        # csv raises its own error (not a ValueError) for a cell this long
+        rows = ["a,1,,,0.5", "b" * (2**17 + 1) + ",1,,,0.5"]
+        assert_both_readers_reject(tmp_path, BASE_HEADER, rows,
+                                   r"line 3: field larger than field limit")
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_cell_names_row_and_column(self, tmp_path, case):
         assert_both_readers_reject(tmp_path, *MALFORMED[case])
