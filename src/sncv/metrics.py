@@ -134,9 +134,8 @@ def delong_noninferiority(scores_candidate, scores_reference, labels,
                             p_noninferiority=p, margin=margin, non_inferior=p < alpha)
 
 
-def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int,
-                     level: float = 0.95) -> tuple[float, float]:
-    """Percentile CI from seeded stratified resamples (class counts preserved).
+def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int) -> tuple[float, float]:
+    """95% percentile CI from seeded stratified resamples (class counts preserved).
 
     A replicate draws positives and negatives with replacement; its AUC needs
     only how many draws land in each tie group, so the scores are sorted once."""
@@ -150,7 +149,7 @@ def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int,
         pos_w = np.bincount(gp[rng.integers(0, m, size=m)], minlength=k)
         neg_w = np.bincount(gn[rng.integers(0, n, size=n)], minlength=k)
         reps[b] = float(pos_w @ _half_below(neg_w)) / (m * n)
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - 0.95) / 2.0  # 0.025000000000000022, not the literal 0.025
     lo, hi = np.quantile(reps, [tail, 1.0 - tail])
     return float(lo), float(hi)
 

@@ -141,7 +141,7 @@ def _cluster_weights(config: PopulationConfig, class_idx: int) -> np.ndarray:
         return np.full(j, 1.0 / j)
     bulk = config.cluster_bulk_shares[class_idx]
     h = j // 2
-    if h == 0 or j - h == 0:
+    if h == 0:
         return np.full(j, 1.0 / j)
     w = np.empty(j)
     w[:h] = bulk / h
@@ -203,13 +203,12 @@ def apply_grader_noise(dataset: Dataset, pool: list[GraderProfile], seed: int) -
 
 
 def confusion_from_flip_rates(flip_rates, scheme: ClassScheme,
-                              cross_primary: float = 0.85,
                               within_rate: float = 0.04) -> np.ndarray:
     """Build a confusion matrix from per-class boundary-crossing flip rates.
 
-    Crossing mass from a negative class goes mostly to the nearest positive
-    class (and vice versa); a small within-side confusion is added between
-    adjacent same-side classes.
+    Crossing mass from a negative class goes to the nearest positive class
+    (and vice versa), 85% of it when there are other classes across; a small
+    within-side confusion is added between adjacent same-side classes.
     """
     k = scheme.n_classes
     pos = sorted(scheme.positive_indices)
@@ -222,9 +221,9 @@ def confusion_from_flip_rates(flip_rates, scheme: ClassScheme,
         targets = pos if c in neg else neg
         primary = min(targets, key=lambda t: abs(t - c))
         rest = [t for t in targets if t != primary]
-        conf[c, primary] += f * (cross_primary if rest else 1.0)
+        conf[c, primary] += f * (0.85 if rest else 1.0)
         for t in rest:
-            conf[c, t] += f * (1.0 - cross_primary) / len(rest)
+            conf[c, t] += f * (1.0 - 0.85) / len(rest)
         same = [t for t in (neg if c in neg else pos) if t != c]
         w = min(within_rate, 1.0 - f)
         for t in same:
@@ -254,16 +253,15 @@ DEFAULT_POOL_SHAPE = (
 )
 
 
-def default_grader_pool(scheme: ClassScheme | None = None,
-                        base_rates=BASE_FLIP_RATES) -> list[GraderProfile]:
-    """Role-graded pool whose workload-weighted flip rates match base_rates."""
+def default_grader_pool(scheme: ClassScheme | None = None) -> list[GraderProfile]:
+    """Role-graded pool whose workload-weighted flip rates match BASE_FLIP_RATES."""
     scheme = scheme or default_scheme()
     norm = sum(count * w * ROLE_SEVERITY[role] for role, count, w in DEFAULT_POOL_SHAPE)
     pool = []
     idx = 0
     for role, count, weight in DEFAULT_POOL_SHAPE:
         mult = ROLE_SEVERITY[role] / norm
-        rates = [min(0.95, r * mult) for r in base_rates]
+        rates = [min(0.95, r * mult) for r in BASE_FLIP_RATES]
         conf = confusion_from_flip_rates(rates, scheme)
         for _ in range(count):
             pool.append(GraderProfile(
