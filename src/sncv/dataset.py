@@ -331,6 +331,15 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
     return columns
 
 
+def _read_rows(reader, n: int) -> list[list[str]]:
+    """Up to n more rows of a csv reader; a line csv cannot split, such as one
+    with a cell beyond its field limit, is an InputError naming the line."""
+    try:
+        return list(itertools.islice(reader, n))
+    except csv.Error as err:
+        raise InputError(f"line {reader.line_num}: {err}") from None
+
+
 def _read_csv(path, scheme: ClassScheme, scored: bool = False):
     """Parse and validate a dataset CSV: (Dataset, None), or with scored=True
     (Dataset, (fold, qs, probs)) from the columns a scored file must carry.
@@ -341,30 +350,27 @@ def _read_csv(path, scheme: ClassScheme, scored: bool = False):
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise InputError("empty file: no header row")
-            feats = [c for c in header if c.startswith("f") and c[1:].isdigit()]
-            if feats != [f"f{i}" for i in range(len(feats))]:
-                raise InputError(f"feature columns must be f0..f{len(feats) - 1} in order, "
-                                 f"got {feats}")
-            required = ["id", "label"]
-            if scored:
-                required += ["fold", "quality_score"] + [f"p{i}" for i in range(scheme.n_classes)]
-            for name in required:
-                if name not in header:
-                    kind = "scored dataset" if scored else "dataset"
-                    raise InputError(f"{kind} missing column {name!r}")
-            chunks = []
-            while True:
-                body = list(itertools.islice(reader, CHUNK_ROWS))
-                chunks.append(_parse_chunk(body, 2 + CHUNK_ROWS * len(chunks), header, feats,
-                                           scheme, scored))
-                if len(body) < CHUNK_ROWS:
-                    break
-        except csv.Error as err:  # a line csv cannot split, such as an oversized cell
-            raise InputError(f"line {reader.line_num}: {err}") from None
+        header = (_read_rows(reader, 1) or [None])[0]
+        if header is None:
+            raise InputError("empty file: no header row")
+        feats = [c for c in header if c.startswith("f") and c[1:].isdigit()]
+        if feats != [f"f{i}" for i in range(len(feats))]:
+            raise InputError(f"feature columns must be f0..f{len(feats) - 1} in order, "
+                             f"got {feats}")
+        required = ["id", "label"]
+        if scored:
+            required += ["fold", "quality_score"] + [f"p{i}" for i in range(scheme.n_classes)]
+        for name in required:
+            if name not in header:
+                kind = "scored dataset" if scored else "dataset"
+                raise InputError(f"{kind} missing column {name!r}")
+        chunks = []
+        while True:
+            body = _read_rows(reader, CHUNK_ROWS)
+            chunks.append(_parse_chunk(body, 2 + CHUNK_ROWS * len(chunks), header, feats,
+                                       scheme, scored))
+            if len(body) < CHUNK_ROWS:
+                break
     ids, X, y, true_y, grader, *extra = (np.concatenate(c) for c in zip(*chunks))
     return Dataset(scheme, ids, X, y, true_y, grader), (tuple(extra) if scored else None)
 

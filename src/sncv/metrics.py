@@ -149,7 +149,7 @@ def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int) -> tuple[float, flo
         pos_w = np.bincount(gp[rng.integers(0, m, size=m)], minlength=k)
         neg_w = np.bincount(gn[rng.integers(0, n, size=n)], minlength=k)
         reps[b] = float(pos_w @ _half_below(neg_w)) / (m * n)
-    tail = (1.0 - 0.95) / 2.0  # 0.025000000000000022, not the literal 0.025
+    tail = (1.0 - 0.95) / 2.0  # 0.025000000000000022; the literal 0.025 would move every CI
     lo, hi = np.quantile(reps, [tail, 1.0 - tail])
     return float(lo), float(hi)
 

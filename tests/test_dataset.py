@@ -208,6 +208,9 @@ MALFORMED = {
     "nan feature": (BASE_HEADER + ",f1", ["a,1,,,0.5,0.5", "b,1,,,0.5,nan"],
                     r"row 3: non-finite feature in column f1: 'nan'"),
     "inf feature": (BASE_HEADER, ["a,1,,,-inf"], r"row 2: non-finite feature in column f0"),
+    # csv raises its own error, not a ValueError, for a cell beyond its field limit
+    "oversized cell": (BASE_HEADER, ["a,1,,,0.5", "b" * (2**17 + 1) + ",1,,,0.5"],
+                       r"line 3: field larger than field limit"),
 }
 MALFORMED_SCORED = {
     "nan quality score": ("id,label,f0,fold,quality_score,p0,p1,p2,p3",
@@ -277,12 +280,6 @@ class TestFileIO:
         rows = [f"e{i},1,,,0.5" for i in range(4)] + ["e4,1,,,nan"]
         assert_both_readers_reject(tmp_path, BASE_HEADER, rows,
                                    r"row 6: non-finite feature in column f0")
-
-    def test_cell_beyond_the_csv_field_limit_names_line(self, tmp_path):
-        # csv raises its own error (not a ValueError) for a cell this long
-        rows = ["a,1,,,0.5", "b" * (2**17 + 1) + ",1,,,0.5"]
-        assert_both_readers_reject(tmp_path, BASE_HEADER, rows,
-                                   r"line 3: field larger than field limit")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_cell_names_row_and_column(self, tmp_path, case):
