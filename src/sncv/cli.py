@@ -71,7 +71,7 @@ def _load(kind: str, path, read, *args):
         raise InputError(f"{kind} path is required for this command")
     try:
         return read(path, *args)
-    except (ValueError, KeyError, TypeError, AttributeError) as err:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as err:
         raise InputError(f"{path}: malformed {kind} file: {err}") from None
 
 

@@ -116,6 +116,18 @@ class TestGen:
         assert not (tmp_path / "out").exists()
 
 
+    def test_pool_weight_beyond_float_range_exits_2(self, mini_config, generated, tmp_path,
+                                                    capsys):
+        entries = json.loads((generated / "pool.json").read_text())
+        entries[0]["workload_weight"] = 10**400
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps(entries))
+        rc = run_cli(mini_config, tmp_path / "out", "gen", "--pool", str(pool))
+        assert rc == 2
+        assert f"{pool}: malformed grader pool file: int too large to convert to float" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 class TestSplitTrainScore:
     def test_split(self, mini_config, generated, tmp_path):
         rc = run_cli(mini_config, tmp_path, "split",

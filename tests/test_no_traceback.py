@@ -50,7 +50,7 @@ READERS = {
 MUTATIONS = ["truncate", "directory", "wrong-type", "non-finite", "oversized", "bad-header"]
 # One more character than csv's default field size limit.
 OVERSIZED = "x" * (2**17 + 1)
-WRONG_TYPES = [None, True, "x", 1.5, -1, [], {}]
+WRONG_TYPES = [None, True, "x", 1.5, -1, 10**400, [], {}]  # 10**400 overflows a float
 
 
 def run(root, *args):
