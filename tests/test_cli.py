@@ -115,7 +115,6 @@ class TestGen:
             "unknown keys ['workload_wieght']" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-
     def test_pool_weight_beyond_float_range_exits_2(self, mini_config, generated, tmp_path,
                                                     capsys):
         entries = json.loads((generated / "pool.json").read_text())
@@ -127,6 +126,7 @@ class TestGen:
         assert f"{pool}: malformed grader pool file: int too large to convert to float" \
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
 
 class TestSplitTrainScore:
     def test_split(self, mini_config, generated, tmp_path):
