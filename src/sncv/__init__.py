@@ -25,9 +25,9 @@ from .metrics import (
 from .relabel import (
     GraderReport,
     RelabelReport,
-    SpecialistOracle,
     grader_mismatch_analysis,
     run_relabel_experiment,
+    specialist_labels,
 )
 from .scoring import (
     ScoredDataset,

@@ -353,8 +353,7 @@ def cmd_burden(cfg: RunConfig) -> int:
 
 def cmd_relabel(cfg: RunConfig) -> int:
     scored = _scored_input(cfg)
-    oracle = relabel.SpecialistOracle(error_rate=cfg.oracle_error_rate)
-    report = relabel.run_relabel_experiment(scored, cfg.n_lowest, oracle,
+    report = relabel.run_relabel_experiment(scored, cfg.n_lowest, cfg.oracle_error_rate,
                                             cfg.stage_seed("relabel-oracle"))
     _write_report(cfg, "relabel_report.json", _fields(report))
     _write_table(_out_dir(cfg) / "relabel_rows.csv",

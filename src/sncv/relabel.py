@@ -16,25 +16,23 @@ import numpy as np
 from .dataset import InputError
 from .metrics import confusion_matrix
 from .scoring import ScoredDataset
-from .synth import GRADER_ROLES, GraderProfile, _example_rng
+from .synth import GRADER_ROLES, GraderProfile, draw_category, example_draws
 
 
-@dataclass(frozen=True)
-class SpecialistOracle:
-    error_rate: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.error_rate < 1:
-            raise ValueError("error_rate must be in [0, 1)")
-
-    def label(self, example_id: str, true_label: int, n_classes: int, seed: int) -> int:
-        rng = _example_rng(seed, example_id)
-        if self.error_rate == 0 or rng.random() >= self.error_rate:
-            return true_label
-        row = np.full(n_classes, 1.0 / (n_classes - 1))
-        row[true_label] = 0.0
-        draw = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-        return min(draw, n_classes - 1)
+def specialist_labels(ids, true_labels, n_classes: int, error_rate: float,
+                      seed: int) -> np.ndarray:
+    """The specialist's label per example: the true label, except that with
+    probability error_rate it is one of the other classes, picked uniformly."""
+    if not 0 <= error_rate < 1:
+        raise ValueError("error_rate must be in [0, 1)")
+    true_labels = np.asarray(true_labels, dtype=int)
+    if error_rate == 0:
+        return true_labels.copy()
+    u = example_draws(seed, ids)
+    wrong = np.full((len(true_labels), n_classes), 1.0 / (n_classes - 1))
+    wrong[np.arange(len(true_labels)), true_labels] = 0.0
+    return np.where(u[:, 0] >= error_rate, true_labels,
+                    draw_category(np.cumsum(wrong, axis=1), u[:, 1]))
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,10 @@ class RelabelReport:
     rows: list[RelabelRow] = field(default_factory=list, repr=False)
 
 
-def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
-                           oracle: SpecialistOracle, seed: int) -> RelabelReport:
-    """Send the n_lowest globally lowest-scored examples to the oracle.
+def run_relabel_experiment(scored: ScoredDataset, n_lowest: int, error_rate: float,
+                           seed: int) -> RelabelReport:
+    """Send the n_lowest globally lowest-scored examples to a specialist who
+    errs at error_rate (see specialist_labels).
 
     The primary agreement rate is computed over tranche members whose quality
     score is negative (model and label disagree at the boundary); the
@@ -79,8 +78,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int,
     tranche = np.lexsort((ds.ids, scored.qs))[:n_lowest]
     ids, qs = ds.ids[tranche].tolist(), scored.qs[tranche].tolist()
     originals, truths = ds.y[tranche], ds.true_y[tranche].tolist()
-    oracles = np.array([oracle.label(i, t, scheme.n_classes, seed) for i, t in zip(ids, truths)],
-                       dtype=int)
+    oracles = specialist_labels(ids, truths, scheme.n_classes, error_rate, seed)
     model_side = scheme.positive_mask(scored.probs[tranche].argmax(axis=1))
     side_win = scheme.positive_mask(oracles) == model_side
     boundary = scored.qs[tranche] < 0

@@ -171,9 +171,17 @@ def generate_population(config: PopulationConfig, seed: int,
     return Dataset(scheme, ids, X, y, true_y=y.copy())
 
 
-def _example_rng(seed: int, example_id: str) -> np.random.Generator:
-    digest = hashlib.blake2s(f"{seed}:{example_id}".encode(), digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
+def example_draws(seed: int, ids) -> np.ndarray:
+    """(n, 2) uniforms, one seeded stream per example id, so no draw depends on row order."""
+    digests = (hashlib.blake2s(f"{seed}:{i}".encode(), digest_size=8).digest() for i in ids)
+    return np.array([np.random.default_rng(int.from_bytes(d, "big")).random(2)
+                     for d in digests]).reshape(-1, 2)
+
+
+def draw_category(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF pick per uniform in u, from one CDF or one CDF row per u;
+    a CDF that ends below 1 gives its last category to the uniforms beyond it."""
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[-1] - 1)
 
 
 def apply_grader_noise(dataset: Dataset, pool: list[GraderProfile], seed: int) -> Dataset:
@@ -188,17 +196,11 @@ def apply_grader_noise(dataset: Dataset, pool: list[GraderProfile], seed: int) -
         missing = dataset.ids[np.argmax(dataset.true_y < 0)]
         raise ValueError(f"example {str(missing)!r} has no true_label")
     weights = np.array([p.workload_weight for p in pool], dtype=float)
-    cum = np.cumsum(weights / weights.sum())
-    cum_rows = [np.cumsum(p.confusion, axis=1) for p in pool]
-    labels = np.empty(len(dataset), dtype=int)
-    graders = []
-    for row, (example_id, true_label) in enumerate(zip(dataset.ids.tolist(),
-                                                       dataset.true_y.tolist())):
-        rng = _example_rng(seed, example_id)
-        g = min(int(np.searchsorted(cum, rng.random(), side="right")), len(pool) - 1)
-        new_label = int(np.searchsorted(cum_rows[g][true_label], rng.random(), side="right"))
-        labels[row] = min(new_label, k - 1)
-        graders.append(pool[g].grader_id)
+    u = example_draws(seed, dataset.ids.tolist())
+    g = draw_category(np.cumsum(weights / weights.sum()), u[:, 0])
+    cum_rows = np.cumsum(np.stack([p.confusion for p in pool]), axis=2)
+    labels = draw_category(cum_rows[g, dataset.true_y], u[:, 1])
+    graders = np.array([p.grader_id for p in pool])[g]
     return Dataset(dataset.scheme, dataset.ids, dataset.X, labels, dataset.true_y, graders)
 
 

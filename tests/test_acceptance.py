@@ -17,7 +17,6 @@ import pytest
 from scipy.stats import norm
 
 from sncv import (
-    SpecialistOracle,
     confusion_matrix,
     default_scheme,
     delong_two_tailed,
@@ -202,7 +201,7 @@ class TestAcceptance:
         rates = []
         for seed in REFERENCE_SEEDS:
             scored, _, _ = reference_runs.scored(seed)
-            rep = run_relabel_experiment(scored, N_LOWEST, SpecialistOracle(error_rate=0.0), seed)
+            rep = run_relabel_experiment(scored, N_LOWEST, 0.0, seed)
             rates.append(rep.model_agreement_rate)
             hits += rep.model_agreement_rate >= 0.80
         report(9, "zero-error oracle sides with the model >= 80% in >= 4 of 5 seeds",
