@@ -115,9 +115,19 @@ def _resolve_k_grid(cfg: RunConfig, n: int) -> list[int]:
     return [cfg.k]
 
 
+def _check_fold_size(cfg: RunConfig, n: int) -> None:
+    """Cross-fold scoring of n rows needs two folds of min_fold_size; checked before any fit."""
+    if n < 2 * cfg.min_fold_size:
+        raise InputError(f"{n} rows are too few for cross-fold scoring: [experiment] "
+                         f"min_fold_size {cfg.min_fold_size} needs {2 * cfg.min_fold_size}")
+
+
 def cmd_gen(cfg: RunConfig) -> int:
     """Write scheme, grader pool, noisy train set, clean tune and test sets."""
     scheme = _load_scheme(cfg)
+    if scheme.n_classes != len(cfg.class_priors):
+        raise InputError(f"the scheme has {scheme.n_classes} classes, but [population] "
+                         f"class_priors lists {len(cfg.class_priors)}: gen needs one per class")
     pool = _load_pool(cfg, scheme)
     population = synth.generate_population(
         cfg.population(cfg.n_train), cfg.stage_seed("gen-train"), scheme)
@@ -171,6 +181,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_score(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
+    _check_fold_size(cfg, len(dataset))
     scored, m1, m2 = scoring.cross_fold_score(
         dataset, tune_set, cfg.hyperparams, cfg.stage_seed("score"),
         min_fold_size=cfg.min_fold_size)
@@ -207,6 +218,7 @@ def cmd_select(cfg: RunConfig) -> int:
 
 def cmd_pipeline(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
+    _check_fold_size(cfg, len(dataset))
     result = selection.run_sncv_pipeline(
         dataset, tune_set, _resolve_k_grid(cfg, len(dataset)), cfg.hyperparams,
         cfg.stage_seed("pipeline"), cfg.min_fold_size)
@@ -239,6 +251,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     plus the class composition of unstratified top/bottom rankings."""
     dataset, tune_set = _inputs(cfg, "train", "tune")
     sizes = [_rows_kept("k_grid", frac, len(dataset)) for frac in sorted(set(cfg.k_grid) | {1.0})]
+    _check_fold_size(cfg, len(dataset))
     scored, _, _ = scoring.cross_fold_score(
         dataset, tune_set, cfg.hyperparams, cfg.stage_seed("bands-score"),
         min_fold_size=cfg.min_fold_size)
@@ -280,6 +293,7 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     n_sub = _rows_kept("subsample_fraction", cfg.subsample_fraction, len(ids))
     sub_ids = [ids[i] for i in rng.permutation(len(ids))[:n_sub]]
     sub_train = full_train.subset(sub_ids)
+    _check_fold_size(cfg, n_sub)
     k_grid = _resolve_k_grid(cfg, n_sub)
 
     full_model = trainer.train(full_train, tune_set, cfg.hyperparams,

@@ -151,8 +151,8 @@ def load_config(path=None) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
-    except (configparser.Error, UnicodeDecodeError) as err:
-        raise InputError(f"{path}: {err}") from None
+    except (configparser.Error, UnicodeDecodeError) as err:  # its message may span lines
+        raise InputError(f"{path}: {' '.join(str(err).split())}") from None
     if not read:
         raise InputError(f"config file not found: {path}")
     for key in parser.defaults():

@@ -150,7 +150,7 @@ def split_mask(dataset: Dataset, seed: int) -> np.ndarray:
     """
     n = len(dataset)
     if n < 2:
-        raise ValueError("too-small-to-split")
+        raise InputError(f"too-small-to-split: {n} row(s), a split needs 2")
     by_id = np.argsort(dataset.ids)
     perm = np.random.default_rng(seed).permutation(n)
     in_d1 = np.zeros(n, dtype=bool)

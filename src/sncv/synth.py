@@ -67,6 +67,8 @@ class PopulationConfig:
             raise ValueError("clusters_per_class must be >= 1")
         if not self.cluster_scatter >= 0:
             raise ValueError("cluster_scatter must be >= 0")
+        if max(self.n, self.feature_dim, self.clusters_per_class) > np.iinfo(np.intp).max:
+            raise ValueError("n, feature_dim and clusters_per_class must each fit a 64-bit index")
         for name in ("class_spread", "ambiguity_overlap", "cluster_scatter"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -210,7 +212,7 @@ def confusion_from_flip_rates(flip_rates, scheme: ClassScheme,
 
     Crossing mass from a negative class goes to the nearest positive class
     (and vice versa), 85% of it when there are other classes across; a small
-    within-side confusion is added between adjacent same-side classes.
+    within-side confusion is spread over the other same-side classes, if any.
     """
     k = scheme.n_classes
     pos = sorted(scheme.positive_indices)
@@ -227,7 +229,7 @@ def confusion_from_flip_rates(flip_rates, scheme: ClassScheme,
         for t in rest:
             conf[c, t] += f * (1.0 - 0.85) / len(rest)
         same = [t for t in (neg if c in neg else pos) if t != c]
-        w = min(within_rate, 1.0 - f)
+        w = min(within_rate, 1.0 - f) if same else 0.0
         for t in same:
             conf[c, t] += w / len(same)
         conf[c, c] = 1.0 - f - w

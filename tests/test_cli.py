@@ -128,6 +128,27 @@ class TestGen:
         assert not (tmp_path / "out").exists()
 
 
+    def test_scheme_with_one_positive_class_generates(self, mini_config, tmp_path):
+        # class d has no other positive class to take within-side confusion
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text('{"classes": ["a", "b", "c", "d"], "positive": [3]}')
+        assert run_cli(mini_config, tmp_path / "out", "gen", "--scheme", str(scheme)) == 0
+        assert read_scheme(tmp_path / "out" / "scheme.json") == read_scheme(scheme)
+
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_scheme_not_matching_class_priors_exits_2(self, mini_config, tmp_path, capsys,
+                                                       classes):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text(json.dumps({"classes": [f"c{i}" for i in range(classes)],
+                                      "positive": [classes - 1]}))
+        rc = run_cli(mini_config, tmp_path / "out", "gen", "--scheme", str(scheme))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: the scheme has {classes} classes, but [population] class_priors lists 4: "
+            "gen needs one per class")
+        assert not (tmp_path / "out").exists()
+
+
 class TestSplitTrainScore:
     def test_split(self, mini_config, generated, tmp_path):
         rc = run_cli(mini_config, tmp_path, "split",
@@ -375,6 +396,41 @@ def test_k_beyond_the_rows_exits_2_before_any_fit(small_generated, tmp_path, mon
     assert capsys.readouterr().err.splitlines()[-1] == f"error: k must be in [1, {n}], got 5000"
     assert not (tmp_path / "out").exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("command, n", [("score", 180), ("pipeline", 180), ("bands", 180),
+                                        ("burden", 103)])
+def test_too_few_rows_for_the_folds_exits_2_before_any_fit(small_generated, tmp_path,
+                                                            monkeypatch, capsys, command, n):
+    # 2 x min_fold_size = 200 rows; burden scores its 103-row subsample of the 180
+    config = tmp_path / "folds.cfg"
+    config.write_text(SMALL_CONFIG.replace("min_fold_size = 50", "min_fold_size = 100"))
+    calls = []
+    for module in (trainer, scoring, selection):
+        def counting_train(*args, _train=module.train, **kwargs):
+            calls.append(len(args[0]))
+            return _train(*args, **kwargs)
+        monkeypatch.setattr(module, "train", counting_train)
+    rc = run_cli(config, tmp_path / "out", command,
+                 "--train", str(small_generated / "train.csv"),
+                 "--tune", str(small_generated / "tune.csv"),
+                 "--test", str(small_generated / "test.csv"))
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {n} rows are too few for cross-fold scoring: "
+        "[experiment] min_fold_size 100 needs 200")
+    assert not (tmp_path / "out").exists()
+    assert calls == []
+
+
+def test_split_of_one_row_exits_2(mini_config, generated, tmp_path, capsys):
+    one_row = tmp_path / "one.csv"
+    one_row.write_text("".join((generated / "train.csv").read_text().splitlines(True)[:2]))
+    rc = run_cli(mini_config, tmp_path / "out", "split", "--train", str(one_row))
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: too-small-to-split: 1 row(s), a split needs 2"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, column, message", [

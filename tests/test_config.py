@@ -252,6 +252,8 @@ REJECTED = {
                            r"got \[1.5, 0.5, 0.7, 1.0\]"),
     "negative structure seed": ("[population]\nstructure_seed = -1\n",
                                 r"\[population\] structure_seed must be >= 0"),
+    "draw size beyond an array index": (f"[population]\nn_train = {'9' * 30}\n",
+                                        r"\[population\] .* fit a 64-bit index .*n_train"),
 }
 
 
@@ -262,6 +264,14 @@ def test_rejected_config(tmp_path, case):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match=match):
         load_config(path)
+
+
+def test_unparsable_config_is_named_on_one_line(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[population]\nn_tr\n", encoding="utf-8")
+    with pytest.raises(InputError, match="parsing errors") as info:
+        load_config(path)
+    assert "\n" not in str(info.value)
 
 
 def test_missing_config_file(tmp_path):

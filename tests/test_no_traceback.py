@@ -1,11 +1,12 @@
 """Property test: no input file a user passes ends in a traceback.
 
-From a miniature `gen`, one input file is written mutated (truncated, a
-directory in its place, a value of the wrong JSON type, a NaN or infinite
-cell, an oversized cell, a bad header) and a command that reads it runs
-in-process through `main`. Whatever the mutation, no exception escapes, the
-exit code is 0, 1 or 2, and a failing run's last stderr line says why.
-Permission errors are not tested: the suite may run as root.
+From a miniature `gen`, one input file (the INI config among them) is
+written mutated (truncated, a directory in its place, a value of the wrong
+type, a NaN or infinite value, an oversized value, an unknown key, section or
+header) and a command that reads it runs in-process through `main`. Whatever
+the mutation, no exception escapes, the exit code is 0, 1 or 2, and a failing
+run's last stderr line says why. Permission errors are not tested: the suite
+may run as root.
 """
 
 import contextlib
@@ -38,8 +39,10 @@ min_fold_size = 50
 """
 
 # The commands that read each input file, with the mutated file as "X"; a
-# name ending in .csv or .json is that file of the generated set.
+# name ending in .csv or .json is that file of the generated set. Every
+# command reads the config.
 READERS = {
+    "tiny.cfg": [["gen"], ["split", "--train", "train.csv"]],
     "scheme.json": [["gen", "--scheme", "X"], ["split", "--train", "train.csv", "--scheme", "X"]],
     "pool.json": [["gen", "--pool", "X"], ["graders", "--train", "scored.csv", "--pool", "X"]],
     "model.json": [["eval", "--train", "test.csv", "--model", "X"]],
@@ -53,11 +56,17 @@ OVERSIZED = "x" * (2**17 + 1)
 WRONG_TYPES = [None, True, "x", 1.5, -1, 10**400, [], {}]  # 10**400 overflows a float
 
 
-def run(root, *args):
+def run(config, *args):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        rc = main(["--config", str(root / "tiny.cfg"), "--seed", "3", *args])
+        rc = main(["--config", str(config), "--seed", "3", *args])
     return rc, err.getvalue()
+
+
+def assert_clean_exit(rc, err):
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.splitlines()[-1].startswith("error:" if rc == 2 else "failure:"), err
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +75,7 @@ def inputs(tmp_path_factory):
     (root / "tiny.cfg").write_text(TINY_CONFIG)
     train = ["--train", str(root / "train.csv"), "--tune", str(root / "tune.csv")]
     for args in (["gen"], ["score", *train], ["train", *train]):
-        rc, _ = run(root, "--out", str(root), *args)
+        rc, _ = run(root / "tiny.cfg", "--out", str(root), *args)
         assert rc == 0
     return root
 
@@ -121,9 +130,27 @@ def mutate_csv(text, mutation, data):
     return "".join(",".join(row) + "\n" for row in rows)
 
 
+def mutate_ini(text, mutation, data):
+    lines = text.splitlines()
+    if mutation == "bad-header":  # an unknown section or key
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line]), label="line")
+        line = lines[i]
+        lines[i] = "[bogus]" if line.startswith("[") else "bogus" + line[line.index(" "):]
+    else:
+        i = data.draw(st.sampled_from([i for i, line in enumerate(lines) if " = " in line]),
+                      label="line")
+        value = data.draw({
+            "wrong-type": st.sampled_from(["", "x", "1.5", "-1", "0", "true", "1,2"]),
+            "non-finite": st.sampled_from(["nan", "inf", "-inf"]),
+            "oversized": st.sampled_from(["9" * 30, "1e999", "9" * 5000])}[mutation],
+            label="value")
+        lines[i] = lines[i].split(" = ")[0] + " = " + value
+    return "".join(line + "\n" for line in lines)
+
+
 @given(data=st.data(), name=st.sampled_from(sorted(READERS)),
        mutation=st.sampled_from(MUTATIONS))
-@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
 def test_mutated_input_never_escapes_main(inputs, tmp_path_factory, data, name, mutation):
     work = tmp_path_factory.mktemp("case")
     bad = work / name
@@ -133,12 +160,21 @@ def test_mutated_input_never_escapes_main(inputs, tmp_path_factory, data, name, 
     elif mutation == "directory":
         bad.mkdir()
     else:
-        mutate = mutate_json if name.endswith(".json") else mutate_csv
+        mutate = {".json": mutate_json, ".csv": mutate_csv, ".cfg": mutate_ini}[bad.suffix]
         bad.write_text(mutate(text, mutation, data))
     command = data.draw(st.sampled_from(READERS[name]), label="command")
     args = [str(bad) if a == "X" else str(inputs / a) if "." in a else a for a in command]
-    rc, err = run(inputs, "--out", str(work / "out"), *args)
-    assert rc in (0, 1, 2)
-    if rc:
-        assert err.splitlines()[-1].startswith("error:" if rc == 2 else "failure:"), err
+    config = bad if name == "tiny.cfg" else inputs / "tiny.cfg"
+    assert_clean_exit(*run(config, "--out", str(work / "out"), *args))
     shutil.rmtree(work)
+
+
+@pytest.mark.parametrize("classes", [2, 5])
+def test_scheme_of_another_class_count_never_escapes_gen(inputs, tmp_path, classes):
+    # the config's class_priors list 4 classes
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"classes": [f"c{i}" for i in range(classes)],
+                                  "positive": [classes - 1]}))
+    rc, err = run(inputs / "tiny.cfg", "--out", str(tmp_path / "out"), "gen",
+                  "--scheme", str(scheme))
+    assert_clean_exit(rc, err)

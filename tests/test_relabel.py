@@ -39,6 +39,19 @@ def make_scored_with_truth(labels, truths, qs_values, graders=None, model_sides=
     return ScoredDataset(ds, fold, qs_values, probs)
 
 
+def per_row_specialist_label(example_id, true_label, n_classes, error_rate, seed):
+    """The specialist's label as it was drawn one row at a time, kept as a
+    bitwise reference for specialist_labels."""
+    digest = hashlib.blake2s(f"{seed}:{example_id}".encode(), digest_size=8).digest()
+    rng = np.random.default_rng(int.from_bytes(digest, "big"))
+    if error_rate == 0 or rng.random() >= error_rate:
+        return true_label
+    row = np.full(n_classes, 1.0 / (n_classes - 1))
+    row[true_label] = 0.0
+    draw = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
+    return min(draw, n_classes - 1)
+
+
 class TestSpecialistLabels:
     def test_zero_error_rate_reproduces_truth(self):
         labels = specialist_labels([f"e{i}" for i in range(50)], [2] * 50, 4, 0.0, seed=1)
@@ -57,6 +70,24 @@ class TestSpecialistLabels:
                                    [i % 4 for i in range(500)], 4, 0.3, seed=2024)
         assert hashlib.sha256(",".join(map(str, labels)).encode()).hexdigest() == \
             "19c6fc84f13d73bb1be0c5f8e06d99e8dee13ea40520bff4722b487c4340bb8f"
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("error_rate", [0.2, 0.5, 0.9])
+    def test_equals_per_row_reference(self, n_classes, error_rate):
+        ids = [f"ex{i:06d}" for i in range(1500)]
+        truths = [i % n_classes for i in range(1500)]
+        labels = specialist_labels(ids, truths, n_classes, error_rate, seed=31)
+        expected = [per_row_specialist_label(i, t, n_classes, error_rate, 31)
+                    for i, t in zip(ids, truths)]
+        assert labels.tolist() == expected
+        assert (labels != truths).any()
+
+    def test_reversed_rows_reverse_the_labels(self):
+        ids = [f"ex{i:06d}" for i in range(400)]
+        truths = [i % 4 for i in range(400)]
+        forward = specialist_labels(ids, truths, 4, 0.5, seed=5)
+        backward = specialist_labels(ids[::-1], truths[::-1], 4, 0.5, seed=5)
+        np.testing.assert_array_equal(backward[::-1], forward)
 
     def test_error_rate_bounds(self):
         with pytest.raises(ValueError, match="error_rate"):

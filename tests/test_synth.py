@@ -1,12 +1,14 @@
 """Population generation and grader-noise tests."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
 from sncv import (
+    ClassScheme,
     GraderProfile,
     Hyperparams,
     PopulationConfig,
@@ -23,7 +25,7 @@ from sncv import (
     write_grader_pool,
 )
 from sncv.dataset import Dataset, split_random
-from sncv.synth import confusion_from_flip_rates
+from sncv.synth import confusion_from_flip_rates, draw_category
 
 
 def simple_config(n=500, d=4, **kw):
@@ -42,6 +44,40 @@ def identity_pool(scheme, n_graders=2):
                       confusion=eye, workload_weight=1.0)
         for i in range(n_graders)
     ]
+
+
+def per_row_grader_noise(dataset, pool, seed):
+    """The grader labels and ids as apply_grader_noise drew them one row at a
+    time, kept as a bitwise reference for the array code."""
+    k = dataset.scheme.n_classes
+    weights = np.array([p.workload_weight for p in pool], dtype=float)
+    cum = np.cumsum(weights / weights.sum())
+    cum_rows = [np.cumsum(p.confusion, axis=1) for p in pool]
+    labels, graders = [], []
+    for example_id, true_label in zip(dataset.ids.tolist(), dataset.true_y.tolist()):
+        digest = hashlib.blake2s(f"{seed}:{example_id}".encode(), digest_size=8).digest()
+        rng = np.random.default_rng(int.from_bytes(digest, "big"))
+        g = min(int(np.searchsorted(cum, rng.random(), side="right")), len(pool) - 1)
+        new_label = int(np.searchsorted(cum_rows[g][true_label], rng.random(), side="right"))
+        labels.append(min(new_label, k - 1))
+        graders.append(pool[g].grader_id)
+    return labels, graders
+
+
+def uneven_pool():
+    # the last confusion row's cumulative sum ends at 0.9999999999999999
+    conf = confusion_from_flip_rates((0.1, 0.15, 0.2, 0.3), default_scheme())
+    conf[3] = [0.7, 0.1, 0.1, 0.1]
+    assert np.cumsum(conf[3])[-1] < 1.0
+    return [GraderProfile(f"g{i}", role, weight, conf if i % 2 else np.eye(4))
+            for i, (role, weight) in enumerate([("glaucoma-specialist", 5.0),
+                                                ("trainee-fellow", 0.3),
+                                                ("optometrist", 1.7),
+                                                ("ophthalmologist", 0.01)])]
+
+
+ONE_POSITIVE = ClassScheme(("a", "b", "c", "d"), frozenset({3}))
+TWO_CLASS = ClassScheme(("neg", "pos"), frozenset({1}))
 
 
 class TestPopulationConfig:
@@ -110,6 +146,13 @@ class TestGraderProfiles:
 
     def test_confusion_from_flip_rates_rows_stochastic(self):
         conf = confusion_from_flip_rates((0.1, 0.2, 0.3, 0.4), default_scheme())
+        np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-12)
+        assert (conf >= 0).all()
+
+    @pytest.mark.parametrize("scheme", [TWO_CLASS, ONE_POSITIVE], ids=["2-class", "one-positive"])
+    def test_class_without_same_side_partner_keeps_rows_stochastic(self, scheme):
+        # no same-side class receives the within-side rate, so none is taken
+        conf = confusion_from_flip_rates([0.2] * scheme.n_classes, scheme)
         np.testing.assert_allclose(conf.sum(axis=1), 1.0, atol=1e-12)
         assert (conf >= 0).all()
 
@@ -213,6 +256,46 @@ class TestApplyGraderNoise:
             mask = np.array([role_by_grader[g] == role for g in graders])
             mismatch[role] = crossed[mask].mean()
         assert mismatch["trainee-fellow"] > 2 * mismatch["glaucoma-specialist"]
+
+
+class TestDrawsMatchPerRowCode:
+    def test_uneven_pool_matches(self):
+        scheme = default_scheme()
+        ds = generate_population(simple_config(n=3000), 4, scheme)
+        pool = uneven_pool()
+        noisy = apply_grader_noise(ds, pool, seed=17)
+        labels, graders = per_row_grader_noise(ds, pool, 17)
+        assert noisy.y.tolist() == labels
+        assert noisy.grader.tolist() == graders
+        assert len(set(graders)) == len(pool)
+
+    def test_reversed_rows_match(self):
+        scheme = default_scheme()
+        ds = generate_population(simple_config(n=1000), 6, scheme)
+        reversed_ds = ds.take(np.arange(len(ds))[::-1])
+        pool = default_grader_pool(scheme)
+        noisy = apply_grader_noise(reversed_ds, pool, seed=8)
+        labels, graders = per_row_grader_noise(reversed_ds, pool, 8)
+        assert noisy.y.tolist() == labels
+        assert noisy.grader.tolist() == graders
+
+    def test_two_class_scheme_matches(self):
+        ds = generate_population(simple_config(n=1000, class_priors=(0.7, 0.3)), 2, TWO_CLASS)
+        pool = [GraderProfile("g0", "optometrist", 1.0,
+                              confusion_from_flip_rates((0.2, 0.3), TWO_CLASS))]
+        noisy = apply_grader_noise(ds, pool, seed=9)
+        assert noisy.y.tolist() == per_row_grader_noise(ds, pool, 9)[0]
+        assert (noisy.y != ds.y).any()
+
+    def test_draw_category_caps_at_last_category(self):
+        # uniforms at and beyond a CDF that ends below 1, for a shared CDF and
+        # for one CDF row per uniform
+        cdf = np.cumsum([0.7, 0.1, 0.1, 0.1])
+        u = np.array([0.0, 0.7, 0.75, cdf[-1], np.nextafter(cdf[-1], 1), 1 - 2**-53])
+        expected = [min(int(np.searchsorted(cdf, x, side="right")), 3) for x in u]
+        assert draw_category(cdf, u).tolist() == expected
+        assert draw_category(np.tile(cdf, (len(u), 1)), u).tolist() == expected
+        assert expected[-2:] == [3, 3]
 
 
 class TestPoolIO:
