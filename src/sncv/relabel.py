@@ -26,8 +26,6 @@ def specialist_labels(ids, true_labels, n_classes: int, error_rate: float,
     if not 0 <= error_rate < 1:
         raise ValueError("error_rate must be in [0, 1)")
     true_labels = np.asarray(true_labels, dtype=int)
-    if error_rate == 0:
-        return true_labels.copy()
     u = example_draws(seed, ids)
     wrong = np.full((len(true_labels), n_classes), 1.0 / (n_classes - 1))
     wrong[np.arange(len(true_labels)), true_labels] = 0.0

@@ -176,8 +176,8 @@ def generate_population(config: PopulationConfig, seed: int,
 def example_draws(seed: int, ids) -> np.ndarray:
     """(n, 2) uniforms, one seeded stream per example id, so no draw depends on row order."""
     digests = (hashlib.blake2s(f"{seed}:{i}".encode(), digest_size=8).digest() for i in ids)
-    return np.array([np.random.default_rng(int.from_bytes(d, "big")).random(2)
-                     for d in digests]).reshape(-1, 2)
+    return np.fromiter((np.random.default_rng(int.from_bytes(d, "big")).random(2) for d in digests),
+                       dtype=(float, 2), count=len(ids))
 
 
 def draw_category(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
