@@ -52,7 +52,7 @@ def per_row_specialist_label(example_id, true_label, n_classes, error_rate, seed
     return min(draw, n_classes - 1)
 
 
-class TestSpecialistLabels:
+class TestSpecialistOracle:
     def test_zero_error_rate_reproduces_truth(self):
         labels = specialist_labels([f"e{i}" for i in range(50)], [2] * 50, 4, 0.0, seed=1)
         assert labels.tolist() == [2] * 50
