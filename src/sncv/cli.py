@@ -3,8 +3,8 @@ and the experiment runners that produce the CSV/JSON reports.
 
 Every command that takes --seed writes byte-identical artifacts across
 repeated runs; each report embeds the fully resolved config for provenance.
-Exit codes: 0 success, 1 computational failure, 2 configuration, usage or
-input-file error (an InputError).
+Exit codes: 0 success, 1 computational failure (running out of memory
+among them), 2 configuration, usage or input-file error (an InputError).
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -471,6 +473,9 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         check(cfg, "command line")
+        out = Path(cfg.out_dir)
+        if out.exists() and not out.is_dir():  # found before any work, not at the first write
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
         return COMMANDS[args.command](cfg)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -481,6 +486,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as err:
         print(f"failure: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"failure: out of memory: {err}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import norm
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,13 @@ def roc_auc(scores, labels) -> RocResult:
                      pos_placements=pos_below / n, neg_placements=neg_below / m)
 
 
+def _upper_tail(z: float) -> float:
+    """P(Z > z) for a standard normal Z; scipy's norm.sf(z) computes the same ndtr(-z)."""
+    # Imported here: scipy costs every other command about a second to load.
+    from scipy.special import ndtr
+    return float(ndtr(-z))
+
+
 def _delong(scores_a, scores_b, labels) -> tuple[RocResult, RocResult, float, float]:
     """Both AUCs, their difference a - b and its DeLong variance."""
     ra = roc_auc(scores_a, labels)
@@ -106,7 +112,7 @@ def delong_two_tailed(scores_a, scores_b, labels) -> DelongComparison:
                                     variance_of_delta=0.0, z=0.0, p_two_tailed=1.0)
         raise ValueError("degenerate-variance: zero variance with nonzero AUC difference")
     z = delta / np.sqrt(var)
-    p = float(2.0 * norm.sf(abs(z)))
+    p = 2.0 * _upper_tail(abs(z))
     return DelongComparison(auc_a=ra.auc, auc_b=rb.auc, delta=delta,
                             variance_of_delta=var, z=float(z), p_two_tailed=p)
 
@@ -128,7 +134,7 @@ def delong_noninferiority(scores_candidate, scores_reference, labels,
         z = float("inf") if shifted > 0 else (0.0 if shifted == 0 else float("-inf"))
     else:
         z = float((delta + margin) / np.sqrt(var))
-        p = float(norm.sf(z))
+        p = _upper_tail(z)
     return DelongComparison(auc_a=ra.auc, auc_b=rb.auc, delta=delta,
                             variance_of_delta=max(var, 0.0), z=z,
                             p_noninferiority=p, margin=margin, non_inferior=p < alpha)
@@ -138,7 +144,9 @@ def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int) -> tuple[float, flo
     """95% percentile CI from seeded stratified resamples (class counts preserved).
 
     A replicate draws positives and negatives with replacement; its AUC needs
-    only how many draws land in each tie group, so the scores are sorted once."""
+    only how many drawn negatives land in each tie group, so the scores are
+    sorted once. The numerator is counted in integers, twice the placements,
+    and halved exactly before the one division."""
     if n_boot < 100:
         raise ValueError("n_boot must be >= 100")
     gp, gn, k = _tie_groups(scores, labels)
@@ -146,9 +154,12 @@ def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int) -> tuple[float, flo
     reps = np.empty(n_boot)
     for b in range(n_boot):
         rng = np.random.default_rng([seed, b])
-        pos_w = np.bincount(gp[rng.integers(0, m, size=m)], minlength=k)
+        pos_draw = rng.integers(0, m, size=m)
         neg_w = np.bincount(gn[rng.integers(0, n, size=n)], minlength=k)
-        reps[b] = float(pos_w @ _half_below(neg_w)) / (m * n)
+        twice_below = np.cumsum(neg_w)
+        twice_below *= 2
+        twice_below -= neg_w
+        reps[b] = twice_below[gp[pos_draw]].sum() * 0.5 / (m * n)
     tail = (1.0 - 0.95) / 2.0  # 0.025000000000000022; the literal 0.025 would move every CI
     lo, hi = np.quantile(reps, [tail, 1.0 - tail])
     return float(lo), float(hi)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import Dataset, read_dataset, read_scheme, scoring, selection, trainer, write_dataset
+from sncv import (Dataset, read_dataset, read_scheme, scoring, selection, synth, trainer,
+                  write_dataset)
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -547,6 +548,34 @@ class TestPathErrors:
         assert capsys.readouterr().err.splitlines()[-1] == \
             f"error: {out}: {os.strerror(errno.EEXIST)}"
         assert out.read_text() == "kept\n"
+
+    def test_out_naming_an_existing_file_exits_2_before_any_fit(self, mini_config, generated,
+                                                                tmp_path, monkeypatch, capsys):
+        calls = []
+        for module in (trainer, scoring, selection):
+            def counting_train(*args, _train=module.train, **kwargs):
+                calls.append(len(args[0]))
+                return _train(*args, **kwargs)
+            monkeypatch.setattr(module, "train", counting_train)
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        rc = run_cli(mini_config, out, "score", "--train", str(generated / "train.csv"),
+                     "--tune", str(generated / "tune.csv"))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {out}: {os.strerror(errno.EEXIST)}"
+        assert out.read_text() == "kept\n"
+        assert calls == []
+
+
+def test_out_of_memory_exits_1_naming_it(mini_config, tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+    monkeypatch.setattr(synth, "generate_population", exhausted)
+    rc = run_cli(mini_config, tmp_path / "out", "gen")
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "failure: out of memory: Unable to allocate 7.11 PiB for an array"
 
 
 OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)

@@ -13,6 +13,7 @@ from sncv import (
     delong_two_tailed,
     roc_auc,
 )
+from sncv.metrics import _upper_tail
 
 
 def pair_counting_auc(scores, labels):
@@ -69,6 +70,25 @@ def reference_bootstrap_auc_ci(scores, labels, n_boot, seed, level=0.95):
                                  neg[rng.integers(0, n, size=n)]])
         reps[b] = reference_roc_auc(sample, lab)[0]
     tail = (1.0 - level) / 2.0
+    lo, hi = np.quantile(reps, [tail, 1.0 - tail])
+    return float(lo), float(hi)
+
+
+def float_numerator_bootstrap_auc_ci(scores, labels, n_boot, seed):
+    """The same replicates with the numerator as a float dot product: both
+    classes' tie-group counts, and the negatives' half-below counts in float64."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    values, group = np.unique(scores, return_inverse=True)
+    gp, gn, k = group[labels == 1], group[labels == 0], len(values)
+    m, n = len(gp), len(gn)
+    reps = np.empty(n_boot)
+    for b in range(n_boot):
+        rng = np.random.default_rng([seed, b])
+        pos_w = np.bincount(gp[rng.integers(0, m, size=m)], minlength=k)
+        neg_w = np.bincount(gn[rng.integers(0, n, size=n)], minlength=k)
+        reps[b] = float(pos_w @ (np.cumsum(neg_w) - 0.5 * neg_w)) / (m * n)
+    tail = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(reps, [tail, 1.0 - tail])
     return float(lo), float(hi)
 
@@ -174,6 +194,13 @@ class TestAgainstThreeSortReference:
         assert np.array_equal(res.neg_placements, neg_placements)
         assert bootstrap_auc_ci(scores, labels, 200, 4) == \
             reference_bootstrap_auc_ci(scores, labels, 200, 4)
+
+
+def test_upper_tail_is_norm_sf_bitwise():
+    rng = np.random.default_rng(31)
+    z = np.r_[np.linspace(-40.0, 40.0, 8001), 0.0, -0.0, 5.0 * rng.standard_normal(4000),
+              1e-3 * rng.standard_normal(1000)]
+    assert [_upper_tail(v).hex() for v in z] == [p.hex() for p in norm.sf(z).tolist()]
 
 
 class TestDelongTwoTailed:
@@ -327,6 +354,22 @@ class TestBootstrapCI:
         scores = rng.standard_normal(200) + labels
         assert bootstrap_auc_ci(scores, labels, 150, seed=9) == \
             bootstrap_auc_ci(scores, labels, 150, seed=9)
+
+    @pytest.mark.parametrize("n_pos, n_neg, decimals", [
+        (2500, 2500, None),  # distinct scores
+        (2500, 2500, 0),     # a handful of tie groups
+        (600, 4400, 1),      # m != n, ties
+        (4400, 600, None),   # m != n, distinct
+    ])
+    @pytest.mark.parametrize("seed", [0, 17, 2**31 + 5])
+    def test_integer_numerator_matches_float_numerator(self, n_pos, n_neg, decimals, seed):
+        rng = np.random.default_rng([n_pos, seed])
+        labels = rng.permutation(np.r_[np.ones(n_pos, dtype=int), np.zeros(n_neg, dtype=int)])
+        scores = rng.standard_normal(n_pos + n_neg) + labels
+        if decimals is not None:
+            scores = np.round(scores, decimals)
+        assert bootstrap_auc_ci(scores, labels, 200, seed) == \
+            float_numerator_bootstrap_auc_ci(scores, labels, 200, seed)
 
     def test_requires_minimum_replicates(self, rng):
         labels = np.array([0, 1] * 10)
