@@ -62,6 +62,7 @@ from .trainer import (
     read_model,
     referable_scores,
     train,
+    train_many,
     write_model,
 )
 

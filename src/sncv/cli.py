@@ -170,7 +170,8 @@ def cmd_split(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     train_set, tune_set = _inputs(cfg, "train", "tune")
-    model = trainer.train(train_set, tune_set, cfg.hyperparams, cfg.stage_seed("train"))
+    [model] = trainer.train_many([(train_set, cfg.stage_seed("train"), None)], tune_set,
+                                 cfg.hyperparams)
     trainer.write_model(model, _out_dir(cfg) / "model.json")
     _write_report(cfg, "train_report.json", {
         "stopped_epoch": model.stopped_epoch,
@@ -265,10 +266,10 @@ def cmd_bands(cfg: RunConfig) -> int:
         # paired design: both arms share the band's training seed, so
         # coinciding selections (the full band) share one model
         band_seed = cfg.stage_seed(f"bands-{j}")
-        m_hi = trainer.train(dataset.subset(hi.selected_ids), tune_set, cfg.hyperparams, band_seed)
-        m_lo = m_hi if set(lo.selected_ids) == set(hi.selected_ids) else trainer.train(
-            dataset.subset(lo.selected_ids), tune_set, cfg.hyperparams, band_seed)
-        band_rows.append((k, m_hi.tune_auc_at_stop, m_lo.tune_auc_at_stop))
+        arms = [hi] if set(lo.selected_ids) == set(hi.selected_ids) else [hi, lo]
+        models = trainer.train_many([(dataset.subset(arm.selected_ids), band_seed, None)
+                                     for arm in arms], tune_set, cfg.hyperparams)
+        band_rows.append((k, models[0].tune_auc_at_stop, models[-1].tune_auc_at_stop))
     # unstratified composition: positive share of the top-k and bottom-k by QS
     pos_mask = scored.dataset.binary_labels()[np.argsort(-scored.qs, kind="stable")]
 
@@ -298,17 +299,18 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     _check_fold_size(cfg, n_sub)
     k_grid = _resolve_k_grid(cfg, n_sub)
 
-    full_model = trainer.train(full_train, tune_set, cfg.hyperparams,
-                               cfg.stage_seed("burden-full"))
-    sub_model = trainer.train(sub_train, tune_set, cfg.hyperparams, cfg.stage_seed("burden-sub"))
+    full_model, sub_model = trainer.train_many(
+        [(full_train, cfg.stage_seed("burden-full"), None),
+         (sub_train, cfg.stage_seed("burden-sub"), None)], tune_set, cfg.hyperparams)
 
     sncv_result = selection.run_sncv_pipeline(
         sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"),
         cfg.min_fold_size)
 
     ncv_sel = selection.select_ncv(sncv_result.scored)
-    ncv_model = trainer.train(sub_train.subset(ncv_sel.selected_ids), tune_set,
-                              cfg.hyperparams, cfg.stage_seed("burden-ncv"))
+    [ncv_model] = trainer.train_many(
+        [(sub_train.subset(ncv_sel.selected_ids), cfg.stage_seed("burden-ncv"), None)],
+        tune_set, cfg.hyperparams)
 
     models = {
         "full_baseline": full_model,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FOLD_NAMES, ClassScheme, Dataset, _read_csv, _write_csv, split_mask
-from .trainer import Hyperparams, Model, predict_proba, train
+from .trainer import Hyperparams, Model, predict_proba, train_many
 
 
 @dataclass(eq=False)
@@ -68,14 +68,9 @@ def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams, seed:
         raise ValueError(f"dataset too small for cross-fold scoring (< {2 * min_fold_size})")
     in_d1 = split_mask(dataset, derive_seed(seed, "split"))
     d1_rows, d2_rows = np.flatnonzero(in_d1), np.flatnonzero(~in_d1)
-    try:
-        m1 = train(dataset.take(d1_rows), tune_set, hp, derive_seed(seed, "train-d1"))
-    except ValueError as err:
-        raise ValueError(f"fold-D1: {err}") from err
-    try:
-        m2 = train(dataset.take(d2_rows), tune_set, hp, derive_seed(seed, "train-d2"))
-    except ValueError as err:
-        raise ValueError(f"fold-D2: {err}") from err
+    m1, m2 = train_many([(dataset.take(d1_rows), derive_seed(seed, "train-d1"), "fold-D1"),
+                         (dataset.take(d2_rows), derive_seed(seed, "train-d2"), "fold-D2")],
+                        tune_set, hp)
 
     probs = np.empty((len(dataset), dataset.scheme.n_classes))
     probs[d1_rows] = predict_proba(m2, dataset.X[d1_rows])  # opposite-fold model

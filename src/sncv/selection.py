@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Dataset, InputError, positive_rate
 from .scoring import ScoredDataset, cross_fold_score, derive_seed
-from .trainer import Hyperparams, Model, train
+from .trainer import Hyperparams, Model, train_many
 
 
 @dataclass(frozen=True)
@@ -119,18 +119,14 @@ def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k_values: list[int], 
     scored, m1, m2 = cross_fold_score(dataset, tune_set, hp, seed, min_fold_size)
     if not k_values:
         raise ValueError("k grid is empty")
-    best = None
-    grid_auc = {}
-    for j, k_val in enumerate(k_values):
-        selection = select_stratified(scored, k_val)
-        subset = dataset.subset(selection.selected_ids)
-        model = train(subset, tune_set, hp, derive_seed(seed, f"train-final-{j}"))
-        grid_auc[k_val] = model.tune_auc_at_stop
-        if best is None or model.tune_auc_at_stop > best[0].tune_auc_at_stop:
-            best = (model, selection, k_val)
-    model, selection, k_used = best
-    return PipelineResult(model=model, scored=scored, selection=selection,
-                          fold_models=(m1, m2), k_used=k_used, k_grid_tune_auc=grid_auc)
+    selections = [select_stratified(scored, k_val) for k_val in k_values]
+    models = train_many([(dataset.subset(s.selected_ids), derive_seed(seed, f"train-final-{j}"),
+                          None) for j, s in enumerate(selections)], tune_set, hp)
+    # max keeps the first of equal maxima, as a strict > over the grid would
+    best = max(range(len(models)), key=lambda j: models[j].tune_auc_at_stop)
+    return PipelineResult(model=models[best], scored=scored, selection=selections[best],
+                          fold_models=(m1, m2), k_used=k_values[best],
+                          k_grid_tune_auc={k: m.tune_auc_at_stop for k, m in zip(k_values, models)})
 
 
 def selection_summary(result: SelectionResult) -> dict:

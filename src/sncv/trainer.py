@@ -264,6 +264,21 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     return model
 
 
+def train_many(jobs, tune_set: Dataset, hp: Hyperparams) -> list[Model]:
+    """Fit each (train_set, seed, label) job in order, one `train` call each,
+    and return the models in job order. A labelled job's ValueError is raised
+    again as "label: error"; an unlabelled job's passes through unchanged."""
+    models = []
+    for train_set, seed, label in jobs:
+        try:
+            models.append(train(train_set, tune_set, hp, seed))
+        except ValueError as err:
+            if label is None:
+                raise
+            raise ValueError(f"{label}: {err}") from err
+    return models
+
+
 def write_model(model: Model, path) -> None:
     payload = {f.name: getattr(model, f.name) for f in fields(Model)}
     payload.update(format_version=MODEL_FORMAT_VERSION, scheme=scheme_payload(model.scheme),

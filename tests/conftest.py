@@ -20,6 +20,7 @@ from sncv import (
     select_stratified,
     train,
 )
+from sncv import trainer
 from sncv.config import RunConfig
 from sncv.scoring import derive_seed
 from sncv.trainer import Model, _batch_step
@@ -113,6 +114,20 @@ def small_scored(small_noisy_setup):
         small_noisy_setup["train"], small_noisy_setup["tune"], hp, seed=7,
         min_fold_size=MIN_FOLD_SIZE)
     return {"scored": scored, "m1": m1, "m2": m2, **small_noisy_setup}
+
+
+@pytest.fixture
+def fit_sizes(monkeypatch):
+    """The train-set size of each `trainer.train` call, in call order."""
+    sizes = []
+    train = trainer.train
+
+    def counting_train(train_set, *args, **kwargs):
+        sizes.append(len(train_set))
+        return train(train_set, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train", counting_train)
+    return sizes
 
 
 @pytest.fixture

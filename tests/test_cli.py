@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import (Dataset, read_dataset, read_scheme, scoring, selection, synth, trainer,
-                  write_dataset)
+from sncv import Dataset, read_dataset, read_scheme, synth, write_dataset
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -360,35 +359,21 @@ class TestMinFoldSize:
         assert rc == 0
 
 
-def test_bands_trains_the_full_band_once(small_generated, tmp_path, monkeypatch):
-    calls = []
-    train = trainer.train
-
-    def counting_train(*args, **kwargs):
-        calls.append(len(args[0]))
-        return train(*args, **kwargs)
-
-    monkeypatch.setattr(trainer, "train", counting_train)
+def test_bands_trains_the_full_band_once(small_generated, tmp_path, fit_sizes):
     rc = run_cli(small_generated / "small.cfg", tmp_path, "bands",
                  "--train", str(small_generated / "train.csv"),
                  "--tune", str(small_generated / "tune.csv"),
                  "--scheme", str(small_generated / "scheme.json"), "--k-grid", "0.5,0.75")
     assert rc == 0
-    sizes = [90, 135, 180]
-    assert len(calls) == 2 * len(sizes) - 1
-    assert calls == [90, 90, 135, 135, 180]
+    # the two fold fits, then two arms per band size but one for the full band
+    assert fit_sizes[2:] == [90, 90, 135, 135, 180]
+    assert len(fit_sizes) == 7 and sum(fit_sizes[:2]) == 180
 
 
 @pytest.mark.parametrize("command, n", [("pipeline", 180), ("burden", 103)])
-def test_k_beyond_the_rows_exits_2_before_any_fit(small_generated, tmp_path, monkeypatch,
+def test_k_beyond_the_rows_exits_2_before_any_fit(small_generated, tmp_path, fit_sizes,
                                                   capsys, command, n):
     # burden's k selects from its 103-row subsample of the 180 rows
-    calls = []
-    for module in (trainer, scoring, selection):
-        def counting_train(*args, _train=module.train, **kwargs):
-            calls.append(len(args[0]))
-            return _train(*args, **kwargs)
-        monkeypatch.setattr(module, "train", counting_train)
     rc = run_cli(small_generated / "small.cfg", tmp_path / "out", command,
                  "--train", str(small_generated / "train.csv"),
                  "--tune", str(small_generated / "tune.csv"),
@@ -396,22 +381,16 @@ def test_k_beyond_the_rows_exits_2_before_any_fit(small_generated, tmp_path, mon
     assert rc == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"error: k must be in [1, {n}], got 5000"
     assert not (tmp_path / "out").exists()
-    assert calls == []
+    assert fit_sizes == []
 
 
 @pytest.mark.parametrize("command, n", [("score", 180), ("pipeline", 180), ("bands", 180),
                                         ("burden", 103)])
 def test_too_few_rows_for_the_folds_exits_2_before_any_fit(small_generated, tmp_path,
-                                                            monkeypatch, capsys, command, n):
+                                                            fit_sizes, capsys, command, n):
     # 2 x min_fold_size = 200 rows; burden scores its 103-row subsample of the 180
     config = tmp_path / "folds.cfg"
     config.write_text(SMALL_CONFIG.replace("min_fold_size = 50", "min_fold_size = 100"))
-    calls = []
-    for module in (trainer, scoring, selection):
-        def counting_train(*args, _train=module.train, **kwargs):
-            calls.append(len(args[0]))
-            return _train(*args, **kwargs)
-        monkeypatch.setattr(module, "train", counting_train)
     rc = run_cli(config, tmp_path / "out", command,
                  "--train", str(small_generated / "train.csv"),
                  "--tune", str(small_generated / "tune.csv"),
@@ -421,7 +400,7 @@ def test_too_few_rows_for_the_folds_exits_2_before_any_fit(small_generated, tmp_
         f"error: {n} rows are too few for cross-fold scoring: "
         "[experiment] min_fold_size 100 needs 200")
     assert not (tmp_path / "out").exists()
-    assert calls == []
+    assert fit_sizes == []
 
 
 def test_split_of_one_row_exits_2(mini_config, generated, tmp_path, capsys):
@@ -550,13 +529,7 @@ class TestPathErrors:
         assert out.read_text() == "kept\n"
 
     def test_out_naming_an_existing_file_exits_2_before_any_fit(self, mini_config, generated,
-                                                                tmp_path, monkeypatch, capsys):
-        calls = []
-        for module in (trainer, scoring, selection):
-            def counting_train(*args, _train=module.train, **kwargs):
-                calls.append(len(args[0]))
-                return _train(*args, **kwargs)
-            monkeypatch.setattr(module, "train", counting_train)
+                                                                tmp_path, fit_sizes, capsys):
         out = tmp_path / "out"
         out.write_text("kept\n")
         rc = run_cli(mini_config, out, "score", "--train", str(generated / "train.csv"),
@@ -565,7 +538,7 @@ class TestPathErrors:
         assert capsys.readouterr().err.splitlines()[-1] == \
             f"error: {out}: {os.strerror(errno.EEXIST)}"
         assert out.read_text() == "kept\n"
-        assert calls == []
+        assert fit_sizes == []
 
 
 def test_out_of_memory_exits_1_naming_it(mini_config, tmp_path, monkeypatch, capsys):

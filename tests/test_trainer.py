@@ -244,6 +244,54 @@ class TestTrain:
             train(ds, tune, Hyperparams(), seed=0)
 
 
+class TestTrainMany:
+    HP = Hyperparams(hidden_units=4, max_epochs=3, patience=2)
+
+    @staticmethod
+    def one_class(ds):
+        return Dataset(ds.scheme, ids=ds.ids, X=ds.X, y=np.zeros(len(ds)))
+
+    def test_fits_the_jobs_in_order_one_train_call_each(self, fit_sizes):
+        tune = toy_dataset(60, 3, seed=10)
+        sets = [toy_dataset(n, 3, seed=n) for n in (50, 40, 70)]
+        models = trainer.train_many([(ds, 100 + i, f"job-{i}") for i, ds in enumerate(sets)],
+                                    tune, self.HP)
+        assert fit_sizes == [50, 40, 70]
+        for i, (ds, model) in enumerate(zip(sets, models)):
+            alone = train(ds, tune, self.HP, seed=100 + i)
+            for key in alone.weights:
+                np.testing.assert_array_equal(model.weights[key], alone.weights[key])
+            assert model.tune_auc_by_epoch == alone.tune_auc_by_epoch
+
+    def test_labelled_error_names_the_job(self):
+        ds, tune = toy_dataset(50, 3, seed=9), toy_dataset(60, 3, seed=10)
+        with pytest.raises(ValueError, match=r"^fold-D2: degenerate-train-set: ") as err:
+            trainer.train_many([(ds, 1, "fold-D1"), (self.one_class(ds), 2, "fold-D2")],
+                               tune, self.HP)
+        assert str(err.value.__cause__).startswith("degenerate-train-set: ")
+
+    def test_unlabelled_error_passes_through_unchanged(self):
+        ds, tune = toy_dataset(50, 3, seed=9), toy_dataset(60, 3, seed=10)
+        with pytest.raises(ValueError) as alone:
+            train(ds.take([]), tune, self.HP, seed=0)
+        with pytest.raises(ValueError) as err:
+            trainer.train_many([(ds.take([]), 0, None)], tune, self.HP)
+        assert str(err.value) == str(alone.value) == "empty-train-set"
+
+    def test_a_failing_job_ends_the_plan(self, fit_sizes):
+        tune = toy_dataset(60, 3, seed=10)
+        jobs = [(toy_dataset(50, 3, seed=1), 1, "a"),
+                (self.one_class(toy_dataset(40, 3, seed=2)), 2, "b"),
+                (toy_dataset(70, 3, seed=3), 3, "c")]
+        with pytest.raises(ValueError, match="^b: degenerate-train-set"):
+            trainer.train_many(jobs, tune, self.HP)
+        assert fit_sizes == [50, 40]
+
+    def test_no_jobs_fit_nothing(self, fit_sizes):
+        assert trainer.train_many([], toy_dataset(60, 3, seed=10), self.HP) == []
+        assert fit_sizes == []
+
+
 class TestPredict:
     def test_zero_weight_model_is_uniform(self):
         model = small_random_model(d=3, hidden=0)
