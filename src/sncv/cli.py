@@ -85,14 +85,29 @@ def _load_scheme(cfg: RunConfig):
 
 def _load_pool(cfg: RunConfig, scheme):
     if cfg.pool_path is None:
+        if scheme.n_classes != len(synth.BASE_FLIP_RATES):
+            raise InputError(f"the default grader pool has {len(synth.BASE_FLIP_RATES)} classes "
+                             f"and the scheme {scheme.n_classes}: pass --pool")
         return synth.default_grader_pool(scheme)
     return _load("grader pool", cfg.pool_path, synth.read_grader_pool, scheme)
 
 
 def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
-    """The datasets at the named paths ("train", "tune", "test") under the run's scheme."""
+    """The datasets at the named paths ("train", "tune", "test") under the run's
+    scheme. Before any fit, each must have the first one's feature_dim, and a
+    tune or test set must hold labels on both sides of the referability boundary."""
     scheme = _load_scheme(cfg)
-    return [_load(name, getattr(cfg, f"{name}_path"), read_dataset, scheme) for name in names]
+    datasets = [_load(name, getattr(cfg, f"{name}_path"), read_dataset, scheme)
+                for name in names]
+    for name, dataset in zip(names, datasets):
+        path, first = getattr(cfg, f"{name}_path"), datasets[0]
+        if dataset.feature_dim != first.feature_dim:
+            raise InputError(f"{path}: the {name} set has {dataset.feature_dim} features, "
+                             f"the {names[0]} set {first.feature_dim}")
+        if name in ("tune", "test") and len(np.unique(dataset.binary_labels())) < 2:
+            raise InputError(f"{path}: the {name} set needs labels on both sides of the "
+                             "referability boundary")
+    return datasets
 
 
 def _scored_input(cfg: RunConfig) -> scoring.ScoredDataset:

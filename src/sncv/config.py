@@ -21,8 +21,6 @@ from .synth import PopulationConfig
 from .trainer import Hyperparams
 
 SELECT_MODES = ("stratified", "lowest", "ncv", "ncv-exact")
-# Per-class (x, y) offsets of the cluster regions; fixed, but reported.
-CLUSTER_REGION_OFFSETS = ((0.0, 0.0), (20.0, 0.0), (0.0, 0.0), (20.0, 0.0))
 
 
 def float_list(text: str) -> tuple[float, ...]:
@@ -112,10 +110,16 @@ class RunConfig:
             raise InputError("seed required: pass --seed or set [experiment] seed")
         return derive_seed(self.seed, stage)
 
+    @property
+    def cluster_region_offsets(self) -> tuple[tuple[float, float], ...]:
+        """Per-class (x, y) offsets of the cluster regions, not settable but
+        reported: class c is shifted by 20 * (c % 2) along x."""
+        return tuple((20.0 * (c % 2), 0.0) for c in range(len(self.class_priors)))
+
     def population(self, n: int) -> PopulationConfig:
         """Generator settings for an n-example draw under this run's population config."""
         generator = {f.name for f in fields(PopulationConfig)}
-        return PopulationConfig(n=n, cluster_region_offsets=CLUSTER_REGION_OFFSETS, **{
+        return PopulationConfig(n=n, cluster_region_offsets=self.cluster_region_offsets, **{
             k: v for k, v in self._section("population").items() if k in generator})
 
     def to_dict(self) -> dict:
@@ -123,7 +127,8 @@ class RunConfig:
         for (section, key), f in KEYS.items():
             value = getattr(self, f.name)
             report[section][key] = list(value) if isinstance(value, tuple) else value
-        report["population"]["cluster_region_offsets"] = [list(r) for r in CLUSTER_REGION_OFFSETS]
+        report["population"]["cluster_region_offsets"] = [
+            list(r) for r in self.cluster_region_offsets]
         return report
 
 

@@ -403,6 +403,75 @@ def test_too_few_rows_for_the_folds_exits_2_before_any_fit(small_generated, tmp_
     assert fit_sizes == []
 
 
+def _narrower(dataset):
+    return Dataset(dataset.scheme, ids=dataset.ids, X=dataset.X[:, :-1], y=dataset.y)
+
+
+def _one_class(dataset):
+    return Dataset(dataset.scheme, ids=dataset.ids, X=dataset.X, y=np.zeros(len(dataset)))
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--tune"), ("score", "--tune"),
+                                           ("pipeline", "--tune"), ("burden", "--tune"),
+                                           ("burden", "--test")])
+@pytest.mark.parametrize("mutate, reason", [
+    (_narrower, "the {name} set has 5 features, the train set 6"),
+    (_one_class, "the {name} set needs labels on both sides of the referability boundary"),
+])
+def test_inputs_that_do_not_fit_the_train_set_exit_2_before_any_fit(
+        mini_config, generated, tmp_path, fit_sizes, capsys, command, flag, mutate, reason):
+    name = flag[2:]
+    scheme = read_scheme(generated / "scheme.json")
+    bad = tmp_path / f"bad-{name}.csv"
+    write_dataset(mutate(read_dataset(generated / f"{name}.csv", scheme)), bad)
+    paths = {"--train": "train.csv", "--tune": "tune.csv", "--test": "test.csv"}
+    args = [a for f, file in paths.items()
+            for a in (f, str(bad) if f == flag else str(generated / file))]
+    rc = run_cli(mini_config, tmp_path / "out", command, *args)
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"error: {bad}: " + reason.format(name=name)
+    assert not (tmp_path / "out").exists()
+    assert fit_sizes == []
+
+
+# Class priors, bulk shares and the positive classes of a K-class study.
+OTHER_CLASS_COUNTS = {
+    2: ("0.7, 0.3", "0.5, 0.5", [1]),
+    5: ("0.4, 0.25, 0.15, 0.12, 0.08", "0.5, 0.5, 0.7, 1.0, 1.0", [3, 4]),
+}
+
+
+@pytest.mark.parametrize("classes", sorted(OTHER_CLASS_COUNTS))
+def test_study_of_another_class_count_runs(tmp_path, capsys, classes):
+    priors, shares, positive = OTHER_CLASS_COUNTS[classes]
+    config = tmp_path / "k.cfg"
+    config.write_text(MINI_CONFIG.replace(
+        "[population]", f"[population]\nclass_priors = {priors}\ncluster_bulk_shares = {shares}"))
+    (tmp_path / "scheme.json").write_text(json.dumps(
+        {"classes": [f"c{i}" for i in range(classes)], "positive": positive}))
+    (tmp_path / "adjacent.json").write_text(json.dumps(
+        [{"grader_id": "g0", "role": "ophthalmologist", "workload_weight": 1.0,
+          "confusion": {"flip_to_adjacent": 0.1}}]))
+    scheme = ["--scheme", str(tmp_path / "scheme.json")]
+    # the default grader pool has a flip rate for each of 4 classes only
+    assert run_cli(config, tmp_path / "none", "gen", *scheme) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"error: the default grader pool has 4 classes and the scheme {classes}: pass --pool"
+    gen = tmp_path / "gen"
+    assert run_cli(config, gen, "gen", *scheme, "--pool", str(tmp_path / "adjacent.json")) == 0
+    report = json.loads((gen / "gen_report.json").read_text())
+    assert report["config"]["population"]["cluster_region_offsets"] == [
+        [20.0 * (c % 2), 0.0] for c in range(classes)]
+    data = ["--train", str(gen / "train.csv"), "--tune", str(gen / "tune.csv"),
+            "--test", str(gen / "test.csv"), *scheme]
+    assert run_cli(config, tmp_path / "score", "score", *data) == 0
+    assert run_cli(config, tmp_path / "select", "select", "--k", "500", *scheme,
+                   "--train", str(tmp_path / "score" / "scored.csv")) == 0
+    assert run_cli(config, tmp_path / "pipeline", "pipeline", *data) == 0
+    assert run_cli(config, tmp_path / "burden", "burden", *data) == 0
+
+
 def test_split_of_one_row_exits_2(mini_config, generated, tmp_path, capsys):
     one_row = tmp_path / "one.csv"
     one_row.write_text("".join((generated / "train.csv").read_text().splitlines(True)[:2]))
