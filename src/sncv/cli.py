@@ -100,10 +100,10 @@ def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
     datasets = [_load(name, getattr(cfg, f"{name}_path"), read_dataset, scheme)
                 for name in names]
     for name, dataset in zip(names, datasets):
-        path, first = getattr(cfg, f"{name}_path"), datasets[0]
-        if dataset.feature_dim != first.feature_dim:
+        path = getattr(cfg, f"{name}_path")
+        if dataset.feature_dim != datasets[0].feature_dim:
             raise InputError(f"{path}: the {name} set has {dataset.feature_dim} features, "
-                             f"the {names[0]} set {first.feature_dim}")
+                             f"the {names[0]} set {datasets[0].feature_dim}")
         if name in ("tune", "test") and len(np.unique(dataset.binary_labels())) < 2:
             raise InputError(f"{path}: the {name} set needs labels on both sides of the "
                              "referability boundary")

@@ -264,7 +264,8 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     return model
 
 
-def train_many(jobs, tune_set: Dataset, hp: Hyperparams) -> list[Model]:
+def train_many(jobs: list[tuple[Dataset, int, str | None]], tune_set: Dataset,
+               hp: Hyperparams) -> list[Model]:
     """Fit each (train_set, seed, label) job in order, one `train` call each,
     and return the models in job order. A labelled job's ValueError is raised
     again as "label: error"; an unlabelled job's passes through unchanged."""

@@ -287,10 +287,6 @@ class TestTrainMany:
             trainer.train_many(jobs, tune, self.HP)
         assert fit_sizes == [50, 40]
 
-    def test_no_jobs_fit_nothing(self, fit_sizes):
-        assert trainer.train_many([], toy_dataset(60, 3, seed=10), self.HP) == []
-        assert fit_sizes == []
-
 
 class TestPredict:
     def test_zero_weight_model_is_uniform(self):
