@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import errno
 import json
 import os
@@ -29,6 +28,7 @@ from .dataset import (
     positive_rate,
     read_dataset,
     read_scheme,
+    record,
     split_random,
     write_dataset,
     write_scheme,
@@ -41,21 +41,12 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _fields(obj) -> dict:
-    """A dataclass's fields by name, taken shallowly (dataclasses.asdict deep-copies).
-    A field left out of the repr, such as the relabel tranche's per-row table,
-    is left out of the report too."""
-    if not dataclasses.is_dataclass(obj):
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.repr}
-
-
 def _write_report(cfg: RunConfig, name: str, body: dict) -> None:
     """Write the JSON report `name`: body plus the resolved config and seed.
     A dataclass anywhere in body is written as its fields."""
     report = {"config": cfg.to_dict(), "seed": cfg.seed, **body}
     (_out_dir(cfg) / name).write_text(
-        json.dumps(report, indent=2, sort_keys=True, default=_fields) + "\n", encoding="utf-8")
+        json.dumps(report, indent=2, sort_keys=True, default=record) + "\n", encoding="utf-8")
 
 
 def _write_table(path, header, rows) -> None:
@@ -92,10 +83,17 @@ def _load_pool(cfg: RunConfig, scheme):
     return _load("grader pool", cfg.pool_path, synth.read_grader_pool, scheme)
 
 
+def _check_both_sides(path, name: str, dataset: Dataset) -> None:
+    """A set that an AUC is taken on needs labels on both sides of the boundary."""
+    if len(np.unique(dataset.binary_labels())) < 2:
+        raise InputError(f"{path}: the {name} set needs labels on both sides of the "
+                         "referability boundary")
+
+
 def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
     """The datasets at the named paths ("train", "tune", "test") under the run's
     scheme. Before any fit, each must have the first one's feature_dim, and a
-    tune or test set must hold labels on both sides of the referability boundary."""
+    tune or test set must pass _check_both_sides."""
     scheme = _load_scheme(cfg)
     datasets = [_load(name, getattr(cfg, f"{name}_path"), read_dataset, scheme)
                 for name in names]
@@ -104,9 +102,8 @@ def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
         if dataset.feature_dim != datasets[0].feature_dim:
             raise InputError(f"{path}: the {name} set has {dataset.feature_dim} features, "
                              f"the {names[0]} set {datasets[0].feature_dim}")
-        if name in ("tune", "test") and len(np.unique(dataset.binary_labels())) < 2:
-            raise InputError(f"{path}: the {name} set needs labels on both sides of the "
-                             "referability boundary")
+        if name in ("tune", "test"):
+            _check_both_sides(path, name, dataset)
     return datasets
 
 
@@ -152,13 +149,12 @@ def cmd_gen(cfg: RunConfig) -> int:
     tune = synth.generate_population(cfg.population(cfg.n_tune), cfg.stage_seed("gen-tune"), scheme)
     test = synth.generate_population(cfg.population(cfg.n_test), cfg.stage_seed("gen-test"), scheme)
 
+    files = {"scheme.json": (write_scheme, scheme), "pool.json": (synth.write_grader_pool, pool),
+             "population.csv": (write_dataset, population), "train.csv": (write_dataset, noisy),
+             "tune.csv": (write_dataset, tune), "test.csv": (write_dataset, test)}
     out = _out_dir(cfg)
-    write_scheme(scheme, out / "scheme.json")
-    synth.write_grader_pool(pool, out / "pool.json")
-    write_dataset(population, out / "population.csv")
-    write_dataset(noisy, out / "train.csv")
-    write_dataset(tune, out / "tune.csv")
-    write_dataset(test, out / "test.csv")
+    for name, (write, value) in files.items():
+        write(value, out / name)
 
     tau = positive_rate(noisy)
     noise_rate = float((noisy.y != population.y).mean())
@@ -166,8 +162,7 @@ def cmd_gen(cfg: RunConfig) -> int:
         "tau": tau,
         "marginal_noise_rate": noise_rate,
         "marginal_flip_rates_by_class": synth.marginal_flip_rates(pool, scheme).tolist(),
-        "files": ["scheme.json", "pool.json", "population.csv", "train.csv",
-                  "tune.csv", "test.csv"],
+        "files": list(files),
     })
     print(f"tau={tau:.4f} marginal_noise_rate={noise_rate:.4f}")
     return 0
@@ -388,11 +383,9 @@ def cmd_relabel(cfg: RunConfig) -> int:
     scored = _scored_input(cfg)
     report = relabel.run_relabel_experiment(scored, cfg.n_lowest, cfg.oracle_error_rate,
                                             cfg.stage_seed("relabel-oracle"))
-    _write_report(cfg, "relabel_report.json", _fields(report))
-    _write_table(_out_dir(cfg) / "relabel_rows.csv",
-                 [f.name for f in dataclasses.fields(relabel.RelabelRow)],
-                 ([int(v) if isinstance(v, bool) else v for v in _fields(row).values()]
-                  for row in report.rows))
+    _write_report(cfg, "relabel_report.json", record(report))
+    _write_table(_out_dir(cfg) / "relabel_rows.csv", list(report.rows),
+                 zip(*report.rows.values()))
     print(f"relabeled {report.n_relabeled}: relabel_rate={report.relabel_rate:.4f} "
           f"model_agreement={report.model_agreement_rate:.4f}")
     return 0
@@ -402,7 +395,7 @@ def cmd_graders(cfg: RunConfig) -> int:
     scored = _scored_input(cfg)
     pool = _load_pool(cfg, scored.dataset.scheme)
     report = relabel.grader_mismatch_analysis(scored, pool, cfg.mismatch_threshold)
-    _write_report(cfg, "grader_report.json", _fields(report))
+    _write_report(cfg, "grader_report.json", record(report))
     flagged = [g.grader_id for g in report.graders if g.flagged]
     print(f"flagged {len(flagged)}/{len(report.graders)} graders: {flagged}")
     return 0
@@ -411,6 +404,7 @@ def cmd_graders(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     """AUC + bootstrap CI for one model on a dataset; DeLong tests for two."""
     [dataset] = _inputs(cfg, "train")
+    _check_both_sides(cfg.train_path, "evaluation", dataset)
     if not cfg.model_paths:
         raise InputError("eval: at least one --model is required")
     X = dataset.X

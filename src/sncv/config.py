@@ -15,7 +15,7 @@ import configparser
 import operator
 from dataclasses import dataclass, field, fields
 
-from .dataset import InputError
+from .dataset import InputError, record
 from .scoring import derive_seed
 from .synth import PopulationConfig
 from .trainer import Hyperparams
@@ -99,7 +99,8 @@ class RunConfig:
     model_paths: list[str] = field(default_factory=list)
 
     def _section(self, section: str) -> dict:
-        return {f.name: getattr(self, f.name) for (s, _), f in KEYS.items() if s == section}
+        values = record(self)
+        return {f.name: values[f.name] for (s, _), f in KEYS.items() if s == section}
 
     @property
     def hyperparams(self) -> Hyperparams:

@@ -1,5 +1,5 @@
-"""Core data model: class schemes, columnar datasets, deterministic splits, and
-the one CSV codec shared by plain and scored dataset files.
+"""Core data model: class schemes, columnar datasets, deterministic splits, the
+one CSV codec of dataset files, and the one JSON record codec of every other file.
 
 Labels are integer class indices; the class-name mapping and the referability
 boundary (which classes count as positive) live in a ClassScheme sidecar. The
@@ -15,7 +15,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,47 @@ FOLD_NAMES = ("D1", "D2")
 
 class InputError(ValueError):
     """Bad user input: a missing path, a malformed file or config (exit code 2)."""
+
+
+def record(obj) -> dict:
+    """A dataclass's fields by name, taken shallowly (dataclasses.asdict deep-copies),
+    without those left out of its repr: the one way a dataclass becomes JSON."""
+    if not is_dataclass(obj):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number, not true or false."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON type a field annotation names: its description, and its test.
+_JSON_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: _is_number(v) and isinstance(v, int)),
+    "float": ("a number", _is_number),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "list[float]": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "list[str]": ("a list of strings",
+                  lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+}
+
+
+def check_record(payload, types: dict[str, str], where: str = "") -> None:
+    """Check that payload is a JSON object with exactly the keys of types, each
+    value of the JSON type its annotation names; an annotation not in
+    _JSON_TYPES is left to the caller. where, if given, starts each message."""
+    prefix = f"{where}: " if where else ""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{prefix}expected a JSON object, got {type(payload).__name__}")
+    if payload.keys() != types.keys():
+        raise ValueError(f"{prefix}missing keys {sorted(types.keys() - payload.keys())}, "
+                         f"unknown keys {sorted(payload.keys() - types.keys())}")
+    for name, annotation in types.items():
+        description, valid = _JSON_TYPES.get(annotation, (None, None))
+        if valid is not None and not valid(payload[name]):
+            raise ValueError(f"{prefix}{name} must be {description}, got {payload[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -169,12 +210,11 @@ def scheme_payload(scheme: ClassScheme) -> dict:
     return {"classes": list(scheme.class_names), "positive": sorted(scheme.positive_indices)}
 
 
-def scheme_from_payload(payload: dict) -> ClassScheme:
+def scheme_from_payload(payload) -> ClassScheme:
     """The scheme in a JSON form: classes is a list of class names, and a
     positive entry is a class index or a class name."""
+    check_record(payload, {"classes": "list[str]", "positive": "list"}, "scheme")
     classes = payload["classes"]
-    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-        raise ValueError(f"classes must be a list of class names, got {classes!r}")
     positive = set()
     for p in payload["positive"]:
         if isinstance(p, str):

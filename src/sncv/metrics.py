@@ -13,9 +13,11 @@ pair counting bitwise and gives exact midrank symmetry under score negation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
+
+from .dataset import record
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,8 @@ def confusion_matrix(labels_a, labels_b, scheme) -> np.ndarray:
 def comparison_record(name_a: str, name_b: str, comp: DelongComparison) -> dict:
     """JSON-ready summary of one model-pair comparison: the comparison's
     fields that are not None, with non_inferior written as its decision."""
-    record = {"model_a": name_a, "model_b": name_b}
-    for f in fields(comp):
-        if getattr(comp, f.name) is not None:
-            record[f.name] = getattr(comp, f.name)
-    if "non_inferior" in record:
-        record["decision"] = "non-inferior" if record.pop("non_inferior") else "-"
-    return record
+    summary = {"model_a": name_a, "model_b": name_b,
+               **{name: v for name, v in record(comp).items() if v is not None}}
+    if "non_inferior" in summary:
+        summary["decision"] = "non-inferior" if summary.pop("non_inferior") else "-"
+    return summary

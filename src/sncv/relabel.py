@@ -33,16 +33,6 @@ def specialist_labels(ids, true_labels, n_classes: int, error_rate: float,
                     draw_category(np.cumsum(wrong, axis=1), u[:, 1]))
 
 
-@dataclass(frozen=True)
-class RelabelRow:
-    id: str
-    qs: float
-    original_label: int
-    oracle_label: int
-    true_label: int
-    model_side_win: bool
-
-
 @dataclass
 class RelabelReport:
     n_relabeled: int
@@ -52,8 +42,9 @@ class RelabelReport:
     model_agreement_rate: float
     model_agreement_rate_all: float
     n_boundary_disagreements: int
-    # the per-row table is too long for a repr, and for the JSON report
-    rows: list[RelabelRow] = field(default_factory=list, repr=False)
+    # the per-row table, one list per column, is too long for a repr and for
+    # the JSON report
+    rows: dict[str, list] = field(default_factory=dict, repr=False)
 
 
 def run_relabel_experiment(scored: ScoredDataset, n_lowest: int, error_rate: float,
@@ -82,10 +73,6 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int, error_rate: flo
     boundary = scored.qs[tranche] < 0
     n_boundary = int(boundary.sum())
     n_model_wins = int((boundary & side_win).sum())
-    rows = [RelabelRow(id=i, qs=q, original_label=o, oracle_label=r, true_label=t,
-                       model_side_win=w)
-            for i, q, o, r, t, w in zip(ids, qs, originals.tolist(), oracles.tolist(), truths,
-                                        side_win.tolist())]
     return RelabelReport(
         n_relabeled=n_lowest,
         confusion=confusion_matrix(originals, oracles, scheme).tolist(),
@@ -96,7 +83,9 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int, error_rate: flo
         model_agreement_rate=(n_model_wins / n_boundary) if n_boundary else float("nan"),
         model_agreement_rate_all=int(side_win.sum()) / n_lowest,
         n_boundary_disagreements=n_boundary,
-        rows=rows,
+        rows={"id": ids, "qs": qs, "original_label": originals.tolist(),
+              "oracle_label": oracles.tolist(), "true_label": truths,
+              "model_side_win": side_win.astype(int).tolist()},
     )
 
 

@@ -11,11 +11,11 @@ is kept as the unstratified baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, InputError, positive_rate
+from .dataset import Dataset, InputError, positive_rate, record
 from .scoring import ScoredDataset, cross_fold_score, derive_seed
 from .trainer import Hyperparams, Model, train_many
 
@@ -131,6 +131,6 @@ def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k_values: list[int], 
 
 def selection_summary(result: SelectionResult) -> dict:
     """The result's fields for a report, with the id list replaced by its length."""
-    summary = {f.name: getattr(result, f.name) for f in fields(result)}
+    summary = record(result)
     summary["n_selected"] = len(summary.pop("selected_ids"))
     return summary

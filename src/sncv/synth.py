@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassScheme, Dataset, default_scheme
+from .dataset import ClassScheme, Dataset, check_record, default_scheme, record
 
 GRADER_ROLES = (
     "glaucoma-specialist",
@@ -291,27 +291,23 @@ def marginal_flip_rates(pool: list[GraderProfile], scheme: ClassScheme) -> np.nd
 
 def write_grader_pool(pool: list[GraderProfile], path) -> None:
     """One JSON object per grader, its keys in GraderProfile field order."""
-    payload = [{f.name: getattr(p, f.name) for f in fields(GraderProfile)} for p in pool]
-    Path(path).write_text(json.dumps(payload, indent=2, default=np.ndarray.tolist) + "\n",
-                          encoding="utf-8")
+    Path(path).write_text(json.dumps([record(p) for p in pool], indent=2,
+                                     default=np.ndarray.tolist) + "\n", encoding="utf-8")
 
 
 def read_grader_pool(path, scheme: ClassScheme) -> list[GraderProfile]:
     """Load profiles. Each entry's keys must be exactly the GraderProfile
-    fields; confusion may be explicit rows or {"flip_to_adjacent": p}."""
+    fields, each of its JSON type; confusion may be explicit rows or
+    {"flip_to_adjacent": p}."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     k = scheme.n_classes
-    names = {f.name for f in fields(GraderProfile)}
     pool = []
-    for entry in payload:
-        if entry.keys() != names:
-            raise ValueError(f"grader entry {len(pool)}: missing keys "
-                             f"{sorted(names - entry.keys())}, unknown keys "
-                             f"{sorted(entry.keys() - names)}")
+    for i, entry in enumerate(payload):
+        check_record(entry, {f.name: f.type for f in fields(GraderProfile)}, f"grader entry {i}")
         conf = entry["confusion"]
         if isinstance(conf, dict):
-            p = float(conf["flip_to_adjacent"])
-            conf = _adjacent_flip_matrix(k, p)
+            check_record(conf, {"flip_to_adjacent": "float"}, f"grader entry {i}: confusion")
+            conf = _adjacent_flip_matrix(k, conf["flip_to_adjacent"])
         profile = GraderProfile(entry["grader_id"], entry["role"],
                                 float(entry["workload_weight"]), np.asarray(conf, dtype=float))
         if profile.confusion.shape != (k, k):

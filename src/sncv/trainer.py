@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassScheme, Dataset, scheme_from_payload, scheme_payload
+from .dataset import (ClassScheme, Dataset, check_record, record, scheme_from_payload,
+                      scheme_payload)
 from .metrics import roc_auc
 
 MODEL_FORMAT_VERSION = 1
@@ -281,23 +282,10 @@ def train_many(jobs: list[tuple[Dataset, int, str | None]], tune_set: Dataset,
 
 
 def write_model(model: Model, path) -> None:
-    payload = {f.name: getattr(model, f.name) for f in fields(Model)}
+    payload = record(model)
     payload.update(format_version=MODEL_FORMAT_VERSION, scheme=scheme_payload(model.scheme),
                    weights={key: w.tolist() for key, w in model.weights.items()})
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _is_number(value, integer: bool = False) -> bool:
-    """Whether a JSON value is a number (an integer when integer), not true or false."""
-    return isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-
-
-# The JSON type each plain Model field must have, by its annotation.
-_FIELD_TYPES = {
-    "int": ("an integer", lambda v: _is_number(v, integer=True)),
-    "float": ("a number", _is_number),
-    "list[float]": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
-}
 
 
 def read_model(path) -> Model:
@@ -306,19 +294,10 @@ def read_model(path) -> Model:
     be finite and have the shapes that feature_dim, hidden_units and the
     scheme's class count give them."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("format_version")
-    if not _is_number(version, integer=True) or version != MODEL_FORMAT_VERSION:
+    version = payload.pop("format_version", None) if isinstance(payload, dict) else None
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
-    del payload["format_version"]
-    names = {f.name for f in fields(Model)}
-    if payload.keys() != names:
-        raise ValueError(f"missing keys {sorted(names - payload.keys())}, "
-                         f"unknown keys {sorted(payload.keys() - names)}")
-    for f in fields(Model):
-        if f.type in _FIELD_TYPES:
-            description, valid = _FIELD_TYPES[f.type]
-            if not valid(payload[f.name]):
-                raise ValueError(f"{f.name} must be {description}, got {payload[f.name]!r}")
+    check_record(payload, {f.name: f.type for f in fields(Model)})
     payload["scheme"] = scheme = scheme_from_payload(payload["scheme"])
     shapes = _weight_shapes(payload["feature_dim"], scheme.n_classes, payload["hidden_units"])
     weights = {key: np.array(w) for key, w in payload["weights"].items()}

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import Dataset, read_dataset, read_scheme, synth, write_dataset
+from sncv import Dataset, metrics, read_dataset, read_scheme, synth, write_dataset
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -50,6 +50,26 @@ def generated(mini_config, tmp_path_factory):
 
 def run_cli(mini_config, out, *args, seed="7"):
     return main(["--config", str(mini_config), "--seed", seed, "--out", str(out), *args])
+
+
+# Edits of a generated pool.json that gen and graders must refuse, with the
+# message after "malformed grader pool file: ".
+MALFORMED_POOLS = [
+    (lambda p: p[0].update(grader_id=1), "grader entry 0: grader_id must be a string, got 1"),
+    (lambda p: p[0].update(role=None), "grader entry 0: role must be a string, got None"),
+    (lambda p: p[3].update(workload_weight=True),
+     "grader entry 3: workload_weight must be a number, got True"),
+    (lambda p: p[3].update(workload_weight="0.5"),
+     "grader entry 3: workload_weight must be a number, got '0.5'"),
+    (lambda p: p[1].update(confusion={"flip_to_adjacent": 0.2, "flip_to_adjecent": 0.9}),
+     "grader entry 1: confusion: missing keys [], unknown keys ['flip_to_adjecent']"),
+    (lambda p: p[1].update(confusion={"flip_to_adjacent": True}),
+     "grader entry 1: confusion: flip_to_adjacent must be a number, got True"),
+    (lambda p: p.__setitem__(2, list(p[2].values())),
+     "grader entry 2: expected a JSON object, got list"),
+]
+MALFORMED_POOL_IDS = ["int-grader-id", "null-role", "bool-weight", "string-weight",
+                      "misspelt-shorthand-key", "bool-shorthand", "entry-a-list"]
 
 
 class TestGen:
@@ -127,6 +147,35 @@ class TestGen:
             in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("command", ["gen", "graders"])
+    @pytest.mark.parametrize("edit, message", MALFORMED_POOLS, ids=MALFORMED_POOL_IDS)
+    def test_malformed_pool_exits_2_naming_file_and_entry(self, mini_config, generated,
+                                                          scored_csv, tmp_path, capsys,
+                                                          command, edit, message):
+        entries = json.loads((generated / "pool.json").read_text())
+        edit(entries)
+        pool = tmp_path / "pool.json"
+        pool.write_text(json.dumps(entries))
+        scored = ["--train", str(scored_csv)] if command == "graders" else []
+        rc = run_cli(mini_config, tmp_path / "out", command, *scored, "--pool", str(pool))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {pool}: malformed grader pool file: {message}"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "split"])
+    def test_scheme_with_a_misspelt_key_exits_2_naming_it(self, mini_config, generated,
+                                                          tmp_path, capsys, command):
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text('{"classes": ["a", "b", "c", "d"], "positive": [3], "positve": [2]}')
+        train = ["--train", str(generated / "train.csv")] if command == "split" else []
+        rc = run_cli(mini_config, tmp_path / "out", command, *train, "--scheme", str(scheme))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {scheme}: malformed scheme file: scheme: missing keys [], "
+            "unknown keys ['positve']")
+        assert not (tmp_path / "out").exists()
 
     def test_scheme_with_one_positive_class_generates(self, mini_config, tmp_path):
         # class d has no other positive class to take within-side confusion
@@ -518,6 +567,23 @@ class TestEval:
                      "--train", str(generated / "test.csv"),
                      "--scheme", str(generated / "scheme.json"))
         assert rc == 2
+
+    def test_one_class_set_exits_2_before_any_bootstrap(self, mini_config, generated,
+                                                         model_json, tmp_path, capsys,
+                                                         monkeypatch):
+        bad = tmp_path / "one-class.csv"
+        write_dataset(_one_class(read_dataset(generated / "test.csv",
+                                              read_scheme(generated / "scheme.json"))), bad)
+        bootstraps = []
+        monkeypatch.setattr(metrics, "bootstrap_auc_ci", lambda *args: bootstraps.append(args))
+        rc = run_cli(mini_config, tmp_path / "out", "eval", "--train", str(bad),
+                     "--model", str(model_json))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {bad}: the evaluation set needs labels on both sides of the "
+            "referability boundary")
+        assert bootstraps == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mismatch", ["feature_dim", "scheme"])
     def test_model_not_fitting_dataset_exits_2_naming_model(self, mini_config, generated,

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from sncv import (
     write_scored_dataset,
 )
 import sncv.dataset
-from sncv.dataset import BASE_COLUMNS, split_mask
+from sncv.dataset import BASE_COLUMNS, check_record, record, split_mask
 from sncv.scoring import ScoredDataset
 
 
@@ -329,7 +330,7 @@ class TestFileIO:
     def test_scheme_classes_must_be_a_list_of_names(self, tmp_path, classes):
         path = tmp_path / "scheme.json"
         path.write_text('{"classes": %s, "positive": [1]}' % classes)
-        with pytest.raises(ValueError, match="classes must be a list of class names"):
+        with pytest.raises(ValueError, match="scheme: classes must be a list of strings"):
             read_scheme(path)
 
     @pytest.mark.parametrize("positive", ["[2.7, 3]", "[true]", "[null]"])
@@ -338,6 +339,45 @@ class TestFileIO:
         path.write_text('{"classes": ["a", "b", "c", "d"], "positive": %s}' % positive)
         with pytest.raises(ValueError, match="neither a class index nor a class name"):
             read_scheme(path)
+
+
+@dataclass
+class Entry:
+    name: str
+    weight: float
+    counts: list[int]
+    table: dict = field(default_factory=dict, repr=False)
+
+
+ENTRY_TYPES = {"name": "str", "weight": "float", "counts": "list"}
+
+
+class TestRecord:
+    def test_repr_false_field_left_out_and_values_not_copied(self):
+        entry = Entry("g0", 0.5, [1, 2], {"id": ["a"]})
+        values = record(entry)
+        assert list(values) == ["name", "weight", "counts"]
+        assert values["counts"] is entry.counts
+
+    def test_non_dataclass_is_not_serializable(self):
+        with pytest.raises(TypeError, match="ndarray is not JSON serializable"):
+            record(np.zeros(2))
+
+    def test_check_accepts_an_int_as_a_float(self):
+        check_record({"name": "g0", "weight": 1, "counts": []}, ENTRY_TYPES, "entry 0")
+
+    @pytest.mark.parametrize("payload, message", [
+        (["g0", 0.5, []], "entry 0: expected a JSON object, got list"),
+        ({"name": "g0", "weight": 0.5}, "entry 0: missing keys ['counts'], unknown keys []"),
+        ({"name": "g0", "weight": 0.5, "counts": [], "wieght": 1.0},
+         "entry 0: missing keys [], unknown keys ['wieght']"),
+        ({"name": "g0", "weight": True, "counts": []},
+         "entry 0: weight must be a number, got True"),
+    ], ids=["not-an-object", "missing-key", "unknown-key", "bool-for-number"])
+    def test_check_rejects_naming_where_and_what(self, payload, message):
+        with pytest.raises(ValueError) as err:
+            check_record(payload, ENTRY_TYPES, "entry 0")
+        assert str(err.value) == message
 
 
 def reference_write_csv(path, dataset, scored=None):
