@@ -13,8 +13,8 @@ import csv
 import itertools
 import json
 import math
-import operator
 import re
+from collections import defaultdict
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -54,8 +54,7 @@ _JSON_TYPES = {
 
 def check_record(payload, types: dict[str, str], where: str = "") -> None:
     """Check that payload is a JSON object with exactly the keys of types, each
-    value of the JSON type its annotation names; an annotation not in
-    _JSON_TYPES is left to the caller. where, if given, starts each message."""
+    value by check_value against its annotation; where, if given, starts each message."""
     prefix = f"{where}: " if where else ""
     if not isinstance(payload, dict):
         raise ValueError(f"{prefix}expected a JSON object, got {type(payload).__name__}")
@@ -63,9 +62,15 @@ def check_record(payload, types: dict[str, str], where: str = "") -> None:
         raise ValueError(f"{prefix}missing keys {sorted(types.keys() - payload.keys())}, "
                          f"unknown keys {sorted(payload.keys() - types.keys())}")
     for name, annotation in types.items():
-        description, valid = _JSON_TYPES.get(annotation, (None, None))
-        if valid is not None and not valid(payload[name]):
-            raise ValueError(f"{prefix}{name} must be {description}, got {payload[name]!r}")
+        check_value(payload[name], annotation, prefix + name)
+
+
+def check_value(value, annotation: str, what: str) -> None:
+    """Check that value has the JSON type annotation names; what starts the
+    message. An annotation not in _JSON_TYPES is left to the caller."""
+    description, valid = _JSON_TYPES.get(annotation, (None, None))
+    if valid is not None and not valid(value):
+        raise ValueError(f"{what} must be {description}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -284,38 +289,33 @@ def _write_csv(path, dataset: Dataset, scored=None) -> None:
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
-def _parse_cells(cells, n_rows, first_row, names, dtype, what) -> np.ndarray:
-    """The cell strings that cells() yields, row by row with one cell per name,
-    as an (n_rows, len(names)) array.
-
-    Floats are parsed by float(), as np.array(cells, dtype=float) parses
-    them, straight from the iterator, so no per-block list of cells is held.
-    A cell that does not parse as dtype, or a non-finite float, raises an
-    error naming its row and column; the first row is file row first_row.
-    """
-    shape = (n_rows, len(names))
+def _parse_cells(columns, n_rows, first_row, names, dtype, what) -> np.ndarray:
+    """The named columns, one tuple of n_rows cell strings each, as an
+    (n_rows, len(names)) array; floats parse by float(), as np.array parses
+    them. A cell that does not parse as dtype, or a non-finite float, raises
+    an error naming its row (the first is file row first_row) and column."""
+    values = np.empty((n_rows, len(names)), dtype)
     try:
-        if dtype is int:
-            return np.array(list(cells()), dtype=int).reshape(shape)
-        values = np.fromiter(map(float, cells()), float, n_rows * len(names)).reshape(shape)
-        if np.isfinite(values).all():
+        for j, column in enumerate(columns):
+            values[:, j] = (np.array(column, dtype=int) if dtype is int
+                            else np.fromiter(map(float, column), float, n_rows))
+        if dtype is int or np.isfinite(values).all():
             return values
     except (ValueError, OverflowError):
         pass
-    for i, cell in enumerate(cells()):
-        try:
-            value = dtype(cell)
-        except ValueError:
-            problem = f"non-{'integer' if dtype is int else 'numeric'} {what}"
-        else:
-            if dtype is float and not math.isfinite(value):
-                problem = f"non-finite {what}"
-            elif dtype is int and not -2**63 <= value < 2**63:
-                problem = f"{what}-out-of-range"
-            else:
-                continue
-        raise InputError(f"row {first_row + i // len(names)}: {problem} in column "
-                         f"{names[i % len(names)]}: {cell!r}")
+    for row_no, row in enumerate(zip(*columns), start=first_row):
+        for name, cell in zip(names, row):
+            try:
+                value = dtype(cell)
+                if dtype is float and not math.isfinite(value):
+                    problem = f"non-finite {what}"
+                elif dtype is int and not -2**63 <= value < 2**63:
+                    problem = f"{what}-out-of-range"
+                else:
+                    continue
+            except ValueError:
+                problem = f"non-{'integer' if dtype is int else 'numeric'} {what}"
+            raise InputError(f"row {row_no}: {problem} in column {name}: {cell!r}")
     raise InputError(f"unparsable {what} in columns {names}")
 
 
@@ -325,21 +325,11 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
     for row_no, row in enumerate(body, start=first_row):
         if len(row) != len(header):
             raise InputError(f"row {row_no}: expected {len(header)} columns, got {len(row)}")
-
-    def cells(names):
-        """A new iterator over the named cells of every row, row by row."""
-        if not names:
-            return iter(())
-        get = operator.itemgetter(*(header.index(name) for name in names))
-        if len(names) == 1:  # an itemgetter of one index returns the bare cell, not a tuple
-            return map(get, body)
-        return itertools.chain.from_iterable(map(get, body))
-
-    def column(name):
-        return list(cells([name])) if name in header else [""] * len(body)
+    # one tuple of cells per column; a column the file lacks reads as blanks
+    cells = defaultdict(lambda: ("",) * len(body), zip(header, zip(*body)))
 
     def numbers(names, dtype, what):
-        return _parse_cells(lambda: cells(names), len(body), first_row, names, dtype, what)
+        return _parse_cells([cells[n] for n in names], len(body), first_row, names, dtype, what)
 
     k = scheme.n_classes
 
@@ -352,15 +342,14 @@ def _parse_chunk(body, first_row, header, feats, scheme: ClassScheme, scored: bo
     y = numbers(["label"], int, "label")[:, 0]
     check_labels(y, (y >= 0) & (y < k), "label")
     # a blank true label reads as the -1 sentinel; an explicit -1 is out of range
-    true_cells = column("true_label")
-    blank = np.array([c == "" for c in true_cells], dtype=bool)
-    true_y = _parse_cells(lambda: (c or "-1" for c in true_cells), len(body), first_row,
-                          ["true_label"], int, "label")[:, 0]
+    blank = np.array([c == "" for c in cells["true_label"]], dtype=bool)
+    cells["true_label"] = tuple(c or "-1" for c in cells["true_label"])
+    true_y = numbers(["true_label"], int, "label")[:, 0]
     check_labels(true_y, blank | ((true_y >= 0) & (true_y < k)), "true_label")
-    columns = [np.array(column("id"), dtype=str), numbers(feats, float, "feature"), y, true_y,
-               np.array(column("grader_id"), dtype=str)]
+    columns = [np.array(cells["id"], dtype=str), numbers(feats, float, "feature"), y, true_y,
+               np.array(cells["grader_id"], dtype=str)]
     if scored:
-        fold = np.array(column("fold"), dtype=str)
+        fold = np.array(cells["fold"], dtype=str)
         bad = np.flatnonzero(~np.isin(fold, FOLD_NAMES))
         if bad.size:
             raise InputError(f"row {first_row + bad[0]}: unknown fold in column fold: "
@@ -393,6 +382,9 @@ def _read_csv(path, scheme: ClassScheme, scored: bool = False):
         header = (_read_rows(reader, 1) or [None])[0]
         if header is None:
             raise InputError("empty file: no header row")
+        repeated = [name for name in header if header.count(name) > 1]
+        if repeated:
+            raise InputError(f"repeated column {repeated[0]!r} in header")
         feats = [c for c in header if c.startswith("f") and c[1:].isdigit()]
         if feats != [f"f{i}" for i in range(len(feats))]:
             raise InputError(f"feature columns must be f0..f{len(feats) - 1} in order, "

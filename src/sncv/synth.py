@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ClassScheme, Dataset, check_record, default_scheme, record
+from .dataset import (ClassScheme, Dataset, check_record, check_value, default_scheme,
+                      record)
 
 GRADER_ROLES = (
     "glaucoma-specialist",
@@ -296,18 +297,28 @@ def write_grader_pool(pool: list[GraderProfile], path) -> None:
 
 
 def read_grader_pool(path, scheme: ClassScheme) -> list[GraderProfile]:
-    """Load profiles. Each entry's keys must be exactly the GraderProfile
-    fields, each of its JSON type; confusion may be explicit rows or
-    {"flip_to_adjacent": p}."""
+    """Load profiles from a non-empty list of entries. Each entry's keys must
+    be exactly the GraderProfile fields, each of its JSON type; confusion may
+    be explicit rows of numbers or {"flip_to_adjacent": p}."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, list):
+        raise ValueError(f"grader pool: expected a list of grader entries, got "
+                         f"{type(payload).__name__}")
+    if not payload:
+        raise ValueError("grader pool: expected a list of grader entries, got an empty list")
     k = scheme.n_classes
     pool = []
     for i, entry in enumerate(payload):
-        check_record(entry, {f.name: f.type for f in fields(GraderProfile)}, f"grader entry {i}")
+        where = f"grader entry {i}"
+        check_record(entry, {f.name: f.type for f in fields(GraderProfile)}, where)
         conf = entry["confusion"]
         if isinstance(conf, dict):
-            check_record(conf, {"flip_to_adjacent": "float"}, f"grader entry {i}: confusion")
+            check_record(conf, {"flip_to_adjacent": "float"}, f"{where}: confusion")
             conf = _adjacent_flip_matrix(k, conf["flip_to_adjacent"])
+        else:
+            check_value(conf, "list", f"{where}: confusion")
+            for r, row in enumerate(conf):
+                check_value(row, "list[float]", f"{where}: confusion row {r}")
         profile = GraderProfile(entry["grader_id"], entry["role"],
                                 float(entry["workload_weight"]), np.asarray(conf, dtype=float))
         if profile.confusion.shape != (k, k):

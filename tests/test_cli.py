@@ -67,9 +67,18 @@ MALFORMED_POOLS = [
      "grader entry 1: confusion: flip_to_adjacent must be a number, got True"),
     (lambda p: p.__setitem__(2, list(p[2].values())),
      "grader entry 2: expected a JSON object, got list"),
+    (lambda p: p.clear(), "grader pool: expected a list of grader entries, got an empty list"),
+    # an edit that returns a payload writes it in place of the pool
+    (lambda p: {"a": p[0]}, "grader pool: expected a list of grader entries, got dict"),
+    (lambda p: p[0].update(confusion=[[r == c for c in range(4)] for r in range(4)]),
+     "grader entry 0: confusion row 0 must be a list of numbers, "
+     "got [True, False, False, False]"),
+    (lambda p: p[0].update(confusion="identity"),
+     "grader entry 0: confusion must be a list, got 'identity'"),
 ]
 MALFORMED_POOL_IDS = ["int-grader-id", "null-role", "bool-weight", "string-weight",
-                      "misspelt-shorthand-key", "bool-shorthand", "entry-a-list"]
+                      "misspelt-shorthand-key", "bool-shorthand", "entry-a-list", "empty-pool",
+                      "object-pool", "bool-confusion-rows", "string-confusion"]
 
 
 class TestGen:
@@ -154,9 +163,9 @@ class TestGen:
                                                           scored_csv, tmp_path, capsys,
                                                           command, edit, message):
         entries = json.loads((generated / "pool.json").read_text())
-        edit(entries)
+        replaced = edit(entries)
         pool = tmp_path / "pool.json"
-        pool.write_text(json.dumps(entries))
+        pool.write_text(json.dumps(entries if replaced is None else replaced))
         scored = ["--train", str(scored_csv)] if command == "graders" else []
         rc = run_cli(mini_config, tmp_path / "out", command, *scored, "--pool", str(pool))
         assert rc == 2

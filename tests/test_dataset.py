@@ -209,6 +209,9 @@ MALFORMED = {
     "nan feature": (BASE_HEADER + ",f1", ["a,1,,,0.5,0.5", "b,1,,,0.5,nan"],
                     r"row 3: non-finite feature in column f1: 'nan'"),
     "inf feature": (BASE_HEADER, ["a,1,,,-inf"], r"row 2: non-finite feature in column f0"),
+    # each column's cells are looked up by its name, so a name may appear once
+    "repeated column": (BASE_HEADER + ",label", ["a,1,,,0.5,2"],
+                        r"repeated column 'label' in header"),
     # csv raises its own error, not a ValueError, for a cell beyond its field limit
     "oversized cell": (BASE_HEADER, ["a,1,,,0.5", "b" * (2**17 + 1) + ",1,,,0.5"],
                        r"line 3: field larger than field limit"),
@@ -495,10 +498,10 @@ class TestCodecAgainstReference:
     def test_float_parse_matches_array_parse(self, cells, width):
         rows = [row[:width] for row in cells]
         names = [f"f{i}" for i in range(width)]
-        flat = [cell for row in rows for cell in row]
+        columns = [tuple(row[j] for row in rows) for j in range(width)]
         outcomes = []
         for parse in (lambda: reference_parse_cells(rows, 2, names, float, "feature"),
-                      lambda: sncv.dataset._parse_cells(lambda: iter(flat), len(rows), 2, names,
+                      lambda: sncv.dataset._parse_cells(columns, len(rows), 2, names,
                                                         float, "feature")):
             try:
                 outcomes.append(parse())
