@@ -242,7 +242,8 @@ def read_scheme(path) -> ClassScheme:
 
 
 # One CSV layout: id,label,true_label,grader_id,f0..f{d-1}; a scored file adds
-# fold,quality_score,p0..p{K-1}. true_label and grader_id may be blank or absent.
+# fold,quality_score,p0..p{K-1} and is written without the features (it reads
+# back with feature_dim 0). true_label and grader_id may be blank or absent.
 BASE_COLUMNS = ["id", "label", "true_label", "grader_id"]
 # Rows written and parsed per block, so that a large file is never held in
 # memory as text.
@@ -263,14 +264,16 @@ def _text_cells(values: list[str]) -> list[str]:
 
 
 def _write_csv(path, dataset: Dataset, scored=None) -> None:
-    """Write the CSV form; scored = (fold, qs, probs) appends the scored columns.
+    """Write the CSV form; scored = (fold, qs, probs) writes the scored columns
+    in place of the features, which stay in the dataset that was scored.
 
     The bytes are those of csv.writer's default dialect: CRLF line ends and
     minimal quoting. Floats are written as repr(float), which round-trips
     exactly. Rows are formatted and written CHUNK_ROWS at a time, a column
     at a time.
     """
-    header = BASE_COLUMNS + [f"f{i}" for i in range(dataset.feature_dim)]
+    X = dataset.X if scored is None else dataset.X[:, :0]
+    header = BASE_COLUMNS + [f"f{i}" for i in range(X.shape[1])]
     if scored is not None:
         fold, qs, probs = scored
         header += ["fold", "quality_score"] + [f"p{i}" for i in range(probs.shape[1])]
@@ -282,7 +285,7 @@ def _write_csv(path, dataset: Dataset, scored=None) -> None:
                        map(str, dataset.y[block].tolist()),
                        ["" if t < 0 else str(t) for t in dataset.true_y[block].tolist()],
                        _text_cells(dataset.grader[block].tolist()),
-                       *(map(repr, c) for c in dataset.X[block].T.tolist())]
+                       *(map(repr, c) for c in X[block].T.tolist())]
             if scored is not None:
                 columns += [fold[block].tolist(), map(repr, qs[block].tolist()),
                             *(map(repr, c) for c in probs[block].T.tolist())]

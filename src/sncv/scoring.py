@@ -107,11 +107,13 @@ def qs_histogram(scored: ScoredDataset, bin_width: float) -> list[tuple[float, f
 
 
 def write_scored_dataset(scored: ScoredDataset, path) -> None:
-    """Dataset CSV plus fold, quality_score and the cross-fold probability columns."""
+    """The dataset's id and label columns plus fold, quality_score and the
+    cross-fold probability columns; the features stay in the dataset that was scored."""
     _write_csv(path, scored.dataset, (scored.fold, scored.qs, scored.probs))
 
 
 def read_scored_dataset(path, scheme: ClassScheme) -> ScoredDataset:
-    """Read a scored CSV; the fold, quality_score and p0..p{K-1} columns are required."""
+    """Read a scored CSV; the fold, quality_score and p0..p{K-1} columns are
+    required. A file write_scored_dataset wrote reads back with feature_dim 0."""
     dataset, (fold, qs, probs) = _read_csv(path, scheme, scored=True)
     return ScoredDataset(dataset, fold, qs, probs)

@@ -255,6 +255,30 @@ class TestSplitTrainScore:
         assert summary["mode"] == "ncv-binary"
         assert summary["k_requested"] is None
 
+    @pytest.mark.parametrize("command, extra", [("score", []), ("pipeline", ["--k", "900"])])
+    def test_scored_csv_leaves_out_the_features(self, mini_config, generated, tmp_path,
+                                                command, extra):
+        rc = run_cli(mini_config, tmp_path, command,
+                     "--train", str(generated / "train.csv"),
+                     "--tune", str(generated / "tune.csv"),
+                     "--scheme", str(generated / "scheme.json"), *extra)
+        assert rc == 0
+        with open(tmp_path / "scored.csv", newline="", encoding="utf-8") as fh:
+            assert fh.readline() == \
+                "id,label,true_label,grader_id,fold,quality_score,p0,p1,p2,p3\r\n"
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_scored_csv_as_train_set_exits_2_before_any_fit(self, mini_config, generated,
+                                                           scored_csv, tmp_path, capsys,
+                                                           command):
+        tune = generated / "tune.csv"
+        rc = run_cli(mini_config, tmp_path / "out", command, "--train", str(scored_csv),
+                     "--tune", str(tune), "--scheme", str(generated / "scheme.json"))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {tune}: the tune set has 6 features, the train set 0"
+        assert not (tmp_path / "out").exists()
+
     def test_score_one_class_train_set_exits_1_naming_fold(self, mini_config, generated,
                                                             tmp_path, capsys):
         scheme = read_scheme(generated / "scheme.json")
@@ -756,11 +780,11 @@ class TestInputErrors:
                                                      scored_csv, tmp_path, capsys):
         lines = scored_csv.read_text().splitlines()
         cells = lines[3].split(",")
-        cells[lines[0].split(",").index("f2")] = "nan"
+        cells[lines[0].split(",").index("quality_score")] = "nan"
         lines[3] = ",".join(cells)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
-        for path, message in ((bad, "row 4: non-finite feature in column f2"),
+        for path, message in ((bad, "row 4: non-finite score in column quality_score"),
                               (generated / "train.csv", "missing column 'fold'")):
             rc = run_cli(mini_config, tmp_path / "sel", "select", "--train", str(path),
                          "--scheme", str(generated / "scheme.json"), "--k", "10")

@@ -92,7 +92,7 @@ GOLDEN = {
     "pipeline/qs_histogram.csv":
         "0f671298035e88f7704434ee47c338ac93c725d6e5a828bd3a0541ea255497e1",
     "pipeline/scored.csv":
-        "1c7ff9e526e3555d5ecf43fe97492b56a6bff3031ffbdd3c4e4118b328b6daf1",
+        "1b8651d9da214b8161d35809bb569dd93a4ddcc54f64d193bb3140800ca079e5",
     "relabel/relabel_report.json":
         "6e223e082ff92ffb24d340c0af40360aa0ee1e219b417347409208d6f09c5e46",
     "relabel/relabel_rows.csv":
@@ -100,7 +100,7 @@ GOLDEN = {
     "score/score_report.json":
         "c373bf649a30fd5dafc8db343bce7ea80c3b1ceb839ec8f9ba5203d5ddfcacb6",
     "score/scored.csv":
-        "bba0b8c3349e489e2ce4c433b8d6da2ec17e0329113f3d71f94d180017dcfcb6",
+        "4a100eb2b78364a0947ce711803ffc2ca2bc8c8662be7e9cd8d603d6e313bb10",
     "sel-lowest/selected_ids.csv":
         "62e2125823dbf97f6b585369f4d94c343cd12ad956461a4ef853cb04f9af9002",
     "sel-lowest/selection_summary.json":
