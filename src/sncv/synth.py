@@ -299,7 +299,7 @@ def write_grader_pool(pool: list[GraderProfile], path) -> None:
 def read_grader_pool(path, scheme: ClassScheme) -> list[GraderProfile]:
     """Load profiles from a non-empty list of entries. Each entry's keys must
     be exactly the GraderProfile fields, each of its JSON type; confusion may
-    be explicit rows of numbers or {"flip_to_adjacent": p}."""
+    be K explicit rows of K numbers or {"flip_to_adjacent": p}."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, list):
         raise ValueError(f"grader pool: expected a list of grader entries, got "
@@ -319,10 +319,13 @@ def read_grader_pool(path, scheme: ClassScheme) -> list[GraderProfile]:
             check_value(conf, "list", f"{where}: confusion")
             for r, row in enumerate(conf):
                 check_value(row, "list[float]", f"{where}: confusion row {r}")
+                if len(row) != k:
+                    raise ValueError(f"{where}: confusion row {r} must have {k} entries, "
+                                     f"got {len(row)}")
+            if len(conf) != k:
+                raise ValueError(f"{where}: confusion must have {k} rows, got {len(conf)}")
         profile = GraderProfile(entry["grader_id"], entry["role"],
                                 float(entry["workload_weight"]), np.asarray(conf, dtype=float))
-        if profile.confusion.shape != (k, k):
-            raise ValueError(f"grader {profile.grader_id!r}: confusion must be {k}x{k}")
         if any(other.grader_id == profile.grader_id for other in pool):
             raise ValueError(f"duplicate grader id {profile.grader_id!r}")
         pool.append(profile)

@@ -291,8 +291,8 @@ def write_model(model: Model, path) -> None:
 def read_model(path) -> Model:
     """Load a model file. Its keys must be exactly the Model fields plus
     format_version, each field must have its JSON type, and its weights must
-    be finite and have the shapes that feature_dim, hidden_units and the
-    scheme's class count give them."""
+    be an object of finite arrays with the shapes that feature_dim,
+    hidden_units and the scheme's class count give them."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     version = payload.pop("format_version", None) if isinstance(payload, dict) else None
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
@@ -300,6 +300,8 @@ def read_model(path) -> Model:
     check_record(payload, {f.name: f.type for f in fields(Model)})
     payload["scheme"] = scheme = scheme_from_payload(payload["scheme"])
     shapes = _weight_shapes(payload["feature_dim"], scheme.n_classes, payload["hidden_units"])
+    if not isinstance(payload["weights"], dict):
+        raise ValueError(f"weights must be an object, got {type(payload['weights']).__name__}")
     weights = {key: np.array(w) for key, w in payload["weights"].items()}
     got = {key: w.shape for key, w in weights.items()}
     if got != shapes:

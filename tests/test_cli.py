@@ -75,10 +75,15 @@ MALFORMED_POOLS = [
      "got [True, False, False, False]"),
     (lambda p: p[0].update(confusion="identity"),
      "grader entry 0: confusion must be a list, got 'identity'"),
+    (lambda p: p[0].update(confusion=[[1, 0, 0, 0], [1]]),
+     "grader entry 0: confusion row 1 must have 4 entries, got 1"),
+    (lambda p: p[0].update(confusion=[[1, 0, 0, 0]] * 3),
+     "grader entry 0: confusion must have 4 rows, got 3"),
 ]
 MALFORMED_POOL_IDS = ["int-grader-id", "null-role", "bool-weight", "string-weight",
                       "misspelt-shorthand-key", "bool-shorthand", "entry-a-list", "empty-pool",
-                      "object-pool", "bool-confusion-rows", "string-confusion"]
+                      "object-pool", "bool-confusion-rows", "string-confusion",
+                      "ragged-confusion-rows", "three-confusion-rows"]
 
 
 class TestGen:
@@ -118,8 +123,8 @@ class TestGen:
                                      "confusion": [[0.9, 0.1], [0.1, 0.9]]}]))
         rc = run_cli(mini_config, tmp_path / "out", "gen", "--pool", str(pool))
         assert rc == 2
-        assert "pool.json: malformed grader pool file: grader 'g0': confusion must be 4x4" \
-            in capsys.readouterr().err
+        assert "pool.json: malformed grader pool file: grader entry 0: confusion row 0 must " \
+            "have 4 entries, got 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_pool_repeating_a_grader_id_exits_2(self, mini_config, generated, tmp_path, capsys):
@@ -813,7 +818,7 @@ class TestInputErrors:
          "weight shapes"),
         (lambda m: m.update(hiden_units=3), "unknown keys ['hiden_units']"),
         (lambda m: m.pop("seed"), "missing keys ['seed']"),
-        (lambda m: m.update(weights=[]), "'list' object has no attribute 'items'"),
+        (lambda m: m.update(weights=[]), "weights must be an object, got list"),
         (lambda m: m["weights"]["b2"].__setitem__(0, float("nan")),
          "weights b2 must be finite numbers"),
         (lambda m: m.update(stopped_epoch=None), "stopped_epoch must be an integer, got None"),
