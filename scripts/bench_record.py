@@ -9,8 +9,11 @@ of `perfbench/run.py --trace 0`, one per seed (two or more). Per workload and
 side it holds each end-to-end metric's median, IQR over median and per-seed
 values, and the environment. Per workload and metric it counts the seeds that
 both sides passed on which the change won, lost or tied, in the direction
-(`better`) that the change checkout's BENCHMARK.json declares. Suite wall
-times are pytest's; it times nothing. A workload with fewer than two passing
+(`better`) that the change checkout's BENCHMARK.json declares, and states the
+two tests a claimed gain must pass: the share of those pairs the change won
+(at least 0.9), and the gap between the medians in that direction over the
+parent's IQR (more than 1; null where that IQR is 0). Suite wall times are
+pytest's; it times nothing. A workload with fewer than two passing
 seeds on either side exits 2.
 """
 
@@ -23,7 +26,8 @@ from pathlib import Path
 
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "iqr_over_median": (q3 - q1) / median, "per_seed": values}
+    return {"median": median, "iqr": q3 - q1, "iqr_over_median": (q3 - q1) / median,
+            "per_seed": values}
 
 
 def side(checkout: Path, metrics) -> dict:
@@ -61,6 +65,19 @@ def pair_wins(parent: dict, change: dict, name: str, better: str) -> dict:
     return counts
 
 
+def claim_tests(parent: dict, change: dict, name: str, better: str, counts: dict) -> dict:
+    """The two tests of a claimed gain on one metric, given the two sides'
+    records of one workload and its pair_wins counts: the share of shared seeds
+    the change won, and the median gap in the better direction over the
+    parent's IQR."""
+    pairs = sum(counts.values())
+    sign = {"lower": -1, "higher": 1}[better]
+    gap = sign * (change[name]["median"] - parent[name]["median"])
+    iqr = parent[name]["iqr"]
+    return {"won_share": counts["won"] / pairs if pairs else None,
+            "median_gap_over_parent_iqr": gap / iqr if iqr else None}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -76,8 +93,10 @@ def main(argv=None) -> None:
               for w in shared}
     wins = {w: {m: pair_wins(parent[w], change[w], m, b) for m, b in better.items()}
             for w in shared}
+    tests = {w: {m: claim_tests(parent[w], change[w], m, b, wins[w][m]) for m, b in better.items()}
+             for w in shared}
     record = {"parent": parent, "change": change, "change_over_parent": ratios,
-              "change_pair_wins": wins,
+              "change_pair_wins": wins, "claim_tests": tests,
               "tier1_suite_s": dict(zip(("parent", "change"), args.suite_s))}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 

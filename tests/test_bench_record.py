@@ -81,3 +81,27 @@ def test_pair_wins_count_shared_seeds_in_each_metrics_direction(tmp_path):
     assert wins["cycle_s"] == {"won": 2, "lost": 1, "tied": 0}
     assert wins["quality"] == {"won": 2, "lost": 0, "tied": 1}
     assert wins["peak_rss_mb"] == {"won": 0, "lost": 0, "tied": 3}
+
+
+def test_claim_tests_state_won_share_and_median_gap_over_parent_iqr(tmp_path):
+    # parent cycle_s 10..13: median 11.5, inclusive quartiles 10.75 and 12.25;
+    # the change wins seeds 1-3 and loses seed 4
+    parent_values = {"cycle_s": {1: 10.0, 2: 11.0, 3: 12.0, 4: 13.0},
+                     "quality": {1: 0.5, 2: 0.6, 3: 0.7, 4: 0.8}}
+    change_values = {"cycle_s": {1: 9.0, 2: 9.5, 3: 10.0, 4: 14.0},
+                     "quality": {1: 0.5, 2: 0.6, 3: 0.7, 4: 0.8}}
+    parent = write_results(tmp_path / "parent", "curate-ref", [1, 2, 3, 4],
+                           value=lambda seed, name: parent_values.get(name, {}).get(seed, 1.0))
+    change = write_results(tmp_path / "change", "curate-ref", [1, 2, 3, 4],
+                           value=lambda seed, name: change_values.get(name, {}).get(seed, 1.0))
+    out = tmp_path / "bench.json"
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    record = json.loads(out.read_text())
+    tests = record["claim_tests"]["curate-ref"]
+    assert record["parent"]["curate-ref"]["cycle_s"]["iqr"] == pytest.approx(1.5)
+    # change median 9.75 against 11.5: a 1.75 s gain over a 1.5 s IQR, won on 3 of 4
+    assert tests["cycle_s"] == {"won_share": 0.75,
+                                "median_gap_over_parent_iqr": pytest.approx(1.75 / 1.5)}
+    assert tests["quality"] == {"won_share": 0.0, "median_gap_over_parent_iqr": 0.0}
+    # equal values on every seed: no pair won, and the parent's IQR is 0
+    assert tests["peak_rss_mb"] == {"won_share": 0.0, "median_gap_over_parent_iqr": None}
