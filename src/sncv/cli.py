@@ -92,8 +92,9 @@ def _check_both_sides(path, name: str, dataset: Dataset) -> None:
 
 def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
     """The datasets at the named paths ("train", "tune", "test") under the run's
-    scheme. Before any fit, each must have the first one's feature_dim, and a
-    tune or test set must pass _check_both_sides."""
+    scheme. Before any fit, each must have the first one's feature_dim, which
+    is not 0 (as in a scored file), and a tune or test set must pass
+    _check_both_sides."""
     scheme = _load_scheme(cfg)
     datasets = [_load(name, getattr(cfg, f"{name}_path"), read_dataset, scheme)
                 for name in names]
@@ -104,6 +105,9 @@ def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
                              f"the {names[0]} set {datasets[0].feature_dim}")
         if name in ("tune", "test"):
             _check_both_sides(path, name, dataset)
+    if datasets[0].feature_dim == 0:
+        raise InputError(f"{getattr(cfg, f'{names[0]}_path')}: the {names[0]} set has no "
+                         "feature columns")
     return datasets
 
 

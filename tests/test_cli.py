@@ -272,16 +272,18 @@ class TestSplitTrainScore:
             assert fh.readline() == \
                 "id,label,true_label,grader_id,fold,quality_score,p0,p1,p2,p3\r\n"
 
-    @pytest.mark.parametrize("command", ["train", "score"])
+    @pytest.mark.parametrize("command", ["train", "score", "split"])
     def test_scored_csv_as_train_set_exits_2_before_any_fit(self, mini_config, generated,
                                                            scored_csv, tmp_path, capsys,
                                                            command):
         tune = generated / "tune.csv"
+        inputs = [] if command == "split" else ["--tune", str(tune)]
         rc = run_cli(mini_config, tmp_path / "out", command, "--train", str(scored_csv),
-                     "--tune", str(tune), "--scheme", str(generated / "scheme.json"))
+                     *inputs, "--scheme", str(generated / "scheme.json"))
         assert rc == 2
-        assert capsys.readouterr().err.splitlines()[-1] == \
-            f"error: {tune}: the tune set has 6 features, the train set 0"
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {scored_csv}: the train set has no feature columns" if command == "split"
+            else f"error: {tune}: the tune set has 6 features, the train set 0")
         assert not (tmp_path / "out").exists()
 
     def test_score_one_class_train_set_exits_1_naming_fold(self, mini_config, generated,
