@@ -93,8 +93,8 @@ def main(argv=None) -> None:
               for w in shared}
     wins = {w: {m: pair_wins(parent[w], change[w], m, b) for m, b in better.items()}
             for w in shared}
-    tests = {w: {m: claim_tests(parent[w], change[w], m, b, wins[w][m]) for m, b in better.items()}
-             for w in shared}
+    tests = {w: {m: claim_tests(parent[w], change[w], m, b, wins[w][m])
+                 for m, b in better.items()} for w in shared}
     record = {"parent": parent, "change": change, "change_over_parent": ratios,
               "change_pair_wins": wins, "claim_tests": tests,
               "tier1_suite_s": dict(zip(("parent", "change"), args.suite_s))}

@@ -96,18 +96,16 @@ def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
     is not 0 (as in a scored file), and a tune or test set must pass
     _check_both_sides."""
     scheme = _load_scheme(cfg)
-    datasets = [_load(name, getattr(cfg, f"{name}_path"), read_dataset, scheme)
-                for name in names]
-    for name, dataset in zip(names, datasets):
-        path = getattr(cfg, f"{name}_path")
+    paths = [getattr(cfg, f"{name}_path") for name in names]
+    datasets = [_load(name, path, read_dataset, scheme) for name, path in zip(names, paths)]
+    for name, path, dataset in zip(names, paths, datasets):
         if dataset.feature_dim != datasets[0].feature_dim:
             raise InputError(f"{path}: the {name} set has {dataset.feature_dim} features, "
                              f"the {names[0]} set {datasets[0].feature_dim}")
         if name in ("tune", "test"):
             _check_both_sides(path, name, dataset)
     if datasets[0].feature_dim == 0:
-        raise InputError(f"{getattr(cfg, f'{names[0]}_path')}: the {names[0]} set has no "
-                         "feature columns")
+        raise InputError(f"{paths[0]}: the {names[0]} set has no feature columns")
     return datasets
 
 
