@@ -78,7 +78,6 @@ class RunConfig:
     max_epochs: int = _key("train", 100)
     patience: int = _key("train", 8)
     hidden_units: int = _key("train", 48)
-    l2: float = _key("train", 0.0)
 
     k: int | None = _key("experiment", None, ("select", "pipeline", "burden"), "selection size")
     k_grid: tuple[float, ...] = _key("experiment", (0.625, 0.75, 0.875),

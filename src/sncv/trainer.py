@@ -1,4 +1,4 @@
-"""Multinomial softmax classifier (optional single tanh hidden layer), trained by
+"""Multinomial softmax classifier with one tanh hidden layer, trained by
 seeded mini-batch gradient descent with early stopping on tune-set referable AUC.
 
 Determinism contract: identical (data content, hyperparameters, seed) produce
@@ -29,7 +29,6 @@ class Hyperparams:
     max_epochs: int = 100
     patience: int = 8
     hidden_units: int = 16
-    l2: float = 0.0
 
     def __post_init__(self):
         # written as `not x > 0` rather than `x <= 0` so that NaN fails too
@@ -41,13 +40,10 @@ class Hyperparams:
             raise ValueError("patience must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.hidden_units < 0:
-            raise ValueError("hidden_units must be >= 0")
-        if not self.l2 >= 0:
-            raise ValueError("l2 must be >= 0")
-        for name in ("learning_rate", "l2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if self.hidden_units < 1:
+            raise ValueError("hidden_units must be >= 1")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
 
 
 @dataclass
@@ -73,17 +69,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(weights: dict[str, np.ndarray], X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations H (X itself without a hidden layer) and logits Z.
-    Z, and H when there is a hidden layer, are new arrays."""
-    if "w1" in weights:
-        H = X @ weights["w1"]
-        H += weights["b1"]
-        np.tanh(H, out=H)
-        w, b = "w2", "b2"
-    else:
-        H, w, b = X, "w", "b"
-    Z = H @ weights[w]
-    Z += weights[b]
+    """Hidden activations H and logits Z, both new arrays."""
+    H = X @ weights["w1"]
+    H += weights["b1"]
+    np.tanh(H, out=H)
+    Z = H @ weights["w2"]
+    Z += weights["b2"]
     return H, Z
 
 
@@ -102,15 +93,13 @@ def referable_scores(model: Model, X: np.ndarray) -> np.ndarray:
 
 def _weight_shapes(d: int, k: int, hidden: int) -> dict[str, tuple[int, ...]]:
     """The shape of each weight array for d features, k classes and a hidden
-    layer of that width (none when hidden is 0)."""
-    if hidden > 0:
-        return {"w1": (d, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
-    return {"w": (d, k), "b": (k,)}
+    layer of that width."""
+    return {"w1": (d, hidden), "b1": (hidden,), "w2": (hidden, k), "b2": (k,)}
 
 
 def _init_weights(d: int, k: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     # seeded uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], drawn in _weight_shapes order;
-    # a bias shares the fan-in of its layer's matrix (b1 of w1, b of w)
+    # a bias shares the fan-in of its layer's matrix (b1 of w1, b2 of w2)
     shapes = _weight_shapes(d, k, hidden)
     weights = {}
     for key, shape in shapes.items():
@@ -130,35 +119,27 @@ def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[st
     return {key: views[key] for key in shapes}
 
 
-def _batch_step(weights, grads, X, Y, label_at, label_prob, l2) -> None:
+def _batch_step(weights, grads, X, Y, label_at, label_prob) -> None:
     """Forward and backward pass of one batch, without the update.
 
     Y holds each row's one-hot label and label_at its flat index into the
     batch's (n, K) probabilities. Each row's probability of its label goes to
-    label_prob, and the gradient of the mean cross-entropy plus
-    0.5 * l2 * (sum of squared matrix entries) goes into the arrays of grads.
+    label_prob, and the gradient of the mean cross-entropy goes into the
+    arrays of grads.
     """
-    n = len(X)
-    hidden = "w1" in weights
-    w, b = ("w2", "b2") if hidden else ("w", "b")
     H, G = _forward(weights, X)
     _softmax(G)
     np.take(G, label_at, out=label_prob)
     G -= Y
-    G /= n
-    np.matmul(H.T, G, out=grads[w])
-    G.sum(axis=0, out=grads[b])
-    if hidden:
-        GH = G @ weights["w2"].T
-        H *= H
-        np.subtract(1.0, H, out=H)
-        GH *= H
-        np.matmul(X.T, GH, out=grads["w1"])
-        GH.sum(axis=0, out=grads["b1"])
-    if l2:
-        for key, g in grads.items():
-            if g.ndim == 2:
-                g += l2 * weights[key]
+    G /= len(X)
+    np.matmul(H.T, G, out=grads["w2"])
+    G.sum(axis=0, out=grads["b2"])
+    GH = G @ weights["w2"].T
+    H *= H
+    np.subtract(1.0, H, out=H)
+    GH *= H
+    np.matmul(X.T, GH, out=grads["w1"])
+    GH.sum(axis=0, out=grads["b1"])
 
 
 def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> Model:
@@ -197,8 +178,7 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     weights, grads = _flat_views(flat_w, shapes), _flat_views(flat_g, shapes)
     for key, w in initial.items():
         weights[key][...] = w
-    matrices = [w for w in weights.values() if w.ndim == 2]
-    flat_matrices = flat_w[:sum(w.size for w in matrices)]
+    flat_matrices = flat_w[:weights["w1"].size + weights["w2"].size]
     model = Model(scheme=train_set.scheme, feature_dim=d, hidden_units=hp.hidden_units,
                   weights=weights, seed=seed)
 
@@ -218,20 +198,12 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
         X_epoch, Y_epoch, label_at = X[perm], one_hot[perm], row_at + y[perm]
         for i, start in enumerate(range(0, n, b)):
             end = start + b
-            # each batch's loss carries 0.5 * l2 * the squared norm of the
-            # matrices it saw; with l2 == 0 that term is 0.0, or NaN once the
-            # norm overflows, which is what flags a diverged fit. Only l2 > 0
-            # needs the exact per-matrix sum; one dot product of the flat
-            # matrix head is a tenth of its cost and carries the same flag
-            if hp.l2:
-                norm = 0.0
-                for w in matrices:
-                    norm += np.sum(w ** 2)
-                sq_norm[i] = norm
-            else:
-                sq_norm[i] = flat_matrices @ flat_matrices
+            # the squared norm of the matrices each batch saw; it turns
+            # non-finite once the weights overflow, which flags a diverged fit
+            # even while the softmax, and so the loss, stays finite
+            sq_norm[i] = flat_matrices @ flat_matrices
             _batch_step(weights, grads, X_epoch[start:end], Y_epoch[start:end],
-                        label_at[start:end], label_prob[start:end], hp.l2)
+                        label_at[start:end], label_prob[start:end])
             flat_g *= hp.learning_rate
             flat_w -= flat_g
         log_p = np.log(label_prob + 1e-12)
@@ -240,9 +212,9 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
             mean_log_p = np.append(mean_log_p, log_p[n_full * b:].mean())
         epoch_loss = 0.0
         # summed in batch order, as a running total, without compensation
-        for loss in (-mean_log_p + 0.5 * hp.l2 * sq_norm).tolist():
+        for loss in (-mean_log_p).tolist():
             epoch_loss += loss
-        if not math.isfinite(epoch_loss):
+        if not (math.isfinite(epoch_loss) and np.isfinite(sq_norm).all()):
             raise ValueError(f"diverged: non-finite loss at epoch {epoch}")
         model.train_loss_by_epoch.append(epoch_loss / n_batches)
 
@@ -292,13 +264,15 @@ def read_model(path) -> Model:
     """Load a model file. Its keys must be exactly the Model fields plus
     format_version, each field must have its JSON type, and its weights must
     be an object of finite arrays with the shapes that feature_dim,
-    hidden_units and the scheme's class count give them."""
+    hidden_units (at least 1) and the scheme's class count give them."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     version = payload.pop("format_version", None) if isinstance(payload, dict) else None
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version}")
     check_record(payload, {f.name: f.type for f in fields(Model)})
     payload["scheme"] = scheme = scheme_from_payload(payload["scheme"])
+    if payload["hidden_units"] < 1:
+        raise ValueError(f"hidden_units must be >= 1, got {payload['hidden_units']}")
     shapes = _weight_shapes(payload["feature_dim"], scheme.n_classes, payload["hidden_units"])
     if not isinstance(payload["weights"], dict):
         raise ValueError(f"weights must be an object, got {type(payload['weights']).__name__}")

@@ -135,28 +135,26 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def _step(model: Model, X: np.ndarray, y: np.ndarray, l2: float):
+def _step(model: Model, X: np.ndarray, y: np.ndarray):
     """The trainer's batch step on one batch: label probabilities and gradients."""
     k = model.scheme.n_classes
     label_prob = np.empty(len(X))
     grads = {key: np.empty_like(w) for key, w in model.weights.items()}
-    _batch_step(model.weights, grads, X, np.eye(k)[y], np.arange(len(X)) * k + y, label_prob, l2)
+    _batch_step(model.weights, grads, X, np.eye(k)[y], np.arange(len(X)) * k + y, label_prob)
     return label_prob, grads
 
 
-def batch_loss(model: Model, X: np.ndarray, y: np.ndarray, l2: float = 0.0) -> float:
-    label_prob, _ = _step(model, X, y, l2)
-    sq_norm = sum(np.sum(w ** 2) for w in model.weights.values() if w.ndim == 2)
-    return float(-np.log(label_prob + 1e-12).mean()) + 0.5 * l2 * sq_norm
+def batch_loss(model: Model, X: np.ndarray, y: np.ndarray) -> float:
+    label_prob, _ = _step(model, X, y)
+    return float(-np.log(label_prob + 1e-12).mean())
 
 
-def analytic_gradients(model: Model, X: np.ndarray, y: np.ndarray,
-                       l2: float = 0.0) -> dict[str, np.ndarray]:
-    return _step(model, X, y, l2)[1]
+def analytic_gradients(model: Model, X: np.ndarray, y: np.ndarray) -> dict[str, np.ndarray]:
+    return _step(model, X, y)[1]
 
 
 def numeric_gradients(model: Model, X: np.ndarray, y: np.ndarray,
-                      l2: float = 0.0, step: float = 1e-5) -> dict[str, np.ndarray]:
+                      step: float = 1e-5) -> dict[str, np.ndarray]:
     """Central finite differences on every parameter."""
     grads = {}
     for key, w in model.weights.items():
@@ -166,9 +164,9 @@ def numeric_gradients(model: Model, X: np.ndarray, y: np.ndarray,
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            up = batch_loss(model, X, y, l2)
+            up = batch_loss(model, X, y)
             flat[i] = orig - step
-            down = batch_loss(model, X, y, l2)
+            down = batch_loss(model, X, y)
             flat[i] = orig
             gflat[i] = (up - down) / (2 * step)
         grads[key] = g
@@ -185,10 +183,9 @@ def max_relative_error(analytic: dict[str, np.ndarray], numeric: dict[str, np.nd
     return worst
 
 
-def gradient_check(model: Model, X: np.ndarray, y: np.ndarray,
-                   l2: float = 0.0, step: float = 1e-5) -> float:
+def gradient_check(model: Model, X: np.ndarray, y: np.ndarray, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients."""
     if len(X) == 0:
         raise ValueError("gradient check needs a non-empty batch")
-    return max_relative_error(analytic_gradients(model, X, y, l2),
-                              numeric_gradients(model, X, y, l2, step))
+    return max_relative_error(analytic_gradients(model, X, y),
+                              numeric_gradients(model, X, y, step))

@@ -829,9 +829,11 @@ class TestInputErrors:
         (lambda m: m.update(hidden_units=float(m["hidden_units"])),
          "hidden_units must be an integer, got 16.0"),
         (lambda m: m.update(epochs_run=True), "epochs_run must be an integer, got True"),
+        (lambda m: m.update(hidden_units=0, weights={"w": [[0.0] * 4] * 6, "b": [0.0] * 4}),
+         "hidden_units must be >= 1, got 0"),
     ], ids=["w1-one-column-short", "unknown-key", "missing-key", "weights-not-an-object",
             "nan-weight", "null-stopped-epoch", "string-loss-curve", "float-hidden-units",
-            "bool-epochs-run"])
+            "bool-epochs-run", "no-hidden-layer"])
     def test_malformed_model_file_exits_2(self, mini_config, generated, model_json, tmp_path,
                                           capsys, edit, message):
         model = json.loads(model_json.read_text())

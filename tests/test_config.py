@@ -231,7 +231,8 @@ REJECTED = {
     "negative min fold size": ("[experiment]\nmin_fold_size = -5\n",
                                r"\[experiment\] min_fold_size must be in \[1, inf\), got -5"),
     "nan learning rate": ("[train]\nlearning_rate = nan\n", r"\[train\] learning_rate must be positive"),
-    "nan l2": ("[train]\nl2 = nan\n", r"\[train\] l2 must be >= 0"),
+    "l2 key of an older config": ("[train]\nl2 = 0.0\n", r"unknown key \[train\] l2"),
+    "no hidden layer": ("[train]\nhidden_units = 0\n", r"\[train\] hidden_units must be >= 1"),
     "nan class spread": ("[population]\nclass_spread = nan\n",
                          r"\[population\] class_spread must be positive"),
     "nan ambiguity overlap": ("[population]\nambiguity_overlap = nan\n",
@@ -244,7 +245,6 @@ REJECTED = {
                               r"\[population\] class_spread must be finite"),
     "infinite learning rate": ("[train]\nlearning_rate = inf\n",
                                r"\[train\] learning_rate must be finite"),
-    "infinite l2": ("[train]\nl2 = inf\n", r"\[train\] l2 must be finite"),
     "nan class prior": ("[population]\nclass_priors = nan, 0.5, 0.25, 0.25\n",
                         r"\[population\] class priors must be non-negative"),
     "bulk share above 1": ("[population]\ncluster_bulk_shares = 1.5, 0.5, 0.7, 1.0\n",

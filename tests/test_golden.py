@@ -60,13 +60,13 @@ GOLDEN = {
     "bands/bands_composition.csv":
         "0c53afc81dd61aa67668721ce358a4b1cb74dc740b84023000f7e15a08624615",
     "bands/bands_report.json":
-        "3522fec464f69167246586904e1e2a83538c8ebc18b9df4b9437cd8d96e98dab",
+        "9d50b9bb04b7cb74b75c48f4c4d39515ca47755faceba38f913e67836544aa8c",
     "burden/burden_report.json":
-        "965b2e9eaacd25407083f01f900e961dabd3be55fcb86802146e2e61a7a33cd9",
+        "78ace36a63238a0206887d8cb5d296a7ee05288a5eee08b22232209ab527d5c0",
     "eval/eval_report.json":
-        "44fbcdc85e202ef9a321242f7826d826738fc6cbba285e772fb5c707b7dcfe28",
+        "c8277b42294e607cafbc5698494a9780f146f1720b71b253c32e74ac2c947e00",
     "gen/gen_report.json":
-        "5fb110cf63be9749567acd60616df342183ee1b6d55f837abf5f8bc6919e3008",
+        "84d23dd12115ac7bc886023b65d4ca8dccf1e3caa909d8d0d8c04e02681b816a",
     "gen/pool.json":
         "31996043ec27561e1d04a8d7184c4294e86912b36f3cd9f94a2d63532f28ac7b",
     "gen/population.csv":
@@ -80,43 +80,43 @@ GOLDEN = {
     "gen/tune.csv":
         "798326c83d08d98228e400561f5f639997aa09fefcd25834af10268edf7ed479",
     "graders/grader_report.json":
-        "d3c5e65abe9c9dc0f2ae56401185e1055df7528aa344acea4afbac13fb4665ae",
+        "992da784c9da30a85fa66eb0af836b351407c82952ec4cd369e7f057f8ef337c",
     "model/model.json":
         "c2d5177400705367a49bccf5273963e7bd8387dfe5067ac43e6f062d3bbd1364",
     "model/train_report.json":
-        "d3b4b05a6bdaac37aba5199282cee1aef74e0ea0419be9279ccfdf1a360bc2cd",
+        "37107ee41f2f164b8328532835874cea3b476224cdb1c847d18aa0785b773b64",
     "pipeline/model_final.json":
         "2ca79f8c50485d5ed60e3727ec633b511bb8fd9a60a33c12edab12a199a08f93",
     "pipeline/pipeline_report.json":
-        "0b2d25377d1bc6df90c62f4aaa3d7fc813e9962115adc744077d84f071b820d5",
+        "22bfcf1b0613ae3605b11ef7fa33cdbb2c342fbceb4fe1363f73f29bf628fbe3",
     "pipeline/qs_histogram.csv":
         "0f671298035e88f7704434ee47c338ac93c725d6e5a828bd3a0541ea255497e1",
     "pipeline/scored.csv":
         "1b8651d9da214b8161d35809bb569dd93a4ddcc54f64d193bb3140800ca079e5",
     "relabel/relabel_report.json":
-        "6e223e082ff92ffb24d340c0af40360aa0ee1e219b417347409208d6f09c5e46",
+        "a296685e0f3666c58df29ece0ae497cd981cf5c32d82a0e08476b96b0c727ed2",
     "relabel/relabel_rows.csv":
         "92cf1c447bf9dbc55b8bb18bacc3096106eff17d20e7082bc2af666a854892c1",
     "score/score_report.json":
-        "c373bf649a30fd5dafc8db343bce7ea80c3b1ceb839ec8f9ba5203d5ddfcacb6",
+        "cc4051e8ab69642c18c444faf9680c05aa23ed46f18c0c854e2f8e6e727932e8",
     "score/scored.csv":
         "4a100eb2b78364a0947ce711803ffc2ca2bc8c8662be7e9cd8d603d6e313bb10",
     "sel-lowest/selected_ids.csv":
         "62e2125823dbf97f6b585369f4d94c343cd12ad956461a4ef853cb04f9af9002",
     "sel-lowest/selection_summary.json":
-        "41fbaac75e46880a5da45a80d0c50ca041fe28b8c1895dbba7c44de587d175c4",
+        "7f11027c839399a41d495ccc60f7cfd7345504a0b5008430ae36860e320fb858",
     "sel-ncv-exact/selected_ids.csv":
         "6d0183b6a015d30d598b2659e6ddd6ea156151077016081a5695639a2ff29a07",
     "sel-ncv-exact/selection_summary.json":
-        "19f7b283ea7da7a1cfca4c08bd41a098d8a25293aa51515fd4726c6b53dbfa22",
+        "58462ba7b76f34449eb1cc7fe3db7fb931c361cbb4c02061a9f09cb846282756",
     "sel-ncv/selected_ids.csv":
         "30f5bbbde06e9380ddaae7e8804ed258b899bfcf813a6ea2aa0febeb8db902c1",
     "sel-ncv/selection_summary.json":
-        "cd6fac28cc67a3bc1869c3a402fb07a5a7bbd08772ce4527a1f4d7e71e536e9e",
+        "6f229133315d3a736568a633740e3a37f642a5c9806ee90ef8f95cc8e7f2538b",
     "sel-stratified/selected_ids.csv":
         "7316056dd51eccd6f2b4c9af858ffbfa7898cd75bec9eb1fa2b471716ee4cf5f",
     "sel-stratified/selection_summary.json":
-        "ee892851ef75ec84e2d62e955de3e73fc9b25dede5eb0b47599838f5288c6b2d",
+        "92690c7c175f26c2aa8af97be7265fd586353279cf3c172adc019ca032b396bb",
     "split/d1.csv":
         "738d76e1ad09e912c8cc67e157c6026d534692ff7b4dc6b5383f47d589e37888",
     "split/d2.csv":

@@ -117,7 +117,7 @@ class TestCrossFoldScore:
                                class_spread=0.05, ambiguity_overlap=0.0)
         ds = generate_population(cfg, 5, scheme)
         tune = generate_population(dataclasses.replace(cfg, n=300), 6, scheme)
-        hp = Hyperparams(hidden_units=0, batch_size=8, max_epochs=40, patience=8,
+        hp = Hyperparams(hidden_units=4, batch_size=8, max_epochs=40, patience=8,
                          learning_rate=1.0)
         scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
         assert (scored.qs > 0).all()
@@ -194,7 +194,7 @@ class TestQsHistogram:
                                class_spread=0.05, ambiguity_overlap=0.0)
         ds = generate_population(cfg, 7, scheme)
         tune = generate_population(dataclasses.replace(cfg, n=300), 8, scheme)
-        hp = Hyperparams(hidden_units=0, batch_size=8, max_epochs=40, patience=8,
+        hp = Hyperparams(hidden_units=4, batch_size=8, max_epochs=40, patience=8,
                          learning_rate=1.0)
         scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
         assert (scored.qs > 0).all()

@@ -218,7 +218,7 @@ class TestRunPipeline:
                                class_spread=0.4, ambiguity_overlap=0.0)
         ds = generate_population(cfg, 13, scheme)
         tune = generate_population(dataclasses.replace(cfg, n=400), 14, scheme)
-        hp = Hyperparams(hidden_units=0, max_epochs=30, patience=6, learning_rate=0.2)
+        hp = Hyperparams(hidden_units=4, max_epochs=30, patience=6, learning_rate=0.2)
         result = run_sncv_pipeline(ds, tune, [len(ds)], hp, seed=15, min_fold_size=100)
         assert len(result.selection.selected_ids) == len(ds)
         baseline = train(ds, tune, hp, seed=5)

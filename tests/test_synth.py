@@ -115,7 +115,7 @@ class TestGeneratePopulation:
         cfg = simple_config(n=800, d=4, class_spread=0.05)
         tune = generate_population(simple_config(n=400, d=4, class_spread=0.05), 2)
         model = train(generate_population(cfg, 1), tune,
-                      Hyperparams(hidden_units=0, max_epochs=30, patience=5), seed=0)
+                      Hyperparams(hidden_units=4, max_epochs=30, patience=5), seed=0)
         scores = referable_scores(model, tune.X)
         assert roc_auc(scores, tune.binary_labels()).auc > 0.99
 

@@ -50,13 +50,11 @@ def _reference_softmax(z):
 
 
 def _reference_forward(weights, X):
-    if "w1" in weights:
-        H = np.tanh(X @ weights["w1"] + weights["b1"])
-        return H, H @ weights["w2"] + weights["b2"]
-    return X, X @ weights["w"] + weights["b"]
+    H = np.tanh(X @ weights["w1"] + weights["b1"])
+    return H, H @ weights["w2"] + weights["b2"]
 
 
-def _reference_forward_backward(weights, X, y, l2):
+def _reference_forward_backward(weights, X, y):
     n = len(X)
     H, Z = _reference_forward(weights, X)
     P = _reference_softmax(Z)
@@ -64,13 +62,8 @@ def _reference_forward_backward(weights, X, y, l2):
     G = P
     G[np.arange(n), y] -= 1.0
     G /= n
-    w, b = ("w2", "b2") if "w1" in weights else ("w", "b")
-    grads = {w: H.T @ G + l2 * weights[w], b: G.sum(axis=0)}
-    if "w1" in weights:
-        GH = (G @ weights["w2"].T) * (1.0 - H * H)
-        grads["w1"] = X.T @ GH + l2 * weights["w1"]
-        grads["b1"] = GH.sum(axis=0)
-    loss += 0.5 * l2 * sum(np.sum(weights[key] ** 2) for key in ("w1", w) if key in weights)
+    GH = (G @ weights["w2"].T) * (1.0 - H * H)
+    grads = {"w2": H.T @ G, "b2": G.sum(axis=0), "w1": X.T @ GH, "b1": GH.sum(axis=0)}
     return loss, grads
 
 
@@ -96,7 +89,7 @@ def reference_train(train_set, tune_set, hp, seed):
         for start in range(0, n, hp.batch_size):
             end = start + hp.batch_size
             loss, grads = _reference_forward_backward(weights, X_epoch[start:end],
-                                                      y_epoch[start:end], hp.l2)
+                                                      y_epoch[start:end])
             if not np.isfinite(loss):
                 raise ValueError(f"diverged: non-finite loss at epoch {epoch}")
             for key, g in grads.items():
@@ -124,16 +117,14 @@ class TestTrainMatchesReferenceLoop:
 
     N_ROWS = 90  # ragged last batch for sizes 7, 32 and 128
 
-    @pytest.mark.parametrize("hidden", [0, 8])
-    @pytest.mark.parametrize("l2", [0.0, 1e-3])
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 128])
     @pytest.mark.parametrize("stop", ["patience", "max_epochs"])
-    def test_bitwise_equal(self, hidden, l2, batch_size, stop):
+    def test_bitwise_equal(self, batch_size, stop):
         ds = toy_dataset(self.N_ROWS, 4, n_classes=4, seed=31, separation=0.7)
         tune = toy_dataset(60, 4, n_classes=4, seed=32, separation=0.7)
         max_epochs, patience = (40, 2) if stop == "patience" else (5, 40)
         hp = Hyperparams(learning_rate=0.3, batch_size=batch_size, max_epochs=max_epochs,
-                         patience=patience, hidden_units=hidden, l2=l2)
+                         patience=patience, hidden_units=8)
         got = train(ds, tune, hp, seed=5)
         want = reference_train(ds, tune, hp, seed=5)
         if stop == "patience":
@@ -153,7 +144,7 @@ class TestTrain:
     def test_separable_two_class_reaches_full_accuracy(self):
         ds = toy_dataset(200, 3, seed=1)
         tune = toy_dataset(80, 3, seed=2)
-        hp = Hyperparams(hidden_units=0, max_epochs=60, patience=60, learning_rate=1.0)
+        hp = Hyperparams(hidden_units=4, max_epochs=60, patience=60, learning_rate=1.0)
         model = train(ds, tune, hp, seed=0)
         probs = predict_proba(model, ds.X)
         acc = (probs.argmax(axis=1) == ds.y).mean()
@@ -219,14 +210,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="degenerate-train-set"):
             train(all_neg, tune, Hyperparams(), seed=0)
 
-    @pytest.mark.parametrize("hidden", [0, 8])
-    @pytest.mark.parametrize("l2", [0.0, 1e-3])
-    def test_overflowing_weights_raise_diverged_at_epoch_1(self, hidden, l2):
+    def test_overflowing_weights_raise_diverged_at_epoch_1(self):
         # the softmax stays finite at learning_rate 1e300, so only the weights'
-        # overflow can flag the divergence, and it must do so with l2 == 0 too
+        # overflow can flag the divergence
         ds = toy_dataset(100, 3, n_classes=4, seed=3, separation=1.0)
         tune = toy_dataset(60, 3, n_classes=4, seed=4, separation=1.0)
-        hp = Hyperparams(learning_rate=1e300, hidden_units=hidden, l2=l2, max_epochs=5)
+        hp = Hyperparams(learning_rate=1e300, hidden_units=8, max_epochs=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"^diverged: non-finite loss at epoch 1$"):
                 train(ds, tune, hp, seed=0)
@@ -288,28 +277,40 @@ class TestTrainMany:
         assert fit_sizes == [50, 40]
 
 
+def logit_model(d, b2, hidden=3):
+    """A model whose logits are b2 for every input: w1 and b1 are zero, so
+    every hidden activation is tanh(0) = 0."""
+    model = small_random_model(d=d, hidden=hidden)
+    model.weights = {"w1": np.zeros((d, hidden)), "b1": np.zeros(hidden),
+                     "w2": np.ones((hidden, len(b2))), "b2": np.asarray(b2, dtype=float)}
+    return model
+
+
 class TestPredict:
     def test_zero_weight_model_is_uniform(self):
-        model = small_random_model(d=3, hidden=0)
-        model.weights = {"w": np.zeros((3, 4)), "b": np.zeros(4)}
+        model = logit_model(3, np.zeros(4))
         np.testing.assert_allclose(predict_proba(model, np.ones((1, 3)))[0], [0.25] * 4, atol=1e-15)
 
     def test_softmax_shift_invariance(self):
-        model = small_random_model(d=3, hidden=0, seed=4)
+        model = small_random_model(d=3, seed=4)
         x = np.array([0.3, -1.0, 2.0])
         base = predict_proba(model, x[None])[0]
-        model.weights["b"] = model.weights["b"] + 7.5
+        model.weights["b2"] = model.weights["b2"] + 7.5
         np.testing.assert_allclose(predict_proba(model, x[None])[0], base, atol=1e-12)
 
     def test_matches_hand_computed_softmax(self):
-        # 2-feature, 4-class linear model checked against manual exp/normalize
-        w = np.array([[0.5, -0.25, 1.0, 0.0],
-                      [1.5, 0.75, -0.5, 0.25]])
-        b = np.array([0.1, -0.2, 0.0, 0.3])
-        model = small_random_model(d=2, hidden=0)
-        model.weights = {"w": w, "b": b}
+        # 2-feature, 3-hidden, 4-class model checked against manual tanh and exp/normalize
+        w1 = np.array([[0.5, -0.25, 1.0],
+                       [1.5, 0.75, -0.5]])
+        b1 = np.array([0.1, -0.2, 0.0])
+        w2 = np.array([[0.3, -1.0, 0.5, 0.0],
+                       [-0.4, 0.2, 1.5, 0.25],
+                       [1.0, 0.0, -0.75, 0.5]])
+        b2 = np.array([0.1, -0.2, 0.0, 0.3])
+        model = small_random_model(d=2, hidden=3)
+        model.weights = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
         x = np.array([0.8, -1.2])
-        logits = x @ w + b
+        logits = np.tanh(x @ w1 + b1) @ w2 + b2
         expected = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(predict_proba(model, x[None])[0], expected, atol=1e-12)
 
@@ -329,20 +330,15 @@ class TestReferableScore:
     def test_summed_positive_mass_example(self):
         # probability vector [0.05, 0.4, 0.3, 0.25]: argmax is the no-refer
         # side but the referable mass 0.3 + 0.25 = 0.55 says refer
-        model = small_random_model(d=4, hidden=0)
-        logits = np.log(np.array([0.05, 0.4, 0.3, 0.25]))
-        model.weights = {"w": np.zeros((4, 4)), "b": logits}
+        model = logit_model(4, np.log([0.05, 0.4, 0.3, 0.25]))
         assert referable_scores(model, np.zeros((1, 4)))[0] == pytest.approx(0.55, abs=1e-12)
 
     def test_high_negative_mass_example(self):
-        model = small_random_model(d=4, hidden=0)
-        probs = np.array([0.9, 1e-9, 0.1 - 2e-9, 1e-9])
-        model.weights = {"w": np.zeros((4, 4)), "b": np.log(probs)}
+        model = logit_model(4, np.log([0.9, 1e-9, 0.1 - 2e-9, 1e-9]))
         assert referable_scores(model, np.zeros((1, 4)))[0] == pytest.approx(0.1, abs=1e-6)
 
     def test_uniform_prediction_gives_half(self):
-        model = small_random_model(d=4, hidden=0)
-        model.weights = {"w": np.zeros((4, 4)), "b": np.zeros(4)}
+        model = logit_model(4, np.zeros(4))
         assert referable_scores(model, np.zeros((1, 4)))[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -354,25 +350,10 @@ class TestGradientCheck:
             y = rng.integers(0, 4, size=6)
             assert gradient_check(model, X, y) < 1e-5
 
-    def test_linear_model_passes(self, rng):
-        model = small_random_model(d=4, hidden=0, seed=9)
-        X = rng.standard_normal((5, 4))
-        y = rng.integers(0, 4, size=5)
-        assert gradient_check(model, X, y) < 1e-5
-
-    def test_with_l2_passes(self, rng):
-        model = small_random_model(d=4, hidden=6, seed=10)
-        X = rng.standard_normal((5, 4))
-        y = rng.integers(0, 4, size=5)
-        assert gradient_check(model, X, y, l2=0.01) < 1e-5
-
     def test_near_zero_gradient_point(self):
         # hugely confident correct logits: gradient is essentially zero and
         # the comparison stays clean
-        model = small_random_model(d=2, hidden=0)
-        model.weights = {"w": np.array([[30.0, -30.0, 0.0, 0.0],
-                                        [0.0, 0.0, 0.0, 0.0]]),
-                         "b": np.zeros(4)}
+        model = logit_model(2, [30.0, -30.0, 0.0, 0.0])
         X = np.array([[1.0, 0.0]])
         y = np.array([0])
         numeric = numeric_gradients(model, X, y)
