@@ -122,13 +122,23 @@ def _rows_kept(key: str, fraction: float, n: int) -> int:
     return kept
 
 
-def _resolve_k_grid(cfg: RunConfig, n: int) -> list[int]:
-    """The selection sizes to try on n rows, checked before any fit."""
+def _resolve_k_grid(cfg: RunConfig, dataset: Dataset) -> list[int]:
+    """The selection sizes to try on the dataset, checked before any fit: each
+    must keep positives and negatives both, or its final fit could not run."""
+    n = len(dataset)
     if cfg.k is None:
-        return [_rows_kept("k_grid", f, n) for f in cfg.k_grid]
-    if not 1 <= cfg.k <= n:
+        k_grid = [_rows_kept("k_grid", f, n) for f in cfg.k_grid]
+    elif not 1 <= cfg.k <= n:
         raise InputError(f"k must be in [1, {n}], got {cfg.k}")
-    return [cfg.k]
+    else:
+        k_grid = [cfg.k]
+    tau = positive_rate(dataset)
+    for k in k_grid:
+        n_pos = selection.stratified_positives(tau, k)
+        if n_pos in (0, k):
+            raise InputError(f"k {k} selects {n_pos} positives at tau {tau:.4g}; "
+                             "a final fit needs both sides of the boundary")
+    return k_grid
 
 
 def _check_fold_size(cfg: RunConfig, n: int) -> None:
@@ -182,7 +192,7 @@ def cmd_split(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     train_set, tune_set = _inputs(cfg, "train", "tune")
-    [model] = trainer.train_many([(train_set, cfg.stage_seed("train"), None)], tune_set,
+    [model] = trainer.train_many([(train_set, cfg.stage_seed("train"), "train")], tune_set,
                                  cfg.hyperparams)
     trainer.write_model(model, _out_dir(cfg) / "model.json")
     _write_report(cfg, "train_report.json", {
@@ -235,7 +245,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
     _check_fold_size(cfg, len(dataset))
     result = selection.run_sncv_pipeline(
-        dataset, tune_set, _resolve_k_grid(cfg, len(dataset)), cfg.hyperparams,
+        dataset, tune_set, _resolve_k_grid(cfg, dataset), cfg.hyperparams,
         cfg.stage_seed("pipeline"), cfg.min_fold_size)
     histogram = scoring.qs_histogram(result.scored, cfg.bin_width)
     tune_scores = trainer.referable_scores(result.model, tune_set.X)
@@ -279,8 +289,9 @@ def cmd_bands(cfg: RunConfig) -> int:
         # coinciding selections (the full band) share one model
         band_seed = cfg.stage_seed(f"bands-{j}")
         arms = [hi] if set(lo.selected_ids) == set(hi.selected_ids) else [hi, lo]
-        models = trainer.train_many([(dataset.subset(arm.selected_ids), band_seed, None)
-                                     for arm in arms], tune_set, cfg.hyperparams)
+        jobs = [(dataset.subset(arm.selected_ids), band_seed, f"band {k} {side}")
+                for arm, side in zip(arms, ("high", "low"))]
+        models = trainer.train_many(jobs, tune_set, cfg.hyperparams)
         band_rows.append((k, models[0].tune_auc_at_stop, models[-1].tune_auc_at_stop))
     # unstratified composition: positive share of the top-k and bottom-k by QS
     pos_mask = scored.dataset.binary_labels()[np.argsort(-scored.qs, kind="stable")]
@@ -309,11 +320,11 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     sub_ids = [ids[i] for i in rng.permutation(len(ids))[:n_sub]]
     sub_train = full_train.subset(sub_ids)
     _check_fold_size(cfg, n_sub)
-    k_grid = _resolve_k_grid(cfg, n_sub)
+    k_grid = _resolve_k_grid(cfg, sub_train)
 
     full_model, sub_model = trainer.train_many(
-        [(full_train, cfg.stage_seed("burden-full"), None),
-         (sub_train, cfg.stage_seed("burden-sub"), None)], tune_set, cfg.hyperparams)
+        [(full_train, cfg.stage_seed("burden-full"), "full"),
+         (sub_train, cfg.stage_seed("burden-sub"), "subsample")], tune_set, cfg.hyperparams)
 
     sncv_result = selection.run_sncv_pipeline(
         sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"),
@@ -321,7 +332,7 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
 
     ncv_sel = selection.select_ncv(sncv_result.scored)
     [ncv_model] = trainer.train_many(
-        [(sub_train.subset(ncv_sel.selected_ids), cfg.stage_seed("burden-ncv"), None)],
+        [(sub_train.subset(ncv_sel.selected_ids), cfg.stage_seed("burden-ncv"), "ncv")],
         tune_set, cfg.hyperparams)
 
     models = {

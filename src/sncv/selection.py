@@ -36,8 +36,10 @@ class SelectionResult:
             raise ValueError("selection counts inconsistent with id list")
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+def stratified_positives(tau: float, k: int) -> int:
+    """The number of positives a stratified selection of k keeps at positive
+    rate tau: tau * k, which is never negative, rounded half away from zero."""
+    return int(math.floor(tau * k + 0.5))
 
 
 def _ranked_class_rows(scored: ScoredDataset, lowest: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -53,7 +55,7 @@ def _select_by_rank(scored: ScoredDataset, k: int, lowest: bool) -> SelectionRes
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")
     tau = positive_rate(scored.dataset)
-    n_pos_req = _round_half_away(tau * k)
+    n_pos_req = stratified_positives(tau, k)
     n_neg_req = k - n_pos_req
     pos_rows, neg_rows = _ranked_class_rows(scored, lowest)
     take_pos = pos_rows[:n_pos_req]
@@ -121,7 +123,8 @@ def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k_values: list[int], 
         raise ValueError("k grid is empty")
     selections = [select_stratified(scored, k_val) for k_val in k_values]
     models = train_many([(dataset.subset(s.selected_ids), derive_seed(seed, f"train-final-{j}"),
-                          None) for j, s in enumerate(selections)], tune_set, hp)
+                          f"final k={s.k_requested}") for j, s in enumerate(selections)],
+                        tune_set, hp)
     # max keeps the first of equal maxima, as a strict > over the grid would
     best = max(range(len(models)), key=lambda j: models[j].tune_auc_at_stop)
     return PipelineResult(model=models[best], scored=scored, selection=selections[best],

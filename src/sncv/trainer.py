@@ -237,18 +237,16 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     return model
 
 
-def train_many(jobs: list[tuple[Dataset, int, str | None]], tune_set: Dataset,
+def train_many(jobs: list[tuple[Dataset, int, str]], tune_set: Dataset,
                hp: Hyperparams) -> list[Model]:
     """Fit each (train_set, seed, label) job in order, one `train` call each,
-    and return the models in job order. A labelled job's ValueError is raised
-    again as "label: error"; an unlabelled job's passes through unchanged."""
+    and return the models in job order. A job's ValueError is raised again as
+    "label: error", so the message names the fit that failed."""
     models = []
     for train_set, seed, label in jobs:
         try:
             models.append(train(train_set, tune_set, hp, seed))
         except ValueError as err:
-            if label is None:
-                raise
             raise ValueError(f"{label}: {err}") from err
     return models
 

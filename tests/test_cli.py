@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import Dataset, metrics, read_dataset, read_scheme, synth, write_dataset
+from sncv import Dataset, metrics, read_dataset, read_scheme, selection, synth, write_dataset
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -299,8 +299,38 @@ class TestSplitTrainScore:
         assert rc == 1
         assert "fold-D1: degenerate-train-set" in capsys.readouterr().err
 
+    def test_train_one_class_train_set_exits_1_naming_the_fit(self, mini_config, generated,
+                                                              tmp_path, capsys):
+        scheme = read_scheme(generated / "scheme.json")
+        train = read_dataset(generated / "train.csv", scheme)
+        write_dataset(train.take(np.flatnonzero(train.binary_labels() == 0)),
+                      tmp_path / "negatives.csv")
+        rc = run_cli(mini_config, tmp_path / "out", "train",
+                     "--train", str(tmp_path / "negatives.csv"),
+                     "--tune", str(generated / "tune.csv"),
+                     "--scheme", str(generated / "scheme.json"))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "failure: train: degenerate-train-set: ")
+
 
 class TestPipeline:
+    def test_one_class_final_selection_exits_1_naming_its_k(self, mini_config, generated,
+                                                            tmp_path, capsys, monkeypatch):
+        def negatives_only(scored, k):
+            ids = scored.dataset.ids[scored.dataset.binary_labels() == 0][:k]
+            return selection.SelectionResult(tuple(ids.tolist()), 0, len(ids),
+                                             tau_used=None, k_requested=k)
+
+        monkeypatch.setattr(selection, "select_stratified", negatives_only)
+        rc = run_cli(mini_config, tmp_path / "out", "pipeline",
+                     "--train", str(generated / "train.csv"),
+                     "--tune", str(generated / "tune.csv"),
+                     "--scheme", str(generated / "scheme.json"), "--k", "300")
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "failure: final k=300: degenerate-train-set: ")
+
     def test_pipeline_artifacts_and_k_grid(self, mini_config, generated, tmp_path):
         rc = run_cli(mini_config, tmp_path, "pipeline",
                      "--train", str(generated / "train.csv"),
@@ -459,16 +489,22 @@ def test_bands_trains_the_full_band_once(small_generated, tmp_path, fit_sizes):
     assert sum(fit_sizes[:2]) == 180
 
 
-@pytest.mark.parametrize("command, n", [("pipeline", 180), ("burden", 103)])
+@pytest.mark.parametrize("command, n, tau", [("pipeline", 180, "0.2889"),
+                                           ("burden", 103, "0.2816")])
+@pytest.mark.parametrize("k", ["5000", "1"])
 def test_k_beyond_the_rows_exits_2_before_any_fit(small_generated, tmp_path, fit_sizes,
-                                                  capsys, command, n):
-    # burden's k selects from its 103-row subsample of the 180 rows
+                                                  capsys, command, n, tau, k):
+    # burden's k selects from its 103-row subsample of the 180 rows; a k of 1
+    # is in range but keeps one side of the boundary only
     rc = run_cli(small_generated / "small.cfg", tmp_path / "out", command,
                  "--train", str(small_generated / "train.csv"),
                  "--tune", str(small_generated / "tune.csv"),
-                 "--test", str(small_generated / "test.csv"), "--k", "5000")
+                 "--test", str(small_generated / "test.csv"), "--k", k)
     assert rc == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: k must be in [1, {n}], got 5000"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: k must be in [1, {n}], got 5000" if k == "5000" else
+        f"error: k 1 selects 0 positives at tau {tau}; a final fit needs both sides of the "
+        "boundary")
     assert not (tmp_path / "out").exists()
     assert fit_sizes == []
 

@@ -259,14 +259,6 @@ class TestTrainMany:
                                tune, self.HP)
         assert str(err.value.__cause__).startswith("degenerate-train-set: ")
 
-    def test_unlabelled_error_passes_through_unchanged(self):
-        ds, tune = toy_dataset(50, 3, seed=9), toy_dataset(60, 3, seed=10)
-        with pytest.raises(ValueError) as alone:
-            train(ds.take([]), tune, self.HP, seed=0)
-        with pytest.raises(ValueError) as err:
-            trainer.train_many([(ds.take([]), 0, None)], tune, self.HP)
-        assert str(err.value) == str(alone.value) == "empty-train-set"
-
     def test_a_failing_job_ends_the_plan(self, fit_sizes):
         tune = toy_dataset(60, 3, seed=10)
         jobs = [(toy_dataset(50, 3, seed=1), 1, "a"),
