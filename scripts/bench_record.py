@@ -12,8 +12,11 @@ both sides passed on which the change won, lost or tied, in the direction
 (`better`) that the change checkout's BENCHMARK.json declares, and states the
 two tests a claimed gain must pass: the share of those pairs the change won
 (at least 0.9), and the gap between the medians in that direction over the
-parent's IQR (more than 1; null where that IQR is 0). Suite wall times are
-pytest's; it times nothing. A workload with fewer than two passing
+parent's IQR (more than 1; null where that IQR is 0). It also states the
+no-regression test of each metric: how much worse the change's median is than
+the parent's, relative to the parent's, against the metric's `bound` in
+BENCHMARK.json, and whether the parent's runs spread too widely to tell.
+Suite wall times are pytest's; it times nothing. A workload with fewer than two passing
 seeds on either side exits 2.
 """
 
@@ -78,6 +81,21 @@ def claim_tests(parent: dict, change: dict, name: str, better: str, counts: dict
             "median_gap_over_parent_iqr": gap / iqr if iqr else None}
 
 
+def regression_test(parent: dict, change: dict, name: str, better: str, bound: float) -> dict:
+    """The no-regression test on one metric, given the two sides' records of
+    one workload: the median change in the metric's worse direction relative
+    to the parent's median, whether it is within the bound, and whether the
+    result is unresolved, as it is when the parent's IQR over median exceeds
+    the bound and not every change run beats every parent run."""
+    sign = {"lower": -1, "higher": 1}[better]
+    before, after = parent[name], change[name]
+    worse_by = sign * (before["median"] - after["median"]) / before["median"]
+    beats_every_run = (min(sign * v for v in after["per_seed"])
+                       > max(sign * v for v in before["per_seed"]))
+    return {"worse_by": worse_by, "bound": bound, "within_bound": worse_by <= bound,
+            "unresolved": before["iqr_over_median"] > bound and not beats_every_run}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -87,6 +105,7 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    bound = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     parent, change = side(args.parent, better), side(args.change, better)
     shared = [w for w in parent if w in change]
     ratios = {w: {m: change[w][m]["median"] / parent[w][m]["median"] for m in better}
@@ -95,8 +114,10 @@ def main(argv=None) -> None:
             for w in shared}
     tests = {w: {m: claim_tests(parent[w], change[w], m, b, wins[w][m])
                  for m, b in better.items()} for w in shared}
+    regressions = {w: {m: regression_test(parent[w], change[w], m, b, bound[m])
+                       for m, b in better.items()} for w in shared}
     record = {"parent": parent, "change": change, "change_over_parent": ratios,
-              "change_pair_wins": wins, "claim_tests": tests,
+              "change_pair_wins": wins, "claim_tests": tests, "regression_tests": regressions,
               "tier1_suite_s": dict(zip(("parent", "change"), args.suite_s))}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 

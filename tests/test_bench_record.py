@@ -105,3 +105,49 @@ def test_claim_tests_state_won_share_and_median_gap_over_parent_iqr(tmp_path):
     assert tests["quality"] == {"won_share": 0.0, "median_gap_over_parent_iqr": 0.0}
     # equal values on every seed: no pair won, and the parent's IQR is 0
     assert tests["peak_rss_mb"] == {"won_share": 0.0, "median_gap_over_parent_iqr": None}
+
+
+def test_regression_tests_state_worse_by_against_the_bound(tmp_path):
+    # BENCHMARK.json bounds: cycle_s 0.25 (lower is better), peak_rss_mb 0.1,
+    # quality 0.1 (higher is better), setup_s 0.25
+    parent_values = {"cycle_s": {1: 10.0, 2: 10.0, 3: 10.0},
+                     "peak_rss_mb": {1: 100.0, 2: 100.0, 3: 100.0},
+                     "quality": {1: 0.8, 2: 0.8, 3: 0.8},
+                     "setup_s": {1: 4.0, 2: 10.0, 3: 16.0}}
+    change_values = {"cycle_s": {1: 12.0, 2: 12.0, 3: 12.0},
+                     "peak_rss_mb": {1: 120.0, 2: 120.0, 3: 120.0},
+                     "quality": {1: 0.9, 2: 0.9, 3: 0.9},
+                     "setup_s": {1: 9.0, 2: 9.0, 3: 9.0}}
+    parent = write_results(tmp_path / "parent", "score-ref", [1, 2, 3],
+                           value=lambda seed, name: parent_values[name][seed])
+    change = write_results(tmp_path / "change", "score-ref", [1, 2, 3],
+                           value=lambda seed, name: change_values[name][seed])
+    out = tmp_path / "bench.json"
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    tests = json.loads(out.read_text())["regression_tests"]["score-ref"]
+    # 20% slower against a 25% bound; 20% more memory against a 10% bound
+    assert tests["cycle_s"] == {"worse_by": pytest.approx(0.2), "bound": 0.25,
+                                "within_bound": True, "unresolved": False}
+    assert tests["peak_rss_mb"] == {"worse_by": pytest.approx(0.2), "bound": 0.1,
+                                    "within_bound": False, "unresolved": False}
+    # a higher quality is a negative worse_by
+    assert tests["quality"]["worse_by"] == pytest.approx(-0.125)
+    assert tests["quality"]["within_bound"] is True
+    # the parent's setup_s spreads by 6 / 10 > 0.25, and the change's 9 s does
+    # not beat the parent's 4 s run, so the 10% gain cannot be told apart
+    assert tests["setup_s"] == {"worse_by": pytest.approx(-0.1), "bound": 0.25,
+                                "within_bound": True, "unresolved": True}
+
+
+def test_a_change_beating_every_parent_run_is_resolved_despite_the_spread(tmp_path):
+    parent = write_results(tmp_path / "parent", "burden-ref", [1, 2, 3],
+                           value=lambda seed, name: {1: 4.0, 2: 10.0, 3: 16.0}[seed])
+    change = write_results(tmp_path / "change", "burden-ref", [1, 2, 3],
+                           value=lambda seed, name: 3.0)
+    out = tmp_path / "bench.json"
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    tests = json.loads(out.read_text())["regression_tests"]["burden-ref"]
+    assert tests["cycle_s"]["unresolved"] is False
+    # quality is higher-is-better, so a change at 3.0 loses to every parent run
+    assert tests["quality"] == {"worse_by": pytest.approx(0.7), "bound": 0.1,
+                                "within_bound": False, "unresolved": True}
