@@ -117,16 +117,20 @@ class TestTrainMatchesReferenceLoop:
 
     N_ROWS = 90  # ragged last batch for sizes 7, 32 and 128
 
+    # hidden width 1 is the narrowest model `Hyperparams` accepts; each seed
+    # draws its own initial weights and batch order
+    @pytest.mark.parametrize("hidden", [1, 8])
+    @pytest.mark.parametrize("seed", [5, 6])
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 128])
     @pytest.mark.parametrize("stop", ["patience", "max_epochs"])
-    def test_bitwise_equal(self, batch_size, stop):
+    def test_bitwise_equal(self, batch_size, stop, seed, hidden):
         ds = toy_dataset(self.N_ROWS, 4, n_classes=4, seed=31, separation=0.7)
         tune = toy_dataset(60, 4, n_classes=4, seed=32, separation=0.7)
         max_epochs, patience = (40, 2) if stop == "patience" else (5, 40)
         hp = Hyperparams(learning_rate=0.3, batch_size=batch_size, max_epochs=max_epochs,
-                         patience=patience, hidden_units=8)
-        got = train(ds, tune, hp, seed=5)
-        want = reference_train(ds, tune, hp, seed=5)
+                         patience=patience, hidden_units=hidden)
+        got = train(ds, tune, hp, seed=seed)
+        want = reference_train(ds, tune, hp, seed=seed)
         if stop == "patience":
             assert got.epochs_run < max_epochs
         else:
@@ -210,12 +214,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="degenerate-train-set"):
             train(all_neg, tune, Hyperparams(), seed=0)
 
-    def test_overflowing_weights_raise_diverged_at_epoch_1(self):
+    @pytest.mark.parametrize("hidden", [1, 8])
+    def test_overflowing_weights_raise_diverged_at_epoch_1(self, hidden):
         # the softmax stays finite at learning_rate 1e300, so only the weights'
         # overflow can flag the divergence
         ds = toy_dataset(100, 3, n_classes=4, seed=3, separation=1.0)
         tune = toy_dataset(60, 3, n_classes=4, seed=4, separation=1.0)
-        hp = Hyperparams(learning_rate=1e300, hidden_units=8, max_epochs=5)
+        hp = Hyperparams(learning_rate=1e300, hidden_units=hidden, max_epochs=5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match=r"^diverged: non-finite loss at epoch 1$"):
                 train(ds, tune, hp, seed=0)
