@@ -220,20 +220,8 @@ def cmd_score(cfg: RunConfig) -> int:
     return 0
 
 
-def _selection_for_mode(scored, mode: str, k: int | None):
-    if mode in ("ncv", "ncv-exact"):
-        return selection.select_ncv(scored, match="exact" if mode == "ncv-exact" else "binary")
-    if k is None:
-        raise InputError(f"select: k required for {mode} mode")
-    if mode == "stratified":
-        return selection.select_stratified(scored, k)
-    if mode == "lowest":
-        return selection.select_lowest_stratified(scored, k)
-    raise InputError(f"unknown select mode {mode!r}")
-
-
 def cmd_select(cfg: RunConfig) -> int:
-    result = _selection_for_mode(_scored_input(cfg), cfg.select_mode, cfg.k)
+    result = selection.select(_scored_input(cfg), cfg.select_mode, cfg.k)
     _write_table(_out_dir(cfg) / "selected_ids.csv", ["id"], ([i] for i in result.selected_ids))
     _write_report(cfg, "selection_summary.json", selection.selection_summary(result))
     print(f"selected {len(result.selected_ids)} "
@@ -294,7 +282,7 @@ def cmd_bands(cfg: RunConfig) -> int:
         models = trainer.train_many(jobs, tune_set, cfg.hyperparams)
         band_rows.append((k, models[0].tune_auc_at_stop, models[-1].tune_auc_at_stop))
     # unstratified composition: positive share of the top-k and bottom-k by QS
-    pos_mask = scored.dataset.binary_labels()[np.argsort(-scored.qs, kind="stable")]
+    pos_mask = scored.dataset.binary_labels()[selection.quality_order(scored)]
 
     out = _out_dir(cfg)
     _write_table(out / "bands_auc.csv", ["band_size", "auc_high_qs", "auc_low_qs", "delta"],

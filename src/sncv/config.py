@@ -17,11 +17,9 @@ from dataclasses import dataclass, field, fields
 
 from .dataset import InputError, record
 from .scoring import derive_seed
+from .selection import MODES
 from .synth import PopulationConfig
 from .trainer import Hyperparams
-
-SELECT_MODES = ("stratified", "lowest", "ncv", "ncv-exact")
-
 
 def float_list(text: str) -> tuple[float, ...]:
     """Parse a float list separated by commas or semicolons."""
@@ -92,7 +90,7 @@ class RunConfig:
     mismatch_threshold: float = _key("experiment", 0.30, ("graders",), interval="[0, 1)")
     bin_width: float = _key("experiment", 0.05, interval="(0, inf)")
     min_fold_size: int = _key("experiment", 100, interval="[1, inf)")
-    select_mode: str = _key("experiment", "stratified", ("select",), choices=SELECT_MODES)
+    select_mode: str = _key("experiment", "stratified", ("select",), choices=MODES)
     seed: int | None = _key("experiment", None, "main", "pipeline seed (overrides config)")
 
     model_paths: list[str] = field(default_factory=list)

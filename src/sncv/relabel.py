@@ -16,6 +16,7 @@ import numpy as np
 from .dataset import InputError
 from .metrics import confusion_matrix
 from .scoring import ScoredDataset
+from .selection import quality_order
 from .synth import GRADER_ROLES, GraderProfile, draw_category, example_draws
 
 
@@ -64,7 +65,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int, error_rate: flo
     if (ds.true_y < 0).any():
         raise InputError("no-ground-truth: relabel experiment needs true labels")
 
-    tranche = np.lexsort((ds.ids, scored.qs))[:n_lowest]
+    tranche = quality_order(scored, lowest=True)[:n_lowest]
     ids, qs = ds.ids[tranche].tolist(), scored.qs[tranche].tolist()
     originals, truths = ds.y[tranche], ds.true_y[tranche].tolist()
     oracles = specialist_labels(ids, truths, scheme.n_classes, error_rate, seed)

@@ -2,10 +2,11 @@
 
 Stratified selection keeps the observed positive-label fraction tau: round
 (half away from zero) tau*k positives and the remaining k - round(tau*k)
-negatives, each taken from the top of the per-class quality ranking. When a
-class runs short the shortfall is reported, never back-filled from the other
-class. The plain agreement filter (quality score > 0, no stratification, no k)
-is kept as the unstratified baseline.
+negatives, each taken from the top of the per-class quality ranking. Since
+tau is the set's own rate n_pos/n and 1 <= k <= n, round(tau*k) lies between
+k - (n - n_pos) and n_pos, so neither class ever runs short. The plain
+agreement filter (quality score > 0, no stratification, no k) is kept as the
+unstratified baseline.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from .scoring import ScoredDataset, cross_fold_score, derive_seed
 from .trainer import Hyperparams, Model, train_many
 
 
+# the --select-mode names, each the selection `select` makes under it
+MODES = ("stratified", "lowest", "ncv", "ncv-exact")
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     selected_ids: tuple[str, ...]
@@ -27,9 +32,7 @@ class SelectionResult:
     n_negative_selected: int
     tau_used: float | None
     k_requested: int | None
-    positive_shortfall: int = 0
-    negative_shortfall: int = 0
-    mode: str = "stratified"
+    mode: str  # the MODES name
 
     def __post_init__(self):
         if self.n_positive_selected + self.n_negative_selected != len(self.selected_ids):
@@ -42,12 +45,10 @@ def stratified_positives(tau: float, k: int) -> int:
     return int(math.floor(tau * k + 0.5))
 
 
-def _ranked_class_rows(scored: ScoredDataset, lowest: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of the positives and of the negatives, each ordered by
-    quality score (descending, or ascending when lowest) with ties by id."""
-    order = np.lexsort((scored.dataset.ids, scored.qs if lowest else -scored.qs))
-    positive = scored.scheme.positive_mask(scored.dataset.y[order])
-    return order[positive], order[~positive]
+def quality_order(scored: ScoredDataset, lowest: bool = False) -> np.ndarray:
+    """Row indices by quality score, descending (ascending when lowest), with
+    ties broken by ascending id: the one ranking every selection uses."""
+    return np.lexsort((scored.dataset.ids, scored.qs if lowest else -scored.qs))
 
 
 def _select_by_rank(scored: ScoredDataset, k: int, lowest: bool) -> SelectionResult:
@@ -55,20 +56,19 @@ def _select_by_rank(scored: ScoredDataset, k: int, lowest: bool) -> SelectionRes
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, {n}], got {k}")
     tau = positive_rate(scored.dataset)
-    n_pos_req = stratified_positives(tau, k)
-    n_neg_req = k - n_pos_req
-    pos_rows, neg_rows = _ranked_class_rows(scored, lowest)
-    take_pos = pos_rows[:n_pos_req]
-    take_neg = neg_rows[:n_neg_req]
+    n_pos = stratified_positives(tau, k)
+    order = quality_order(scored, lowest)
+    positive = scored.scheme.positive_mask(scored.dataset.y[order])
+    # neither class runs short (see the module docstring); if one did, the
+    # counts would disagree with the ids and SelectionResult would raise
+    take = np.concatenate([order[positive][:n_pos], order[~positive][:k - n_pos]])
     return SelectionResult(
-        selected_ids=tuple(scored.dataset.ids[np.concatenate([take_pos, take_neg])].tolist()),
-        n_positive_selected=len(take_pos),
-        n_negative_selected=len(take_neg),
+        selected_ids=tuple(scored.dataset.ids[take].tolist()),
+        n_positive_selected=n_pos,
+        n_negative_selected=k - n_pos,
         tau_used=tau,
         k_requested=k,
-        positive_shortfall=n_pos_req - len(take_pos),
-        negative_shortfall=n_neg_req - len(take_neg),
-        mode="lowest-stratified" if lowest else "stratified",
+        mode="lowest" if lowest else "stratified",
     )
 
 
@@ -82,23 +82,30 @@ def select_lowest_stratified(scored: ScoredDataset, k: int) -> SelectionResult:
     return _select_by_rank(scored, k, lowest=True)
 
 
-def select_ncv(scored: ScoredDataset, match: str = "binary") -> SelectionResult:
+def select_ncv(scored: ScoredDataset, exact: bool = False) -> SelectionResult:
     """Agreement filter: keep examples whose opposite-fold prediction matches the label.
 
-    match="binary" keeps quality score > 0 (same side of the referability
-    boundary); match="exact" requires the argmax class to equal the label.
+    By default it keeps quality score > 0 (same side of the referability
+    boundary); with exact, the argmax class must equal the label.
     """
-    if match not in ("binary", "exact"):
-        raise ValueError("match must be 'binary' or 'exact'")
     ds = scored.dataset
-    keep = scored.qs > 0 if match == "binary" else scored.probs.argmax(axis=1) == ds.y
+    keep = scored.probs.argmax(axis=1) == ds.y if exact else scored.qs > 0
     positive = scored.scheme.positive_mask(ds.y)
     return SelectionResult(
         selected_ids=tuple(ds.ids[keep].tolist()),
         n_positive_selected=int((keep & positive).sum()),
         n_negative_selected=int((keep & ~positive).sum()),
-        tau_used=None, k_requested=None, mode=f"ncv-{match}",
+        tau_used=None, k_requested=None, mode="ncv-exact" if exact else "ncv",
     )
+
+
+def select(scored: ScoredDataset, mode: str, k: int | None) -> SelectionResult:
+    """The selection of one of MODES; the stratified modes need k."""
+    if mode in ("ncv", "ncv-exact"):
+        return select_ncv(scored, exact=mode == "ncv-exact")
+    if k is None:
+        raise InputError(f"select: k required for {mode} mode")
+    return (select_lowest_stratified if mode == "lowest" else select_stratified)(scored, k)
 
 
 @dataclass

@@ -257,7 +257,7 @@ class TestSplitTrainScore:
                      "--select-mode", "ncv")
         assert rc == 0
         summary = json.loads((ncv_dir / "selection_summary.json").read_text())
-        assert summary["mode"] == "ncv-binary"
+        assert summary["mode"] == "ncv"
         assert summary["k_requested"] is None
 
     @pytest.mark.parametrize("command, extra", [("score", []), ("pipeline", ["--k", "900"])])
@@ -320,7 +320,7 @@ class TestPipeline:
         def negatives_only(scored, k):
             ids = scored.dataset.ids[scored.dataset.binary_labels() == 0][:k]
             return selection.SelectionResult(tuple(ids.tolist()), 0, len(ids),
-                                             tau_used=None, k_requested=k)
+                                             tau_used=None, k_requested=k, mode="stratified")
 
         monkeypatch.setattr(selection, "select_stratified", negatives_only)
         rc = run_cli(mini_config, tmp_path / "out", "pipeline",
@@ -843,6 +843,15 @@ class TestInputErrors:
                      "--scheme", str(generated / "scheme.json"), flag, value)
         assert rc == 2
         assert f"must be in [1, 1200], got {value}" in capsys.readouterr().err
+
+    def test_stratified_mode_without_k_exits_2(self, mini_config, generated, scored_csv,
+                                              tmp_path, capsys):
+        rc = run_cli(mini_config, tmp_path / "out", "select", "--train", str(scored_csv),
+                     "--scheme", str(generated / "scheme.json"), "--select-mode", "lowest")
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "error: select: k required for lowest mode"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0.5;x"])
     def test_malformed_k_grid_exits_2_naming_flag(self, mini_config, tmp_path, capsys, value):

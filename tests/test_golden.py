@@ -88,7 +88,7 @@ GOLDEN = {
     "pipeline/model_final.json":
         "2ca79f8c50485d5ed60e3727ec633b511bb8fd9a60a33c12edab12a199a08f93",
     "pipeline/pipeline_report.json":
-        "22bfcf1b0613ae3605b11ef7fa33cdbb2c342fbceb4fe1363f73f29bf628fbe3",
+        "32d0aec9a5d0902d9f705491894094bee3be4a3e306dc9e72b1d5c6f6f098dae",
     "pipeline/qs_histogram.csv":
         "0f671298035e88f7704434ee47c338ac93c725d6e5a828bd3a0541ea255497e1",
     "pipeline/scored.csv":
@@ -104,19 +104,19 @@ GOLDEN = {
     "sel-lowest/selected_ids.csv":
         "62e2125823dbf97f6b585369f4d94c343cd12ad956461a4ef853cb04f9af9002",
     "sel-lowest/selection_summary.json":
-        "7f11027c839399a41d495ccc60f7cfd7345504a0b5008430ae36860e320fb858",
+        "cad0267596c7b0ca6105d01c55a6266927ce9465474db875112f5a3b9110278e",
     "sel-ncv-exact/selected_ids.csv":
         "6d0183b6a015d30d598b2659e6ddd6ea156151077016081a5695639a2ff29a07",
     "sel-ncv-exact/selection_summary.json":
-        "58462ba7b76f34449eb1cc7fe3db7fb931c361cbb4c02061a9f09cb846282756",
+        "84c5b5a30cd83cadea37aa2e9508f9abd5dcfb779293a2ec766f30ab09518051",
     "sel-ncv/selected_ids.csv":
         "30f5bbbde06e9380ddaae7e8804ed258b899bfcf813a6ea2aa0febeb8db902c1",
     "sel-ncv/selection_summary.json":
-        "6f229133315d3a736568a633740e3a37f642a5c9806ee90ef8f95cc8e7f2538b",
+        "77e92f407d20bccab022327a45c1e4955e88111c0466e15e0ee06207d1b7bb0a",
     "sel-stratified/selected_ids.csv":
         "7316056dd51eccd6f2b4c9af858ffbfa7898cd75bec9eb1fa2b471716ee4cf5f",
     "sel-stratified/selection_summary.json":
-        "92690c7c175f26c2aa8af97be7265fd586353279cf3c172adc019ca032b396bb",
+        "c1fb6181f3dafaa64f2114bbd7eae8fac6d77206e91ac79530b35fffb9cd76d4",
     "split/d1.csv":
         "738d76e1ad09e912c8cc67e157c6026d534692ff7b4dc6b5383f47d589e37888",
     "split/d2.csv":

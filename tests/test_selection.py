@@ -1,6 +1,7 @@
 """Stratified, lowest-band, and agreement-filter selection tests."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -10,12 +11,18 @@ from sncv import (
     Dataset,
     default_scheme,
     positive_rate,
+    run_relabel_experiment,
     run_sncv_pipeline,
+    scoring,
     select_lowest_stratified,
     select_ncv,
     select_stratified,
+    trainer,
+    write_dataset,
 )
+from sncv.cli import main
 from sncv.scoring import ScoredDataset
+from sncv.selection import quality_order
 
 
 def make_scored(labels, qs_values, probs=None):
@@ -52,6 +59,60 @@ def row_loop_selection(scored, k, lowest):
     return tuple(pos[:n_pos] + neg[:k - n_pos])
 
 
+def test_quality_ties_break_by_id_in_selection_relabel_and_bands(tmp_path, monkeypatch):
+    # two distinct scores over 40 rows stored out of id order: every ranking
+    # by quality score must break its ties by id, not by storage position
+    rng = np.random.default_rng(21)
+    base = make_scored(rng.choice([0, 1, 2, 3], size=40), rng.choice([-0.5, 0.5], size=40))
+    perm = rng.permutation(40)
+    stored = Dataset(base.scheme, base.dataset.ids[perm], rng.standard_normal((40, 2)),
+                     base.dataset.y[perm], true_y=base.dataset.y[perm])
+    scored = ScoredDataset(stored, base.fold[perm], base.qs[perm], base.probs[perm])
+    ids, qs = stored.ids.tolist(), scored.qs.tolist()
+    high = sorted(range(40), key=lambda i: (-qs[i], ids[i]))
+    low = sorted(range(40), key=lambda i: (qs[i], ids[i]))
+    assert quality_order(scored).tolist() == high
+    assert quality_order(scored, lowest=True).tolist() == low
+
+    for k in (5, 17):
+        assert select_stratified(scored, k).selected_ids == row_loop_selection(scored, k, False)
+        assert (select_lowest_stratified(scored, k).selected_ids
+                == row_loop_selection(scored, k, True))
+    tranche = run_relabel_experiment(scored, 17, 0.0, seed=1).rows["id"]
+    assert tranche == [ids[i] for i in low[:17]]
+
+    # bands' unstratified composition, from a stub scoring in storage order
+    # and stub fits
+    write_dataset(stored, tmp_path / "train.csv")
+    write_dataset(stored, tmp_path / "tune.csv")
+    (tmp_path / "tiny.cfg").write_text("[experiment]\nmin_fold_size = 10\n")
+    by_id = {i: row for row, i in enumerate(ids)}
+
+    def stub_score(dataset, tune_set, hp, seed, min_fold_size):
+        rows = [by_id[i] for i in dataset.ids.tolist()]
+        return ScoredDataset(dataset, scored.fold[rows], scored.qs[rows], scored.probs[rows]), \
+            None, None
+
+    monkeypatch.setattr(scoring, "cross_fold_score", stub_score)
+    monkeypatch.setattr(trainer, "train_many", lambda jobs, tune_set, hp: [
+        types.SimpleNamespace(tune_auc_at_stop=0.5) for _ in jobs])
+    rc = main(["--config", str(tmp_path / "tiny.cfg"), "--seed", "3", "--out",
+               str(tmp_path / "bands"), "bands", "--train", str(tmp_path / "train.csv"),
+               "--tune", str(tmp_path / "tune.csv"), "--k-grid", "0.25,0.5"])
+    assert rc == 0
+    lines = (tmp_path / "bands" / "bands_composition.csv").read_text().splitlines()[1:]
+    positive = stored.binary_labels()
+
+    def shares(order):
+        return [(k, float(positive[order[:k]].mean()), float(positive[order[-k:]].mean()))
+                for k in (10, 20, 40)]
+
+    assert [(int(k), float(top), float(bottom)) for k, top, bottom in
+            (line.split(",") for line in lines)] == shares(high)
+    # ties broken by storage position would give other shares on these rows
+    assert shares(np.argsort(-scored.qs, kind="stable")) != shares(high)
+
+
 class TestSelectStratified:
     def test_thousand_example_quota_split(self):
         # tau = 0.236, k = 1000 -> 236 positives + 764 negatives
@@ -85,8 +146,8 @@ class TestSelectStratified:
         assert set(res.selected_ids) == {ids[8], ids[9], ids[2], ids[3]}
 
     def test_quota_always_satisfiable_with_data_derived_tau(self, rng):
-        # with tau computed from the data, round(tau*k) never exceeds the
-        # class inventory, so shortfalls stay zero and counts are exact
+        # with tau computed from the data, round(tau*k) never exceeds either
+        # class's inventory, so every k keeps exactly its quota of each class
         for _ in range(30):
             n = int(rng.integers(4, 60))
             labels = rng.choice([0, 2], size=n, p=[0.7, 0.3])
@@ -96,11 +157,15 @@ class TestSelectStratified:
                 labels[0] = 0
             qs = rng.uniform(0.25, 1.0, size=n)
             scored = make_scored(labels, qs)
-            k = int(rng.integers(1, n + 1))
-            res = select_stratified(scored, k)
-            assert res.positive_shortfall == 0
-            assert res.negative_shortfall == 0
-            assert res.n_positive_selected + res.n_negative_selected == k
+            tau = positive_rate(scored.dataset)
+            positive = dict(zip(scored.dataset.ids.tolist(), (labels == 2).tolist()))
+            for k in range(1, n + 1):
+                res = select_stratified(scored, k)
+                n_pos = sum(positive[i] for i in res.selected_ids)
+                want = int(np.floor(tau * k + 0.5))
+                assert len(set(res.selected_ids)) == len(res.selected_ids) == k
+                assert (n_pos, k - n_pos) == (want, k - want)
+                assert (res.n_positive_selected, res.n_negative_selected) == (want, k - want)
 
     def test_ties_break_by_ascending_id(self):
         labels = [0, 0, 0, 0]
@@ -193,7 +258,7 @@ class TestSelectNcv:
 
     def test_exact_match_variant(self, small_scored):
         scored = small_scored["scored"]
-        res = select_ncv(scored, match="exact")
+        res = select_ncv(scored, exact=True)
         argmax = scored.probs.argmax(axis=1)
         direct = set(scored.dataset.ids[argmax == scored.dataset.y])
         assert set(res.selected_ids) == direct
