@@ -192,6 +192,10 @@ def check(cfg: RunConfig, source) -> None:
             raise InputError(f"{source}: [{section}] {key} must list at least one value, "
                              f"each in {interval}, got {list(value)}")
         raise InputError(f"{source}: [{section}] {key} must be in {interval}, got {value!r}")
+    # the histogram's bin count, ceil(2 / bin_width), must fit a 64-bit index
+    if not 2.0 / cfg.bin_width < 2**63:
+        raise InputError(f"{source}: [experiment] bin_width {cfg.bin_width!r} makes more "
+                         "histogram bins than a 64-bit index holds")
     try:
         cfg.hyperparams
     except ValueError as err:

@@ -132,8 +132,7 @@ def cluster_centers(config: PopulationConfig) -> np.ndarray:
         if j > 1 and config.cluster_scatter > 0:
             offs[:, :m] = config.cluster_scatter * rng.standard_normal((j, m))
         if config.cluster_region_offsets is not None:
-            row = config.cluster_region_offsets[c]
-            offs[:, : len(row)] += np.asarray(row)
+            offs[:, :m] += np.asarray(config.cluster_region_offsets[c])[:m]
         centers[c] = base[c] + offs
     return centers
 

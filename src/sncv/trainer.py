@@ -109,14 +109,13 @@ def _init_weights(d: int, k: int, hidden: int, rng: np.random.Generator) -> dict
 
 
 def _flat_views(flat: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """The weight arrays of `shapes` as views of one flat buffer. The matrices
-    come first in the buffer, so its head holds every matrix entry."""
+    """The weight arrays of `shapes` as views of one flat buffer, in `shapes` order."""
     views, start = {}, 0
-    for key in sorted(shapes, key=lambda key: -len(shapes[key])):
-        size = math.prod(shapes[key])
-        views[key] = flat[start:start + size].reshape(shapes[key])
+    for key, shape in shapes.items():
+        size = math.prod(shape)
+        views[key] = flat[start:start + size].reshape(shape)
         start += size
-    return {key: views[key] for key in shapes}
+    return views
 
 
 def _batch_step(weights, grads, X, Y, label_at, label_prob) -> None:
@@ -178,7 +177,6 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     weights, grads = _flat_views(flat_w, shapes), _flat_views(flat_g, shapes)
     for key, w in initial.items():
         weights[key][...] = w
-    flat_matrices = flat_w[:weights["w1"].size + weights["w2"].size]
     model = Model(scheme=train_set.scheme, feature_dim=d, hidden_units=hp.hidden_units,
                   weights=weights, seed=seed)
 
@@ -188,7 +186,6 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     one_hot = np.eye(k)[y]
     row_at = np.arange(n) % b * k
     label_prob = np.empty(n)
-    sq_norm = np.empty(n_batches)
     best_auc = -np.inf
     best_flat = None
     best_epoch = 0
@@ -196,12 +193,8 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
     for epoch in range(1, hp.max_epochs + 1):
         perm = rng.permutation(n)
         X_epoch, Y_epoch, label_at = X[perm], one_hot[perm], row_at + y[perm]
-        for i, start in enumerate(range(0, n, b)):
+        for start in range(0, n, b):
             end = start + b
-            # the squared norm of the matrices each batch saw; it turns
-            # non-finite once the weights overflow, which flags a diverged fit
-            # even while the softmax, and so the loss, stays finite
-            sq_norm[i] = flat_matrices @ flat_matrices
             _batch_step(weights, grads, X_epoch[start:end], Y_epoch[start:end],
                         label_at[start:end], label_prob[start:end])
             flat_g *= hp.learning_rate
@@ -214,7 +207,11 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
         # summed in batch order, as a running total, without compensation
         for loss in (-mean_log_p).tolist():
             epoch_loss += loss
-        if not (math.isfinite(epoch_loss) and np.isfinite(sq_norm).all()):
+        # the weights' squared norm turns non-finite once they overflow, which
+        # flags a diverged fit even while the softmax, and so the loss, stays finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_norm = flat_w @ flat_w
+        if not (math.isfinite(epoch_loss) and math.isfinite(sq_norm)):
             raise ValueError(f"diverged: non-finite loss at epoch {epoch}")
         model.train_loss_by_epoch.append(epoch_loss / n_batches)
 

@@ -3,6 +3,8 @@
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -95,13 +97,19 @@ class TestGen:
         assert abs(report["tau"] - 0.246) < 0.04  # small-n draw tolerance
         assert report["seed"] == 7
 
-    def test_byte_identical_across_runs(self, mini_config, tmp_path):
+    # one feature is narrower than the 2-component cluster region offsets
+    @pytest.mark.parametrize("feature_dim", [6, 1])
+    def test_byte_identical_across_runs(self, mini_config, tmp_path, feature_dim):
+        config = tmp_path / "gen.cfg"
+        config.write_text(MINI_CONFIG.replace("feature_dim = 6", f"feature_dim = {feature_dim}"))
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        assert run_cli(mini_config, out_a, "gen") == 0
-        assert run_cli(mini_config, out_b, "gen") == 0
+        assert run_cli(config, out_a, "gen") == 0
+        assert run_cli(config, out_b, "gen") == 0
         for name in ("train.csv", "tune.csv", "pool.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert read_dataset(out_a / "train.csv", read_scheme(out_a / "scheme.json")).X.shape \
+            == (1200, feature_dim)
 
     def test_missing_scheme_file_exits_2(self, mini_config, tmp_path, capsys):
         rc = main(["--config", str(mini_config), "--seed", "7",
@@ -312,6 +320,28 @@ class TestSplitTrainScore:
         assert rc == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(
             "failure: train: degenerate-train-set: ")
+
+    def test_diverged_one_batch_fit_names_epoch_1_without_a_warning(self, mini_config,
+                                                                   generated, tmp_path):
+        # a fresh interpreter, as the CLI runs: pytest's own capture would hide
+        # numpy's RuntimeWarning from stderr
+        scheme = read_scheme(generated / "scheme.json")
+        train = read_dataset(generated / "train.csv", scheme)
+        side = train.binary_labels()
+        rows = np.concatenate([np.flatnonzero(side == 0)[:16], np.flatnonzero(side == 1)[:16]])
+        write_dataset(train.take(rows), tmp_path / "one_batch.csv")
+        config = tmp_path / "overflow.cfg"
+        config.write_text(MINI_CONFIG.replace("[train]", "[train]\nlearning_rate = 1e300"))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                          os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "sncv", "--config", str(config), "--seed", "7", "--out",
+             str(tmp_path / "out"), "train", "--train", str(tmp_path / "one_batch.csv"),
+             "--tune", str(generated / "tune.csv"), "--scheme", str(generated / "scheme.json")],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == "failure: train: diverged: non-finite loss at epoch 1\n"
 
 
 class TestPipeline:

@@ -215,10 +215,11 @@ class TestTrain:
             train(all_neg, tune, Hyperparams(), seed=0)
 
     @pytest.mark.parametrize("hidden", [1, 8])
-    def test_overflowing_weights_raise_diverged_at_epoch_1(self, hidden):
+    @pytest.mark.parametrize("n_rows", [100, 32])  # four batches, or one of batch_size 32
+    def test_overflowing_weights_raise_diverged_at_epoch_1(self, hidden, n_rows):
         # the softmax stays finite at learning_rate 1e300, so only the weights'
-        # overflow can flag the divergence
-        ds = toy_dataset(100, 3, n_classes=4, seed=3, separation=1.0)
+        # overflow can flag the divergence, in the epoch whose step overflowed
+        ds = toy_dataset(n_rows, 3, n_classes=4, seed=3, separation=1.0)
         tune = toy_dataset(60, 3, n_classes=4, seed=4, separation=1.0)
         hp = Hyperparams(learning_rate=1e300, hidden_units=hidden, max_epochs=5)
         with np.errstate(over="ignore", invalid="ignore"):
