@@ -282,13 +282,14 @@ def cmd_bands(cfg: RunConfig) -> int:
         models = trainer.train_many(jobs, tune_set, cfg.hyperparams)
         band_rows.append((k, models[0].tune_auc_at_stop, models[-1].tune_auc_at_stop))
     # unstratified composition: positive share of the top-k and bottom-k by QS
-    pos_mask = scored.dataset.binary_labels()[selection.quality_order(scored)]
+    top, bottom = (scored.dataset.binary_labels()[selection.quality_order(scored, lowest)]
+                   for lowest in (False, True))
 
     out = _out_dir(cfg)
     _write_table(out / "bands_auc.csv", ["band_size", "auc_high_qs", "auc_low_qs", "delta"],
                  ([k, repr(a_hi), repr(a_lo), repr(a_hi - a_lo)] for k, a_hi, a_lo in band_rows))
     _write_table(out / "bands_composition.csv", ["band_size", "pos_share_top", "pos_share_bottom"],
-                 ([k, repr(float(pos_mask[:k].mean())), repr(float(pos_mask[-k:].mean()))]
+                 ([k, repr(float(top[:k].mean())), repr(float(bottom[:k].mean()))]
                   for k in sizes))
     _write_report(cfg, "bands_report.json", {
         "bands": [{"band_size": k, "auc_high_qs": a_hi, "auc_low_qs": a_lo,

@@ -103,14 +103,17 @@ def test_quality_ties_break_by_id_in_selection_relabel_and_bands(tmp_path, monke
     lines = (tmp_path / "bands" / "bands_composition.csv").read_text().splitlines()[1:]
     positive = stored.binary_labels()
 
-    def shares(order):
-        return [(k, float(positive[order[:k]].mean()), float(positive[order[-k:]].mean()))
+    def shares(high, low):
+        return [(k, float(positive[high[:k]].mean()), float(positive[low[:k]].mean()))
                 for k in (10, 20, 40)]
 
     assert [(int(k), float(top), float(bottom)) for k, top, bottom in
-            (line.split(",") for line in lines)] == shares(high)
-    # ties broken by storage position would give other shares on these rows
-    assert shares(np.argsort(-scored.qs, kind="stable")) != shares(high)
+            (line.split(",") for line in lines)] == shares(high, low)
+    # ties broken by storage position, or the bottom band taken as the tail
+    # of the top ranking, would give other shares on these rows
+    by_position = np.argsort(-scored.qs, kind="stable")
+    assert shares(by_position, by_position[::-1]) != shares(high, low)
+    assert shares(high, high[::-1]) != shares(high, low)
 
 
 class TestSelectStratified:
