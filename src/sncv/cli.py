@@ -282,8 +282,9 @@ def cmd_bands(cfg: RunConfig) -> int:
         models = trainer.train_many(jobs, tune_set, cfg.hyperparams)
         band_rows.append((k, models[0].tune_auc_at_stop, models[-1].tune_auc_at_stop))
     # unstratified composition: positive share of the top-k and bottom-k by QS
-    top, bottom = (scored.dataset.binary_labels()[selection.quality_order(scored, lowest)]
-                   for lowest in (False, True))
+    positive = scored.dataset.binary_labels()
+    top = positive[selection.quality_order(scored)]
+    bottom = positive[selection.quality_order(scored, lowest=True)]
 
     out = _out_dir(cfg)
     _write_table(out / "bands_auc.csv", ["band_size", "auc_high_qs", "auc_low_qs", "delta"],

@@ -21,7 +21,7 @@ from .scoring import ScoredDataset, cross_fold_score, derive_seed
 from .trainer import Hyperparams, Model, train_many
 
 
-# the --select-mode names, each the selection `select` makes under it
+# the --select-mode names; `select` makes the selection each one names
 MODES = ("stratified", "lowest", "ncv", "ncv-exact")
 
 
