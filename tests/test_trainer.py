@@ -214,8 +214,10 @@ class TestTrain:
         with pytest.raises(ValueError, match="degenerate-train-set"):
             train(all_neg, tune, Hyperparams(), seed=0)
 
-    @pytest.mark.parametrize("hidden", [1, 8])
-    @pytest.mark.parametrize("n_rows", [100, 32])  # four batches, or one of batch_size 32
+    # four batches, or one of batch_size 32
+    @pytest.mark.parametrize("hidden, n_rows", [
+        pytest.param(1, 100, id="1"), pytest.param(8, 100, id="8"),
+        pytest.param(1, 32, id="1-one-batch"), pytest.param(8, 32, id="8-one-batch")])
     def test_overflowing_weights_raise_diverged_at_epoch_1(self, hidden, n_rows):
         # the softmax stays finite at learning_rate 1e300, so only the weights'
         # overflow can flag the divergence, in the epoch whose step overflowed
