@@ -90,8 +90,8 @@ def test_quality_ties_break_by_id_in_selection_relabel_and_bands(tmp_path, monke
 
     def stub_score(dataset, tune_set, hp, seed, min_fold_size):
         rows = [by_id[i] for i in dataset.ids.tolist()]
-        return ScoredDataset(dataset, scored.fold[rows], scored.qs[rows], scored.probs[rows]), \
-            None, None
+        return (ScoredDataset(dataset, scored.fold[rows], scored.qs[rows], scored.probs[rows]),
+                None, None)
 
     monkeypatch.setattr(scoring, "cross_fold_score", stub_score)
     monkeypatch.setattr(trainer, "train_many", lambda jobs, tune_set, hp: [
