@@ -25,6 +25,7 @@ from .dataset import (
     Dataset,
     InputError,
     default_scheme,
+    draw_mask,
     positive_rate,
     read_dataset,
     read_scheme,
@@ -76,9 +77,6 @@ def _load_scheme(cfg: RunConfig):
 
 def _load_pool(cfg: RunConfig, scheme):
     if cfg.pool_path is None:
-        if scheme.n_classes != len(synth.BASE_FLIP_RATES):
-            raise InputError(f"the default grader pool has {len(synth.BASE_FLIP_RATES)} classes "
-                             f"and the scheme {scheme.n_classes}: pass --pool")
         return synth.default_grader_pool(scheme)
     return _load("grader pool", cfg.pool_path, synth.read_grader_pool, scheme)
 
@@ -208,8 +206,7 @@ def cmd_score(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
     _check_fold_size(cfg, len(dataset))
     scored, m1, m2 = scoring.cross_fold_score(
-        dataset, tune_set, cfg.hyperparams, cfg.stage_seed("score"),
-        min_fold_size=cfg.min_fold_size)
+        dataset, tune_set, cfg.hyperparams, cfg.stage_seed("score"))
     scoring.write_scored_dataset(scored, _out_dir(cfg) / "scored.csv")
     _write_report(cfg, "score_report.json", {
         "tau": positive_rate(dataset),
@@ -234,7 +231,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     _check_fold_size(cfg, len(dataset))
     result = selection.run_sncv_pipeline(
         dataset, tune_set, _resolve_k_grid(cfg, dataset), cfg.hyperparams,
-        cfg.stage_seed("pipeline"), cfg.min_fold_size)
+        cfg.stage_seed("pipeline"))
     histogram = scoring.qs_histogram(result.scored, cfg.bin_width)
     tune_scores = trainer.referable_scores(result.model, tune_set.X)
     tune_auc = metrics.roc_auc(tune_scores, tune_set.binary_labels())
@@ -266,8 +263,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     sizes = [_rows_kept("k_grid", frac, len(dataset)) for frac in sorted(set(cfg.k_grid) | {1.0})]
     _check_fold_size(cfg, len(dataset))
     scored, _, _ = scoring.cross_fold_score(
-        dataset, tune_set, cfg.hyperparams, cfg.stage_seed("bands-score"),
-        min_fold_size=cfg.min_fold_size)
+        dataset, tune_set, cfg.hyperparams, cfg.stage_seed("bands-score"))
 
     band_rows = []
     for j, k in enumerate(sizes):
@@ -304,11 +300,9 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
                      cfg: RunConfig) -> dict:
     """Train the four arms and run the labeling-burden hypothesis tests."""
     seed = cfg.stage_seed("burden")
-    rng = np.random.default_rng(scoring.derive_seed(seed, "subsample"))
-    ids = sorted(full_train.ids)
-    n_sub = _rows_kept("subsample_fraction", cfg.subsample_fraction, len(ids))
-    sub_ids = [ids[i] for i in rng.permutation(len(ids))[:n_sub]]
-    sub_train = full_train.subset(sub_ids)
+    n_sub = _rows_kept("subsample_fraction", cfg.subsample_fraction, len(full_train))
+    sub_train = full_train.take(np.flatnonzero(
+        draw_mask(full_train, n_sub, scoring.derive_seed(seed, "subsample"))))
     _check_fold_size(cfg, n_sub)
     k_grid = _resolve_k_grid(cfg, sub_train)
 
@@ -317,8 +311,7 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
          (sub_train, cfg.stage_seed("burden-sub"), "subsample")], tune_set, cfg.hyperparams)
 
     sncv_result = selection.run_sncv_pipeline(
-        sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"),
-        cfg.min_fold_size)
+        sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"))
 
     ncv_sel = selection.select_ncv(sncv_result.scored)
     [ncv_model] = trainer.train_many(

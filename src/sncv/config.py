@@ -88,7 +88,8 @@ class RunConfig:
     n_lowest: int = _key("experiment", 800, ("relabel",), "relabel tranche size")
     oracle_error_rate: float = _key("experiment", 0.0, ("relabel",), interval="[0, 1)")
     mismatch_threshold: float = _key("experiment", 0.30, ("graders",), interval="[0, 1)")
-    bin_width: float = _key("experiment", 0.05, interval="(0, inf)")
+    # at most 20,000 histogram bins, one per row of the reference train set
+    bin_width: float = _key("experiment", 0.05, interval="[0.0001, inf)")
     min_fold_size: int = _key("experiment", 100, interval="[1, inf)")
     select_mode: str = _key("experiment", "stratified", ("select",), choices=MODES)
     seed: int | None = _key("experiment", None, "main", "pipeline seed (overrides config)")
@@ -192,10 +193,6 @@ def check(cfg: RunConfig, source) -> None:
             raise InputError(f"{source}: [{section}] {key} must list at least one value, "
                              f"each in {interval}, got {list(value)}")
         raise InputError(f"{source}: [{section}] {key} must be in {interval}, got {value!r}")
-    # the histogram's bin count, ceil(2 / bin_width), must fit a 64-bit index
-    if not 2.0 / cfg.bin_width < 2**63:
-        raise InputError(f"{source}: [experiment] bin_width {cfg.bin_width!r} makes more "
-                         "histogram bins than a 64-bit index holds")
     try:
         cfg.hyperparams
     except ValueError as err:

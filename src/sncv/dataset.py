@@ -187,21 +187,27 @@ def positive_rate(dataset: Dataset) -> float:
     return float(dataset.binary_labels().mean())
 
 
-def split_mask(dataset: Dataset, seed: int) -> np.ndarray:
-    """Boolean mask of the rows in D1 of a two-way split; an odd count puts the
-    extra example in D1.
+def draw_mask(dataset: Dataset, m: int, seed: int) -> np.ndarray:
+    """Boolean mask of m rows drawn by seed.
 
-    Ids are sorted lexicographically before the seeded shuffle, so the
-    partition depends only on (seed, id set), never on storage order.
+    Ids are sorted lexicographically before the seeded shuffle, so the draw
+    depends only on (seed, id set, m), never on storage order.
     """
+    n = len(dataset)
+    by_id = np.argsort(dataset.ids)
+    perm = np.random.default_rng(seed).permutation(n)
+    drawn = np.zeros(n, dtype=bool)
+    drawn[by_id[perm[:m]]] = True
+    return drawn
+
+
+def split_mask(dataset: Dataset, seed: int) -> np.ndarray:
+    """Boolean mask of the rows in D1 of a two-way split: a draw of half the
+    rows, an odd count putting the extra example in D1."""
     n = len(dataset)
     if n < 2:
         raise InputError(f"too-small-to-split: {n} row(s), a split needs 2")
-    by_id = np.argsort(dataset.ids)
-    perm = np.random.default_rng(seed).permutation(n)
-    in_d1 = np.zeros(n, dtype=bool)
-    in_d1[by_id[perm[:(n + 1) // 2]]] = True
-    return in_d1
+    return draw_mask(dataset, (n + 1) // 2, seed)
 
 
 def split_random(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:

@@ -57,15 +57,13 @@ def quality_scores_batch(probs: np.ndarray, labels: np.ndarray, scheme: ClassSch
     return np.where(same, top, -top)
 
 
-def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int,
-                     min_fold_size: int) -> tuple[ScoredDataset, Model, Model]:
+def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams,
+                     seed: int) -> tuple[ScoredDataset, Model, Model]:
     """Split, train one model per fold, score every example with the opposite fold.
 
     No example is ever scored by a model that saw it in training. Returns the
     scored dataset plus both fold models for downstream comparability checks.
     """
-    if len(dataset) < 2 * min_fold_size:
-        raise ValueError(f"dataset too small for cross-fold scoring (< {2 * min_fold_size})")
     in_d1 = split_mask(dataset, derive_seed(seed, "split"))
     d1_rows, d2_rows = np.flatnonzero(in_d1), np.flatnonzero(~in_d1)
     m1, m2 = train_many([(dataset.take(d1_rows), derive_seed(seed, "train-d1"), "fold-D1"),

@@ -119,15 +119,15 @@ class PipelineResult:
 
 
 def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k_values: list[int], hp: Hyperparams,
-                      seed: int, min_fold_size: int) -> PipelineResult:
+                      seed: int) -> PipelineResult:
     """Cross-fold score, stratified-select, train the final model on the kept set.
 
     With several candidate sizes in k_values, the size whose final model
     scores best on the tune set wins.
     """
-    scored, m1, m2 = cross_fold_score(dataset, tune_set, hp, seed, min_fold_size)
     if not k_values:
         raise ValueError("k grid is empty")
+    scored, m1, m2 = cross_fold_score(dataset, tune_set, hp, seed)
     selections = [select_stratified(scored, k_val) for k_val in k_values]
     models = train_many([(dataset.subset(s.selected_ids), derive_seed(seed, f"train-final-{j}"),
                           f"final k={s.k_requested}") for j, s in enumerate(selections)],

@@ -22,16 +22,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (ClassScheme, Dataset, check_record, check_value, default_scheme,
-                      record)
+from .dataset import (ClassScheme, Dataset, InputError, check_record, check_value,
+                      default_scheme, record)
 
-GRADER_ROLES = (
-    "glaucoma-specialist",
-    "retina-specialist",
-    "ophthalmologist",
-    "trainee-fellow",
-    "optometrist",
-)
+# role -> (error severity, grader count, per-grader workload) in the default
+# pool, shaped after a specialist-heavy pool
+POOL_ROLES = {
+    "glaucoma-specialist": (0.28, 5, 0.068),
+    "retina-specialist": (0.75, 2, 0.080),
+    "ophthalmologist": (1.00, 3, 0.060),
+    "trainee-fellow": (2.80, 3, 0.080),
+    "optometrist": (1.30, 1, 0.080),
+}
+GRADER_ROLES = tuple(POOL_ROLES)
 
 
 @dataclass(frozen=True)
@@ -236,35 +239,22 @@ def confusion_from_flip_rates(flip_rates, scheme: ClassScheme,
     return conf
 
 
-ROLE_SEVERITY = {
-    "glaucoma-specialist": 0.28,
-    "retina-specialist": 0.75,
-    "ophthalmologist": 1.00,
-    "trainee-fellow": 2.80,
-    "optometrist": 1.30,
-}
-
 # per-true-class boundary-crossing rates of the pool as a whole
 BASE_FLIP_RATES = (0.09, 0.09, 0.18, 0.40)
 
-# grader counts and per-grader workload, shaped after a specialist-heavy pool
-DEFAULT_POOL_SHAPE = (
-    ("glaucoma-specialist", 5, 0.068),
-    ("retina-specialist", 2, 0.080),
-    ("ophthalmologist", 3, 0.060),
-    ("trainee-fellow", 3, 0.080),
-    ("optometrist", 1, 0.080),
-)
-
 
 def default_grader_pool(scheme: ClassScheme | None = None) -> list[GraderProfile]:
-    """Role-graded pool whose workload-weighted flip rates match BASE_FLIP_RATES."""
+    """Role-graded pool whose workload-weighted flip rates match BASE_FLIP_RATES;
+    the scheme must have one class per rate."""
     scheme = scheme or default_scheme()
-    norm = sum(count * w * ROLE_SEVERITY[role] for role, count, w in DEFAULT_POOL_SHAPE)
+    if scheme.n_classes != len(BASE_FLIP_RATES):
+        raise InputError(f"the default grader pool has {len(BASE_FLIP_RATES)} classes "
+                         f"and the scheme {scheme.n_classes}: pass --pool")
+    norm = sum(count * w * severity for severity, count, w in POOL_ROLES.values())
     pool = []
     idx = 0
-    for role, count, weight in DEFAULT_POOL_SHAPE:
-        mult = ROLE_SEVERITY[role] / norm
+    for role, (severity, count, weight) in POOL_ROLES.items():
+        mult = severity / norm
         rates = [min(0.95, r * mult) for r in BASE_FLIP_RATES]
         conf = confusion_from_flip_rates(rates, scheme)
         for _ in range(count):

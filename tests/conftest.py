@@ -26,7 +26,6 @@ from sncv.scoring import derive_seed
 from sncv.trainer import Model, _batch_step
 
 REFERENCE_SEEDS = (0, 1, 2, 3, 4)
-MIN_FOLD_SIZE = RunConfig().min_fold_size
 
 
 def make_reference_data(seed: int, n_train: int = 20000, n_tune: int = 2000,
@@ -66,7 +65,7 @@ class ReferenceRuns:
             d = self.data(seed)
             hp = reference_hyperparams()
             self._scored[seed] = cross_fold_score(
-                d["train"], d["tune"], hp, derive_seed(seed, "score"), MIN_FOLD_SIZE)
+                d["train"], d["tune"], hp, derive_seed(seed, "score"))
         return self._scored[seed]
 
     def model(self, seed: int, which: str):
@@ -111,8 +110,7 @@ def small_noisy_setup():
 def small_scored(small_noisy_setup):
     hp = dataclasses.replace(reference_hyperparams(), max_epochs=40)
     scored, m1, m2 = cross_fold_score(
-        small_noisy_setup["train"], small_noisy_setup["tune"], hp, seed=7,
-        min_fold_size=MIN_FOLD_SIZE)
+        small_noisy_setup["train"], small_noisy_setup["tune"], hp, seed=7)
     return {"scored": scored, "m1": m1, "m2": m2, **small_noisy_setup}
 
 

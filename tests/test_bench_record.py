@@ -41,11 +41,23 @@ def test_two_passing_seeds_per_side_write_a_record(tmp_path):
     parent = write_results(tmp_path / "parent", "score-ref", [1, 2])
     change = write_results(tmp_path / "change", "score-ref", [1, 2, 3], failed=[4])
     out = tmp_path / "bench.json"
-    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10:496", "9:519"])
     record = json.loads(out.read_text())
     assert record["change"]["score-ref"]["seeds"] == [1, 2, 3]
     assert record["change"]["score-ref"]["failed_seeds"] == [4]
     assert record["tier1_suite_s"] == {"parent": 10.0, "change": 9.0}
+    assert record["tier1_suite_tests"] == {"parent": 496, "change": 519}
+
+
+@pytest.mark.parametrize("suite", ["10", "10:496.5"])
+def test_suite_run_without_seconds_and_test_count_exits_2(tmp_path, suite):
+    parent = write_results(tmp_path / "parent", "score-ref", [1, 2])
+    change = write_results(tmp_path / "change", "score-ref", [1, 2])
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record().main([str(parent), str(change), str(out), "--suite-s", suite, "9:519"])
+    assert exit_info.value.code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("side", ["parent", "change"])
@@ -56,7 +68,7 @@ def test_fewer_than_two_passing_seeds_exits_2_naming_them(tmp_path, capsys, side
     out = tmp_path / "bench.json"
     with pytest.raises(SystemExit) as exit_info:
         bench_record().main([str(checkouts["parent"]), str(checkouts["change"]), str(out),
-                             "--suite-s", "10", "9"])
+                             "--suite-s", "10:496", "9:519"])
     assert exit_info.value.code == 2
     assert (f"{checkouts[side]}: curate-ref has 1 passing seed(s), needs 2; failed seeds [6, 7]"
             in capsys.readouterr().err)
@@ -76,7 +88,7 @@ def test_pair_wins_count_shared_seeds_in_each_metrics_direction(tmp_path):
     change = write_results(tmp_path / "change", "burden-ref", [1, 2, 3, 5],
                            value=lambda seed, name: change_values[seed].get(name, 1.0))
     out = tmp_path / "bench.json"
-    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10:496", "9:519"])
     wins = json.loads(out.read_text())["change_pair_wins"]["burden-ref"]
     assert wins["cycle_s"] == {"won": 2, "lost": 1, "tied": 0}
     assert wins["quality"] == {"won": 2, "lost": 0, "tied": 1}
@@ -95,7 +107,7 @@ def test_claim_tests_state_won_share_and_median_gap_over_parent_iqr(tmp_path):
     change = write_results(tmp_path / "change", "curate-ref", [1, 2, 3, 4],
                            value=lambda seed, name: change_values.get(name, {}).get(seed, 1.0))
     out = tmp_path / "bench.json"
-    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10:496", "9:519"])
     record = json.loads(out.read_text())
     tests = record["claim_tests"]["curate-ref"]
     assert record["parent"]["curate-ref"]["cycle_s"]["iqr"] == pytest.approx(1.5)
@@ -123,7 +135,7 @@ def test_regression_tests_state_worse_by_against_the_bound(tmp_path):
     change = write_results(tmp_path / "change", "score-ref", [1, 2, 3],
                            value=lambda seed, name: change_values[name][seed])
     out = tmp_path / "bench.json"
-    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10:496", "9:519"])
     tests = json.loads(out.read_text())["regression_tests"]["score-ref"]
     # 20% slower against a 25% bound; 20% more memory against a 10% bound
     assert tests["cycle_s"] == {"worse_by": pytest.approx(0.2), "bound": 0.25,
@@ -145,7 +157,7 @@ def test_a_change_beating_every_parent_run_is_resolved_despite_the_spread(tmp_pa
     change = write_results(tmp_path / "change", "burden-ref", [1, 2, 3],
                            value=lambda seed, name: 3.0)
     out = tmp_path / "bench.json"
-    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10", "9"])
+    bench_record().main([str(parent), str(change), str(out), "--suite-s", "10:496", "9:519"])
     tests = json.loads(out.read_text())["regression_tests"]["burden-ref"]
     assert tests["cycle_s"]["unresolved"] is False
     # quality is higher-is-better, so a change at 3.0 loses to every parent run

@@ -475,6 +475,25 @@ class TestBandsAndBurden:
         # f = 1.0 makes the subsample the full set: identical training data
         assert report["n_subsample"] == 1200
 
+    def test_one_class_ncv_selection_exits_1_naming_the_ncv_fit(self, small_generated, tmp_path,
+                                                                capsys, monkeypatch):
+        # the agreement filter needs the fold models, so the ncv fit's own
+        # check is the first that can see a one-sided selection
+        def negatives_only(scored, exact=False):
+            ids = scored.dataset.ids[scored.dataset.binary_labels() == 0]
+            return selection.SelectionResult(tuple(ids.tolist()), 0, len(ids),
+                                             tau_used=None, k_requested=None, mode="ncv")
+
+        monkeypatch.setattr(selection, "select_ncv", negatives_only)
+        rc = run_cli(small_generated / "small.cfg", tmp_path / "out", "burden",
+                     "--train", str(small_generated / "train.csv"),
+                     "--tune", str(small_generated / "tune.csv"),
+                     "--test", str(small_generated / "test.csv"))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "failure: ncv: degenerate-train-set: ")
+        assert not (tmp_path / "out" / "burden_report.json").exists()
+
 
 SMALL_CONFIG = MINI_CONFIG.replace("n_train = 1200", "n_train = 180").replace(
     "n_tune = 400", "n_tune = 200").replace("n_test = 600", "n_test = 200")

@@ -218,13 +218,17 @@ REJECTED = {
     "too few bootstrap replicates": ("[experiment]\nn_boot = 99\n",
                                      r"\[experiment\] n_boot must be in \[100, inf\), got 99"),
     "zero bin width": ("[experiment]\nbin_width = 0\n",
-                       r"\[experiment\] bin_width must be in \(0, inf\), got 0.0"),
+                       r"\[experiment\] bin_width must be in \[0.0001, inf\), got 0.0"),
     "nan bin width": ("[experiment]\nbin_width = nan\n", r"\[experiment\] bin_width must be in"),
     "bin width of infinitely many bins": ("[experiment]\nbin_width = 5e-324\n",
-                                          r"\[experiment\] bin_width 5e-324 makes more histogram "
-                                          r"bins than a 64-bit index holds"),
+                                          r"\[experiment\] bin_width must be in \[0.0001, inf\), "
+                                          r"got 5e-324"),
     "bin width of too many bins": ("[experiment]\nbin_width = 1e-300\n",
-                                   r"\[experiment\] bin_width 1e-300 makes more histogram bins"),
+                                   r"\[experiment\] bin_width must be in \[0.0001, inf\), "
+                                   r"got 1e-300"),
+    "bin width of more bins than rows": ("[experiment]\nbin_width = 1e-12\n",
+                                         r"\[experiment\] bin_width must be in \[0.0001, inf\), "
+                                         r"got 1e-12"),
     "oracle error rate of 1": ("[experiment]\noracle_error_rate = 1\n",
                                r"\[experiment\] oracle_error_rate must be in \[0, 1\), got 1.0"),
     "negative oracle error rate": ("[experiment]\noracle_error_rate = -0.1\n",

@@ -119,7 +119,7 @@ class TestCrossFoldScore:
         tune = generate_population(dataclasses.replace(cfg, n=300), 6, scheme)
         hp = Hyperparams(hidden_units=4, batch_size=8, max_epochs=40, patience=8,
                          learning_rate=1.0)
-        scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
+        scored, _, _ = cross_fold_score(ds, tune, hp, seed=2)
         assert (scored.qs > 0).all()
 
     def test_bottom_decile_is_mostly_flipped_under_heavy_noise(self):
@@ -137,7 +137,7 @@ class TestCrossFoldScore:
         noisy = apply_grader_noise(population, pool, seed=32)
         tune = generate_population(dataclasses.replace(cfg, n=1000), 33, scheme)
         hp = Hyperparams(hidden_units=16, max_epochs=40, patience=6)
-        scored, _, _ = cross_fold_score(noisy, tune, hp, seed=34, min_fold_size=100)
+        scored, _, _ = cross_fold_score(noisy, tune, hp, seed=34)
         flipped = noisy.y != population.y
         order = np.argsort(scored.qs)
         bottom = order[: len(order) // 10]
@@ -147,14 +147,7 @@ class TestCrossFoldScore:
         tune = small_noisy_setup["tune"]
         bad_tune = Dataset(tune.scheme, ids=tune.ids[:50], X=tune.X[:50], y=np.zeros(50))
         with pytest.raises(ValueError, match="fold-D1"):
-            cross_fold_score(small_noisy_setup["train"], bad_tune,
-                             Hyperparams(), seed=1, min_fold_size=100)
-
-    def test_minimum_size_enforced(self, small_noisy_setup):
-        tiny = small_noisy_setup["train"].subset(small_noisy_setup["train"].ids[:150])
-        with pytest.raises(ValueError, match="too small"):
-            cross_fold_score(tiny, small_noisy_setup["tune"], Hyperparams(), seed=1,
-                             min_fold_size=100)
+            cross_fold_score(small_noisy_setup["train"], bad_tune, Hyperparams(), seed=1)
 
 
 class TestDeriveSeed:
@@ -196,7 +189,7 @@ class TestQsHistogram:
         tune = generate_population(dataclasses.replace(cfg, n=300), 8, scheme)
         hp = Hyperparams(hidden_units=4, batch_size=8, max_epochs=40, patience=8,
                          learning_rate=1.0)
-        scored, _, _ = cross_fold_score(ds, tune, hp, seed=2, min_fold_size=50)
+        scored, _, _ = cross_fold_score(ds, tune, hp, seed=2)
         assert (scored.qs > 0).all()
         rows = qs_histogram(scored, bin_width=0.1)
         counts = [c_non + c_ref for _, _, c_non, c_ref in rows]

@@ -88,7 +88,7 @@ def test_quality_ties_break_by_id_in_selection_relabel_and_bands(tmp_path, monke
     (tmp_path / "tiny.cfg").write_text("[experiment]\nmin_fold_size = 10\n")
     by_id = {i: row for row, i in enumerate(ids)}
 
-    def stub_score(dataset, tune_set, hp, seed, min_fold_size):
+    def stub_score(dataset, tune_set, hp, seed):
         rows = [by_id[i] for i in dataset.ids.tolist()]
         return (ScoredDataset(dataset, scored.fold[rows], scored.qs[rows], scored.probs[rows]),
                 None, None)
@@ -287,7 +287,7 @@ class TestRunPipeline:
         ds = generate_population(cfg, 13, scheme)
         tune = generate_population(dataclasses.replace(cfg, n=400), 14, scheme)
         hp = Hyperparams(hidden_units=4, max_epochs=30, patience=6, learning_rate=0.2)
-        result = run_sncv_pipeline(ds, tune, [len(ds)], hp, seed=15, min_fold_size=100)
+        result = run_sncv_pipeline(ds, tune, [len(ds)], hp, seed=15)
         assert len(result.selection.selected_ids) == len(ds)
         baseline = train(ds, tune, hp, seed=5)
         s = referable_scores(result.model, tune.X)
@@ -304,8 +304,16 @@ class TestRunPipeline:
         n = len(small_noisy_setup["train"])
         grid = [int(0.625 * n), int(0.75 * n), int(0.875 * n)]
         result = run_sncv_pipeline(small_noisy_setup["train"], small_noisy_setup["tune"],
-                                   grid, hp, seed=4, min_fold_size=100)
+                                   grid, hp, seed=4)
         assert result.k_used in grid
         assert set(result.k_grid_tune_auc) == set(grid)
         best = max(result.k_grid_tune_auc.values())
         assert result.k_grid_tune_auc[result.k_used] == best
+
+    def test_empty_grid_raises_before_any_fit(self, small_noisy_setup, fit_sizes):
+        from sncv import Hyperparams
+
+        with pytest.raises(ValueError, match="k grid is empty"):
+            run_sncv_pipeline(small_noisy_setup["train"], small_noisy_setup["tune"], [],
+                              Hyperparams(), seed=4)
+        assert fit_sizes == []

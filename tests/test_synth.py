@@ -24,7 +24,7 @@ from sncv import (
     train,
     write_grader_pool,
 )
-from sncv.dataset import Dataset, split_random
+from sncv.dataset import Dataset, InputError, split_random
 from sncv.synth import confusion_from_flip_rates, draw_category
 
 
@@ -143,6 +143,14 @@ class TestGraderProfiles:
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError, match="unknown grader role"):
             GraderProfile("g", "barista", 1.0, np.eye(4))
+
+    @pytest.mark.parametrize("n_classes", [2, 5])
+    def test_default_pool_needs_one_class_per_flip_rate(self, n_classes):
+        scheme = ClassScheme(tuple(f"c{i}" for i in range(n_classes)), frozenset({1}))
+        with pytest.raises(InputError) as err:
+            default_grader_pool(scheme)
+        assert str(err.value) == (f"the default grader pool has 4 classes and the scheme "
+                                  f"{n_classes}: pass --pool")
 
     def test_confusion_from_flip_rates_rows_stochastic(self):
         conf = confusion_from_flip_rates((0.1, 0.2, 0.3, 0.4), default_scheme())
