@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, relabel, scoring, selection, synth, trainer
+from . import metrics, relabel, scoring, selection, synth, trainer, workers
 from .config import KEYS, RunConfig, check, load_config, value_parser
 from .dataset import (
     Dataset,
@@ -265,7 +265,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     scored, _, _ = scoring.cross_fold_score(
         dataset, tune_set, cfg.hyperparams, cfg.stage_seed("bands-score"))
 
-    band_rows = []
+    jobs, arm_jobs = [], []
     for j, k in enumerate(sizes):
         hi = selection.select_stratified(scored, k)
         lo = selection.select_lowest_stratified(scored, k)
@@ -273,10 +273,12 @@ def cmd_bands(cfg: RunConfig) -> int:
         # coinciding selections (the full band) share one model
         band_seed = cfg.stage_seed(f"bands-{j}")
         arms = [hi] if set(lo.selected_ids) == set(hi.selected_ids) else [hi, lo]
-        jobs = [(dataset.subset(arm.selected_ids), band_seed, f"band {k} {side}")
-                for arm, side in zip(arms, ("high", "low"))]
-        models = trainer.train_many(jobs, tune_set, cfg.hyperparams)
-        band_rows.append((k, models[0].tune_auc_at_stop, models[-1].tune_auc_at_stop))
+        arm_jobs.append((len(jobs), len(jobs) + len(arms) - 1))
+        jobs += [(dataset.subset(arm.selected_ids), band_seed, f"band {k} {side}")
+                 for arm, side in zip(arms, ("high", "low"))]
+    models = trainer.train_many(jobs, tune_set, cfg.hyperparams)
+    band_rows = [(k, models[hi].tune_auc_at_stop, models[lo].tune_auc_at_stop)
+                 for k, (hi, lo) in zip(sizes, arm_jobs)]
     # unstratified composition: positive share of the top-k and bottom-k by QS
     positive = scored.dataset.binary_labels()
     top = positive[selection.quality_order(scored)]
@@ -296,6 +298,33 @@ def cmd_bands(cfg: RunConfig) -> int:
     return 0
 
 
+def _fit_arms(full_train: Dataset, sub_train: Dataset, tune_set: Dataset, k_grid: list[int],
+              cfg: RunConfig, seed: int):
+    """The four arms' models by name, the SNCV pipeline's result and the NCV
+    selection, from two plans of independent fits: the two baselines with the
+    fold pair, then the k grid's final fits with the NCV fit. The jobs' train
+    sets go with this call, before the test set is scored."""
+    sncv_seed = scoring.derive_seed(seed, "sncv")
+    in_d1, fold_jobs = scoring.fold_jobs(sub_train, sncv_seed)
+    full_model, sub_model, m1, m2 = trainer.train_many(
+        [(full_train, cfg.stage_seed("burden-full"), "full"),
+         (sub_train, cfg.stage_seed("burden-sub"), "subsample"), *fold_jobs],
+        tune_set, cfg.hyperparams)
+    scored = scoring.score_folds(sub_train, in_d1, m1, m2)
+    selections, final_jobs = selection.final_jobs(sub_train, scored, k_grid, sncv_seed)
+    ncv_sel = selection.select_ncv(scored)
+    ncv_job = (sub_train.subset(ncv_sel.selected_ids), cfg.stage_seed("burden-ncv"), "ncv")
+    *finals, ncv_model = trainer.train_many([*final_jobs, ncv_job], tune_set, cfg.hyperparams)
+    sncv_result = selection.best_final(scored, (m1, m2), selections, finals)
+    models = {
+        "full_baseline": full_model,
+        "subsample_baseline": sub_model,
+        "subsample_sncv": sncv_result.model,
+        "subsample_ncv": ncv_model,
+    }
+    return models, sncv_result, ncv_sel
+
+
 def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
                      cfg: RunConfig) -> dict:
     """Train the four arms and run the labeling-burden hypothesis tests."""
@@ -304,35 +333,20 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     sub_train = full_train.take(np.flatnonzero(
         draw_mask(full_train, n_sub, scoring.derive_seed(seed, "subsample"))))
     _check_fold_size(cfg, n_sub)
-    k_grid = _resolve_k_grid(cfg, sub_train)
-
-    full_model, sub_model = trainer.train_many(
-        [(full_train, cfg.stage_seed("burden-full"), "full"),
-         (sub_train, cfg.stage_seed("burden-sub"), "subsample")], tune_set, cfg.hyperparams)
-
-    sncv_result = selection.run_sncv_pipeline(
-        sub_train, tune_set, k_grid, cfg.hyperparams, scoring.derive_seed(seed, "sncv"))
-
-    ncv_sel = selection.select_ncv(sncv_result.scored)
-    [ncv_model] = trainer.train_many(
-        [(sub_train.subset(ncv_sel.selected_ids), cfg.stage_seed("burden-ncv"), "ncv")],
-        tune_set, cfg.hyperparams)
-
-    models = {
-        "full_baseline": full_model,
-        "subsample_baseline": sub_model,
-        "subsample_sncv": sncv_result.model,
-        "subsample_ncv": ncv_model,
-    }
+    models, sncv_result, ncv_sel = _fit_arms(full_train, sub_train, tune_set,
+                                             _resolve_k_grid(cfg, sub_train), cfg, seed)
     y_test = test_set.binary_labels()
     arm_scores = {name: trainer.referable_scores(model, test_set.X)
                   for name, model in models.items()}
-    arms = {}
-    for name, s in arm_scores.items():
-        ci = metrics.bootstrap_auc_ci(s, y_test, cfg.n_boot,
-                                      scoring.derive_seed(seed, f"ci-{name}"))
-        arms[name] = {"test_auc": metrics.roc_auc(s, y_test).auc, "test_auc_ci95": list(ci),
-                      "tune_auc": models[name].tune_auc_at_stop}
+    # the bootstraps are independent too; DeLong's scipy import stays in this process
+    cis = workers.run_tasks(
+        lambda name: metrics.bootstrap_auc_ci(arm_scores[name], y_test, cfg.n_boot,
+                                              scoring.derive_seed(seed, f"ci-{name}")),
+        list(arm_scores), labels=[f"{name} CI" for name in arm_scores],
+        costs=[len(y_test)] * len(arm_scores))
+    arms = {name: {"test_auc": metrics.roc_auc(s, y_test).auc, "test_auc_ci95": list(ci),
+                   "tune_auc": models[name].tune_auc_at_stop}
+            for (name, s), ci in zip(arm_scores.items(), cis)}
     arms["subsample_sncv"]["k_used"] = sncv_result.k_used
     arms["subsample_ncv"]["n_selected"] = len(ncv_sel.selected_ids)
 
@@ -403,6 +417,12 @@ def cmd_eval(cfg: RunConfig) -> int:
     _check_both_sides(cfg.train_path, "evaluation", dataset)
     if not cfg.model_paths:
         raise InputError("eval: at least one --model is required")
+    seen = set()
+    for path in cfg.model_paths:
+        if Path(path).resolve() in seen:
+            raise InputError(f"{path}: eval got this model twice; each --model must be "
+                             "another file")
+        seen.add(Path(path).resolve())
     X = dataset.X
     y = dataset.binary_labels()
     records = {}

@@ -57,6 +57,24 @@ def quality_scores_batch(probs: np.ndarray, labels: np.ndarray, scheme: ClassSch
     return np.where(same, top, -top)
 
 
+def fold_jobs(dataset: Dataset, seed: int) -> tuple[np.ndarray, list[tuple[Dataset, int, str]]]:
+    """The split of cross_fold_score, as the mask of the D1 rows, and its two
+    fit jobs, fold-D1 and fold-D2, for `train_many`."""
+    in_d1 = split_mask(dataset, derive_seed(seed, "split"))
+    return in_d1, [(dataset.take(np.flatnonzero(in_d1)), derive_seed(seed, "train-d1"), "fold-D1"),
+                   (dataset.take(np.flatnonzero(~in_d1)), derive_seed(seed, "train-d2"), "fold-D2")]
+
+
+def score_folds(dataset: Dataset, in_d1: np.ndarray, m1: Model, m2: Model) -> ScoredDataset:
+    """Score every example with the model of the fold it was not trained in."""
+    d1_rows, d2_rows = np.flatnonzero(in_d1), np.flatnonzero(~in_d1)
+    probs = np.empty((len(dataset), dataset.scheme.n_classes))
+    probs[d1_rows] = predict_proba(m2, dataset.X[d1_rows])  # opposite-fold model
+    probs[d2_rows] = predict_proba(m1, dataset.X[d2_rows])
+    qs = quality_scores_batch(probs, dataset.y, dataset.scheme)
+    return ScoredDataset(dataset, np.where(in_d1, *FOLD_NAMES), qs, probs)
+
+
 def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams,
                      seed: int) -> tuple[ScoredDataset, Model, Model]:
     """Split, train one model per fold, score every example with the opposite fold.
@@ -64,18 +82,9 @@ def cross_fold_score(dataset: Dataset, tune_set: Dataset, hp: Hyperparams,
     No example is ever scored by a model that saw it in training. Returns the
     scored dataset plus both fold models for downstream comparability checks.
     """
-    in_d1 = split_mask(dataset, derive_seed(seed, "split"))
-    d1_rows, d2_rows = np.flatnonzero(in_d1), np.flatnonzero(~in_d1)
-    m1, m2 = train_many([(dataset.take(d1_rows), derive_seed(seed, "train-d1"), "fold-D1"),
-                         (dataset.take(d2_rows), derive_seed(seed, "train-d2"), "fold-D2")],
-                        tune_set, hp)
-
-    probs = np.empty((len(dataset), dataset.scheme.n_classes))
-    probs[d1_rows] = predict_proba(m2, dataset.X[d1_rows])  # opposite-fold model
-    probs[d2_rows] = predict_proba(m1, dataset.X[d2_rows])
-    qs = quality_scores_batch(probs, dataset.y, dataset.scheme)
-    fold = np.where(in_d1, *FOLD_NAMES)
-    return ScoredDataset(dataset, fold, qs, probs), m1, m2
+    in_d1, jobs = fold_jobs(dataset, seed)
+    m1, m2 = train_many(jobs, tune_set, hp)
+    return score_folds(dataset, in_d1, m1, m2), m1, m2
 
 
 def derive_seed(seed: int, stage: str) -> int:

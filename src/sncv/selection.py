@@ -118,6 +118,27 @@ class PipelineResult:
     k_grid_tune_auc: dict[int, float]
 
 
+def final_jobs(dataset: Dataset, scored: ScoredDataset, k_values: list[int],
+               seed: int) -> tuple[list[SelectionResult], list[tuple[Dataset, int, str]]]:
+    """The stratified selection of each candidate size and its final fit job
+    for `train_many`, in k_values order."""
+    selections = [select_stratified(scored, k_val) for k_val in k_values]
+    return selections, [(dataset.subset(s.selected_ids), derive_seed(seed, f"train-final-{j}"),
+                         f"final k={s.k_requested}") for j, s in enumerate(selections)]
+
+
+def best_final(scored: ScoredDataset, fold_models: tuple[Model, Model],
+               selections: list[SelectionResult], models: list[Model]) -> PipelineResult:
+    """The pipeline's result from the fits of final_jobs: the size whose final
+    model scores best on the tune set wins."""
+    # max keeps the first of equal maxima, as a strict > over the grid would
+    best = max(range(len(models)), key=lambda j: models[j].tune_auc_at_stop)
+    return PipelineResult(model=models[best], scored=scored, selection=selections[best],
+                          fold_models=fold_models, k_used=selections[best].k_requested,
+                          k_grid_tune_auc={s.k_requested: m.tune_auc_at_stop
+                                           for s, m in zip(selections, models)})
+
+
 def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k_values: list[int], hp: Hyperparams,
                       seed: int) -> PipelineResult:
     """Cross-fold score, stratified-select, train the final model on the kept set.
@@ -128,15 +149,8 @@ def run_sncv_pipeline(dataset: Dataset, tune_set: Dataset, k_values: list[int], 
     if not k_values:
         raise ValueError("k grid is empty")
     scored, m1, m2 = cross_fold_score(dataset, tune_set, hp, seed)
-    selections = [select_stratified(scored, k_val) for k_val in k_values]
-    models = train_many([(dataset.subset(s.selected_ids), derive_seed(seed, f"train-final-{j}"),
-                          f"final k={s.k_requested}") for j, s in enumerate(selections)],
-                        tune_set, hp)
-    # max keeps the first of equal maxima, as a strict > over the grid would
-    best = max(range(len(models)), key=lambda j: models[j].tune_auc_at_stop)
-    return PipelineResult(model=models[best], scored=scored, selection=selections[best],
-                          fold_models=(m1, m2), k_used=k_values[best],
-                          k_grid_tune_auc={k: m.tune_auc_at_stop for k, m in zip(k_values, models)})
+    selections, jobs = final_jobs(dataset, scored, k_values, seed)
+    return best_final(scored, (m1, m2), selections, train_many(jobs, tune_set, hp))
 
 
 def selection_summary(result: SelectionResult) -> dict:

@@ -18,6 +18,7 @@ import numpy as np
 from .dataset import (ClassScheme, Dataset, check_record, record, scheme_from_payload,
                       scheme_payload)
 from .metrics import roc_auc
+from .workers import run_tasks
 
 MODEL_FORMAT_VERSION = 1
 
@@ -236,16 +237,14 @@ def train(train_set: Dataset, tune_set: Dataset, hp: Hyperparams, seed: int) -> 
 
 def train_many(jobs: list[tuple[Dataset, int, str]], tune_set: Dataset,
                hp: Hyperparams) -> list[Model]:
-    """Fit each (train_set, seed, label) job in order, one `train` call each,
-    and return the models in job order. A job's ValueError is raised again as
-    "label: error", so the message names the fit that failed."""
-    models = []
-    for train_set, seed, label in jobs:
-        try:
-            models.append(train(train_set, tune_set, hp, seed))
-        except ValueError as err:
-            raise ValueError(f"{label}: {err}") from err
-    return models
+    """Fit each (train_set, seed, label) job, one `train` call each, and return
+    the models in job order. The jobs are independent, so `workers.run_tasks`
+    fits them in forked processes, the largest train set first. A job's
+    ValueError is raised again as "label: error", so the message names the fit
+    that failed; when several fail, the first in job order is raised."""
+    return run_tasks(lambda job: train(job[0], tune_set, hp, job[1]), jobs,
+                     labels=[label for _, _, label in jobs],
+                     costs=[len(train_set) for train_set, _, _ in jobs])
 
 
 def write_model(model: Model, path) -> None:

@@ -5,6 +5,7 @@ check that tests the trainer's analytic gradients."""
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from sncv import (
     select_stratified,
     train,
 )
-from sncv import trainer
+from sncv import scoring, selection, trainer
 from sncv.config import RunConfig
 from sncv.scoring import derive_seed
 from sncv.trainer import Model, _batch_step
@@ -116,16 +117,30 @@ def small_scored(small_noisy_setup):
 
 @pytest.fixture
 def fit_sizes(monkeypatch):
-    """The train-set size of each `trainer.train` call, in call order."""
+    """The train-set size of each job given to `trainer.train_many`, in job
+    order, recorded in this process: a count taken in a forked fit is lost."""
     sizes = []
-    train = trainer.train
+    train_many = trainer.train_many
 
-    def counting_train(train_set, *args, **kwargs):
-        sizes.append(len(train_set))
-        return train(train_set, *args, **kwargs)
+    def counting_train_many(jobs, *args, **kwargs):
+        sizes.extend(len(train_set) for train_set, _, _ in jobs)
+        return train_many(jobs, *args, **kwargs)
 
-    monkeypatch.setattr(trainer, "train", counting_train)
+    # scoring and selection bind the name on import
+    for module in (trainer, scoring, selection):
+        monkeypatch.setattr(module, "train_many", counting_train_many)
     return sizes
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else f'{pid} unreaped'}")
 
 
 @pytest.fixture

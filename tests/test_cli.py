@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import Dataset, metrics, read_dataset, read_scheme, selection, synth, write_dataset
+from sncv import (Dataset, metrics, read_dataset, read_scheme, selection, synth, trainer,
+                  write_dataset)
+from sncv.scoring import derive_seed
 from sncv.cli import COMMANDS, build_parser, main
 
 MINI_CONFIG = """
@@ -669,20 +672,60 @@ def test_scored_file_without_needed_column_exits_2(mini_config, scored_csv, tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def other_model_json(mini_config, generated, tmp_path_factory):
+    """A second model of the same data, trained under another seed."""
+    out = tmp_path_factory.mktemp("other-model")
+    rc = run_cli(mini_config, out, "train",
+                 "--train", str(generated / "train.csv"),
+                 "--tune", str(generated / "tune.csv"),
+                 "--scheme", str(generated / "scheme.json"), seed="8")
+    assert rc == 0
+    return out / "model.json"
+
+
+def strict_json(text: str):
+    """json.loads, refusing the NaN and Infinity that the JSON standard lacks."""
+    def refuse(constant):
+        raise AssertionError(f"not valid JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestEval:
-    def test_single_and_pair_eval(self, mini_config, generated, model_json, tmp_path):
+    def test_single_and_pair_eval(self, mini_config, generated, model_json, other_model_json,
+                                  tmp_path):
         out = tmp_path / "eval"
         rc = run_cli(mini_config, out, "eval",
                      "--train", str(generated / "test.csv"),
                      "--scheme", str(generated / "scheme.json"),
                      "--model", str(model_json),
-                     "--model", str(model_json))
+                     "--model", str(other_model_json))
         assert rc == 0
-        report = json.loads((out / "eval_report.json").read_text())
-        assert len(report["models"]) == 1  # same path twice keys once
-        assert report["two_tailed"]["delta"] == 0.0
-        assert report["two_tailed"]["p_two_tailed"] == 1.0
-        assert report["noninferiority"]["decision"] == "non-inferior"
+        report = strict_json((out / "eval_report.json").read_text())
+        a, b = report["models"][str(model_json)], report["models"][str(other_model_json)]
+        assert len(report["models"]) == 2
+        for test in ("two_tailed", "noninferiority"):
+            assert report[test]["model_a"] == str(model_json)
+            assert report[test]["delta"] == a["auc"] - b["auc"]
+        assert 0 <= report["two_tailed"]["p_two_tailed"] <= 1
+        assert report["noninferiority"]["decision"] in ("non-inferior", "-")
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_a_repeated_model_exits_2_before_any_bootstrap(self, mini_config, generated,
+                                                           model_json, tmp_path, capsys,
+                                                           monkeypatch, spelling):
+        again = str(model_json) if spelling == "same" else \
+            f"{model_json.parent}/./{model_json.name}"
+        bootstraps = []
+        monkeypatch.setattr(metrics, "bootstrap_auc_ci", lambda *args: bootstraps.append(args))
+        rc = run_cli(mini_config, tmp_path / "out", "eval",
+                     "--train", str(generated / "test.csv"),
+                     "--model", str(model_json), "--model", again)
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {again}: eval got this model twice; each --model must be another file")
+        assert bootstraps == []
+        assert not (tmp_path / "out").exists()
 
     def test_eval_without_model_exits_2(self, mini_config, generated, tmp_path, capsys):
         rc = run_cli(mini_config, tmp_path, "eval",
@@ -806,6 +849,79 @@ def test_out_of_memory_exits_1_naming_it(mini_config, tmp_path, monkeypatch, cap
     assert rc == 1
     assert capsys.readouterr().err.splitlines()[-1] == \
         "failure: out of memory: Unable to allocate 7.11 PiB for an array"
+
+
+def _score_args(generated):
+    return ["score", "--train", str(generated / "train.csv"),
+            "--tune", str(generated / "tune.csv"), "--scheme", str(generated / "scheme.json")]
+
+
+def _in_forked_fits(monkeypatch, action):
+    """Make trainer.train run action(seed) first, in a forked fit only, with
+    two CPUs allowed so that a plan forks on any machine."""
+    fit, parent = trainer.train, os.getpid()
+
+    def train(train_set, tune_set, hp, seed):
+        if os.getpid() != parent:
+            action(seed)
+        return fit(train_set, tune_set, hp, seed)
+
+    monkeypatch.setattr(trainer, "train", train)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_a_killed_fit_exits_1_naming_it(mini_config, generated, tmp_path, monkeypatch, capsys):
+    d2_seed = derive_seed(derive_seed(7, "score"), "train-d2")
+
+    def kill_fold_d2(seed):
+        if seed == d2_seed:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _in_forked_fits(monkeypatch, kill_fold_d2)
+    rc = run_cli(mini_config, tmp_path / "out", *_score_args(generated))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "failure: fold-D2: worker process ended by SIGKILL"
+    assert not (tmp_path / "out" / "scored.csv").exists()
+
+
+def test_out_of_memory_in_a_forked_fit_exits_1_naming_it(mini_config, generated, tmp_path,
+                                                         monkeypatch, capsys):
+    def exhausted(seed):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    _in_forked_fits(monkeypatch, exhausted)
+    rc = run_cli(mini_config, tmp_path / "out", *_score_args(generated))
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "failure: out of memory: Unable to allocate 7.11 PiB for an array"
+
+
+def test_burden_reads_the_same_forked_and_in_process(small_generated, tmp_path, monkeypatch):
+    # every fit and bootstrap CI of a forked run matches the in-process one
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    args = ["--train", str(small_generated / "train.csv"),
+            "--tune", str(small_generated / "tune.csv"),
+            "--test", str(small_generated / "test.csv")]
+    reports = {}
+    for cpus in ({0, 1}, {0}):
+        forks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", counting_fork)
+            patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            out = tmp_path / str(len(cpus))
+            assert run_cli(small_generated / "small.cfg", out, "burden", *args) == 0
+        reports[len(cpus)] = json.loads((out / "burden_report.json").read_text())
+        assert reports[len(cpus)]["config"]["paths"].pop("out") == str(out)
+        # both fit plans (three k-grid finals plus ncv) and the CIs fork 4 times
+        assert len(forks) == (12 if len(cpus) == 2 else 0)
+    assert reports[2] == reports[1]
 
 
 OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)

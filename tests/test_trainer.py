@@ -1,6 +1,9 @@
 """Trainer tests: optimization behavior, prediction semantics, gradient oracle,
 determinism and serialization."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,22 @@ class TestTrain:
             train(ds, tune, Hyperparams(), seed=0)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per `os.fork` call this process makes, with two CPUs allowed,
+    so that a plan of several jobs forks on any machine."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
 class TestTrainMany:
     HP = Hyperparams(hidden_units=4, max_epochs=3, patience=2)
 
@@ -248,17 +267,25 @@ class TestTrainMany:
     def one_class(ds):
         return Dataset(ds.scheme, ids=ds.ids, X=ds.X, y=np.zeros(len(ds)))
 
-    def test_fits_the_jobs_in_order_one_train_call_each(self, fit_sizes):
-        tune = toy_dataset(60, 3, seed=10)
-        sets = [toy_dataset(n, 3, seed=n) for n in (50, 40, 70)]
+    @pytest.mark.parametrize("n_jobs", [2, 3, 4])
+    def test_a_forked_plan_matches_sequential_train_bit_for_bit(self, forks, n_jobs):
+        # the per-epoch prediction of the 2000-row tune set is a product large
+        # enough (2000 x 8 x 32) for OpenBLAS to thread it in this process
+        tune = toy_dataset(2000, 8, n_classes=4, seed=10)
+        sets = [toy_dataset(n, 8, n_classes=4, seed=n) for n in (150, 120, 210, 180)[:n_jobs]]
+        hp = Hyperparams(hidden_units=32, max_epochs=6, patience=3)
         models = trainer.train_many([(ds, 100 + i, f"job-{i}") for i, ds in enumerate(sets)],
-                                    tune, self.HP)
-        assert fit_sizes == [50, 40, 70]
+                                    tune, hp)
+        assert len(forks) == n_jobs
         for i, (ds, model) in enumerate(zip(sets, models)):
-            alone = train(ds, tune, self.HP, seed=100 + i)
+            alone = train(ds, tune, hp, seed=100 + i)
+            assert model.weights.keys() == alone.weights.keys()
             for key in alone.weights:
                 np.testing.assert_array_equal(model.weights[key], alone.weights[key])
             assert model.tune_auc_by_epoch == alone.tune_auc_by_epoch
+            assert model.train_loss_by_epoch == alone.train_loss_by_epoch
+            assert (model.epochs_run, model.stopped_epoch) == (alone.epochs_run,
+                                                               alone.stopped_epoch)
 
     def test_labelled_error_names_the_job(self):
         ds, tune = toy_dataset(50, 3, seed=9), toy_dataset(60, 3, seed=10)
@@ -267,14 +294,50 @@ class TestTrainMany:
                                tune, self.HP)
         assert str(err.value.__cause__).startswith("degenerate-train-set: ")
 
-    def test_a_failing_job_ends_the_plan(self, fit_sizes):
+    @pytest.mark.parametrize("slow", ["a", "b"])
+    def test_the_first_failing_job_in_job_order_raises_whatever_order_they_end_in(
+            self, forks, monkeypatch, slow):
+        # a and b, the two largest jobs, fit at once and both fail, the slow
+        # one last; c would start after the first failure, so it never does
+        fit = trainer.train
+
+        def failing_train(train_set, tune_set, hp, seed):
+            if seed in (1, 2):
+                if "ab"[seed - 1] == slow:
+                    time.sleep(0.5)
+                raise ValueError(f"job {seed} failed")
+            return fit(train_set, tune_set, hp, seed)
+
+        monkeypatch.setattr(trainer, "train", failing_train)
+        tune = toy_dataset(60, 3, seed=10)
+        jobs = [(toy_dataset(n, 3, seed=n), seed, label)
+                for n, seed, label in ((70, 1, "a"), (60, 2, "b"), (50, 3, "c"))]
+        with pytest.raises(ValueError, match=r"^a: job 1 failed$") as err:
+            trainer.train_many(jobs, tune, self.HP)
+        assert str(err.value.__cause__) == "job 1 failed"
+        assert len(forks) == 2
+
+    def test_one_cpu_fits_in_process_in_job_order_up_to_the_failure(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        seeds = []
+        fit = trainer.train
+
+        def recording_train(train_set, tune_set, hp, seed):
+            seeds.append(seed)
+            return fit(train_set, tune_set, hp, seed)
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(trainer, "train", recording_train)
         tune = toy_dataset(60, 3, seed=10)
         jobs = [(toy_dataset(50, 3, seed=1), 1, "a"),
                 (self.one_class(toy_dataset(40, 3, seed=2)), 2, "b"),
                 (toy_dataset(70, 3, seed=3), 3, "c")]
         with pytest.raises(ValueError, match="^b: degenerate-train-set"):
             trainer.train_many(jobs, tune, self.HP)
-        assert fit_sizes == [50, 40]
+        assert seeds == [1, 2]
 
 
 def logit_model(d, b2, hidden=3):
