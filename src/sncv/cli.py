@@ -303,7 +303,7 @@ def _fit_arms(full_train: Dataset, sub_train: Dataset, tune_set: Dataset, k_grid
     """The four arms' models by name, the SNCV pipeline's result and the NCV
     selection, from two plans of independent fits: the two baselines with the
     fold pair, then the k grid's final fits with the NCV fit. The jobs' train
-    sets go with this call, before the test set is scored."""
+    sets are freed when it returns."""
     sncv_seed = scoring.derive_seed(seed, "sncv")
     in_d1, fold_jobs = scoring.fold_jobs(sub_train, sncv_seed)
     full_model, sub_model, m1, m2 = trainer.train_many(
@@ -336,17 +336,21 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     models, sncv_result, ncv_sel = _fit_arms(full_train, sub_train, tune_set,
                                              _resolve_k_grid(cfg, sub_train), cfg, seed)
     y_test = test_set.binary_labels()
-    arm_scores = {name: trainer.referable_scores(model, test_set.X)
-                  for name, model in models.items()}
-    # the bootstraps are independent too; DeLong's scipy import stays in this process
-    cis = workers.run_tasks(
-        lambda name: metrics.bootstrap_auc_ci(arm_scores[name], y_test, cfg.n_boot,
-                                              scoring.derive_seed(seed, f"ci-{name}")),
-        list(arm_scores), labels=[f"{name} CI" for name in arm_scores],
-        costs=[len(y_test)] * len(arm_scores))
+
+    def score_arm(name: str):
+        s = trainer.referable_scores(models[name], test_set.X)
+        return s, metrics.bootstrap_auc_ci(s, y_test, cfg.n_boot,
+                                           scoring.derive_seed(seed, f"ci-{name}"))
+
+    # each arm's test scores and bootstrap CI are independent of the others',
+    # and scoring there keeps the test set's hidden layer out of this process;
+    # DeLong, and so its scipy import, stays here
+    results = dict(zip(models, workers.run_tasks(score_arm, list(models), labels=list(models),
+                                                 costs=[1] * len(models))))
+    arm_scores = {name: s for name, (s, _) in results.items()}
     arms = {name: {"test_auc": metrics.roc_auc(s, y_test).auc, "test_auc_ci95": list(ci),
                    "tune_auc": models[name].tune_auc_at_stop}
-            for (name, s), ci in zip(arm_scores.items(), cis)}
+            for name, (s, ci) in results.items()}
     arms["subsample_sncv"]["k_used"] = sncv_result.k_used
     arms["subsample_ncv"]["n_selected"] = len(ncv_sel.selected_ids)
 

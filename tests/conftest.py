@@ -132,6 +132,22 @@ def fit_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The parent pid of each `os.fork` call, with two CPUs allowed, so that a
+    plan of several tasks forks on any machine."""
+    calls = []
+    fork = os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process running or unreaped."""

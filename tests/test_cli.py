@@ -857,8 +857,7 @@ def _score_args(generated):
 
 
 def _in_forked_fits(monkeypatch, action):
-    """Make trainer.train run action(seed) first, in a forked fit only, with
-    two CPUs allowed so that a plan forks on any machine."""
+    """Make trainer.train run action(seed) first, in a forked fit only."""
     fit, parent = trainer.train, os.getpid()
 
     def train(train_set, tune_set, hp, seed):
@@ -867,10 +866,10 @@ def _in_forked_fits(monkeypatch, action):
         return fit(train_set, tune_set, hp, seed)
 
     monkeypatch.setattr(trainer, "train", train)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def test_a_killed_fit_exits_1_naming_it(mini_config, generated, tmp_path, monkeypatch, capsys):
+def test_a_killed_fit_exits_1_naming_it(mini_config, generated, tmp_path, monkeypatch, capsys,
+                                        forks):
     d2_seed = derive_seed(derive_seed(7, "score"), "train-d2")
 
     def kill_fold_d2(seed):
@@ -886,7 +885,7 @@ def test_a_killed_fit_exits_1_naming_it(mini_config, generated, tmp_path, monkey
 
 
 def test_out_of_memory_in_a_forked_fit_exits_1_naming_it(mini_config, generated, tmp_path,
-                                                         monkeypatch, capsys):
+                                                         monkeypatch, capsys, forks):
     def exhausted(seed):
         raise MemoryError("Unable to allocate 7.11 PiB for an array")
 
@@ -897,30 +896,25 @@ def test_out_of_memory_in_a_forked_fit_exits_1_naming_it(mini_config, generated,
         "failure: out of memory: Unable to allocate 7.11 PiB for an array"
 
 
-def test_burden_reads_the_same_forked_and_in_process(small_generated, tmp_path, monkeypatch):
-    # every fit and bootstrap CI of a forked run matches the in-process one
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return fork()
-
+def test_burden_reads_the_same_forked_and_in_process(small_generated, tmp_path, monkeypatch,
+                                                     forks):
+    # every fit, test-set score and bootstrap CI of a forked run matches the
+    # in-process one
     args = ["--train", str(small_generated / "train.csv"),
             "--tune", str(small_generated / "tune.csv"),
             "--test", str(small_generated / "test.csv")]
     reports = {}
-    for cpus in ({0, 1}, {0}):
+    for cpus in (2, 1):
         forks.clear()
+        out = tmp_path / f"cpus-{cpus}"
         with monkeypatch.context() as patch:
-            patch.setattr(os, "fork", counting_fork)
-            patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-            out = tmp_path / str(len(cpus))
+            if cpus == 1:
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             assert run_cli(small_generated / "small.cfg", out, "burden", *args) == 0
-        reports[len(cpus)] = json.loads((out / "burden_report.json").read_text())
-        assert reports[len(cpus)]["config"]["paths"].pop("out") == str(out)
-        # both fit plans (three k-grid finals plus ncv) and the CIs fork 4 times
-        assert len(forks) == (12 if len(cpus) == 2 else 0)
+        reports[cpus] = json.loads((out / "burden_report.json").read_text())
+        assert reports[cpus]["config"]["paths"].pop("out") == str(out)
+        # both fit plans (three k-grid finals plus ncv) and the arms fork 4 times each
+        assert len(forks) == (12 if cpus == 2 else 0)
     assert reports[2] == reports[1]
 
 

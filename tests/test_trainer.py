@@ -244,22 +244,6 @@ class TestTrain:
             train(ds, tune, Hyperparams(), seed=0)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """One entry per `os.fork` call this process makes, with two CPUs allowed,
-    so that a plan of several jobs forks on any machine."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return calls
-
-
 class TestTrainMany:
     HP = Hyperparams(hidden_units=4, max_epochs=3, patience=2)
 

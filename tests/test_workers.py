@@ -9,21 +9,6 @@ import pytest
 from sncv import workers
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """One entry per `os.fork` call, with two CPUs allowed."""
-    calls = []
-    fork = os.fork
-
-    def counting_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return calls
-
-
 def test_results_come_back_in_item_order_with_their_own_pid(forks):
     items = [3, 1, 4, 1, 5]
     out = workers.run_tasks(lambda x: (x * x, os.getpid()), items, labels=list("abcde"),
