@@ -44,10 +44,12 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _write_report(cfg: RunConfig, name: str, body: dict) -> None:
     """Write the JSON report `name`: body plus the resolved config and seed.
-    A dataclass anywhere in body is written as its fields."""
+    A dataclass anywhere in body is written as its fields. A NaN or infinity,
+    which JSON lacks, is a ValueError."""
     report = {"config": cfg.to_dict(), "seed": cfg.seed, **body}
     (_out_dir(cfg) / name).write_text(
-        json.dumps(report, indent=2, sort_keys=True, default=record) + "\n", encoding="utf-8")
+        json.dumps(report, indent=2, sort_keys=True, default=record, allow_nan=False) + "\n",
+        encoding="utf-8")
 
 
 def _write_table(path, header, rows) -> None:
@@ -91,8 +93,8 @@ def _check_both_sides(path, name: str, dataset: Dataset) -> None:
 def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
     """The datasets at the named paths ("train", "tune", "test") under the run's
     scheme. Before any fit, each must have the first one's feature_dim, which
-    is not 0 (as in a scored file), and a tune or test set must pass
-    _check_both_sides."""
+    is not 0 (as in a scored file), and a tune or test set, and a train set
+    read with a tune set and so fitted, must pass _check_both_sides."""
     scheme = _load_scheme(cfg)
     paths = [getattr(cfg, f"{name}_path") for name in names]
     datasets = [_load(name, path, read_dataset, scheme) for name, path in zip(names, paths)]
@@ -100,7 +102,7 @@ def _inputs(cfg: RunConfig, *names: str) -> list[Dataset]:
         if dataset.feature_dim != datasets[0].feature_dim:
             raise InputError(f"{path}: the {name} set has {dataset.feature_dim} features, "
                              f"the {names[0]} set {datasets[0].feature_dim}")
-        if name in ("tune", "test"):
+        if name != "train" or "tune" in names:
             _check_both_sides(path, name, dataset)
     if datasets[0].feature_dim == 0:
         raise InputError(f"{paths[0]}: the {names[0]} set has no feature columns")
@@ -400,8 +402,9 @@ def cmd_relabel(cfg: RunConfig) -> int:
     _write_report(cfg, "relabel_report.json", record(report))
     _write_table(_out_dir(cfg) / "relabel_rows.csv", list(report.rows),
                  zip(*report.rows.values()))
+    agreement = report.model_agreement_rate
     print(f"relabeled {report.n_relabeled}: relabel_rate={report.relabel_rate:.4f} "
-          f"model_agreement={report.model_agreement_rate:.4f}")
+          f"model_agreement={'null' if agreement is None else f'{agreement:.4f}'}")
     return 0
 
 

@@ -180,9 +180,12 @@ def confusion_matrix(labels_a, labels_b, scheme) -> np.ndarray:
 
 def comparison_record(name_a: str, name_b: str, comp: DelongComparison) -> dict:
     """JSON-ready summary of one model-pair comparison: the comparison's
-    fields that are not None, with non_inferior written as its decision."""
+    fields that are not None, with non_inferior written as its decision and
+    the infinite z of a difference without variance written as null."""
     summary = {"model_a": name_a, "model_b": name_b,
                **{name: v for name, v in record(comp).items() if v is not None}}
+    if np.isinf(summary["z"]):
+        summary["z"] = None
     if "non_inferior" in summary:
         summary["decision"] = "non-inferior" if summary.pop("non_inferior") else "-"
     return summary

@@ -40,7 +40,7 @@ class RelabelReport:
     confusion: list[list[int]]
     relabel_rate: float
     binarized_relabel_rate: float
-    model_agreement_rate: float
+    model_agreement_rate: float | None  # None without a negative quality score
     model_agreement_rate_all: float
     n_boundary_disagreements: int
     # the per-row table, one list per column, is too long for a repr and for
@@ -81,7 +81,7 @@ def run_relabel_experiment(scored: ScoredDataset, n_lowest: int, error_rate: flo
         binarized_relabel_rate=float(
             (scheme.positive_mask(originals) != scheme.positive_mask(oracles)).mean()
         ),
-        model_agreement_rate=(n_model_wins / n_boundary) if n_boundary else float("nan"),
+        model_agreement_rate=(n_model_wins / n_boundary) if n_boundary else None,
         model_agreement_rate_all=int(side_win.sum()) / n_lowest,
         n_boundary_disagreements=n_boundary,
         rows={"id": ids, "qs": qs, "original_label": originals.tolist(),

@@ -239,9 +239,10 @@ def train_many(jobs: list[tuple[Dataset, int, str]], tune_set: Dataset,
                hp: Hyperparams) -> list[Model]:
     """Fit each (train_set, seed, label) job, one `train` call each, and return
     the models in job order. The jobs are independent, so `workers.run_tasks`
-    fits them in forked processes, the largest train set first. A job's
-    ValueError is raised again as "label: error", so the message names the fit
-    that failed; when several fail, the first in job order is raised."""
+    fits each in its own forked process, the largest train set first, one at
+    a time without an OpenBLAS thread cap. A job's ValueError is raised again
+    as "label: error", so the message names the fit that failed; when several
+    fail, the first in job order is raised."""
     return run_tasks(lambda job: train(job[0], tune_set, hp, job[1]), jobs,
                      labels=[label for _, _, label in jobs],
                      costs=[len(train_set) for train_set, _, _ in jobs])

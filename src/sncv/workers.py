@@ -41,7 +41,8 @@ def _child(task, item, pipe: int):
     pipe and exit, never returning to the caller's code."""
     status = 1
     try:
-        _blas_thread_cap()(1)
+        if _blas_thread_cap() is not None:
+            _blas_thread_cap()(1)
         try:
             out = (True, task(item))
         except BaseException as err:  # raised again in the parent
@@ -54,10 +55,11 @@ def _child(task, item, pipe: int):
 
 
 def run_tasks(task, items: list, labels: list[str], costs: list[float]) -> list:
-    """[task(item) for item in items], each item in a forked child, with at most
-    MAX_WORKERS, and no more than this process's CPUs, running at once; the
-    largest cost starts first and the next starts as a child ends. With one
-    item, one CPU or no OpenBLAS thread cap, the items run here, in order.
+    """[task(item) for item in items], each item in its own forked child, with
+    at most MAX_WORKERS, and no more than this process's CPUs, running at once;
+    the largest cost starts first and the next starts as a child ends. Without
+    an OpenBLAS thread cap, one child runs at a time, since an uncapped task
+    may use every CPU.
 
     A task's ValueError is raised again as "label: error", and a child that
     ends without a result is such an error too. Once an item fails, no later
@@ -65,28 +67,8 @@ def run_tasks(task, items: list, labels: list[str], costs: list[float]) -> list:
     outlives the call.
     """
     n_workers = min(MAX_WORKERS, len(items), len(os.sched_getaffinity(0)))
-    failures = {}
-    if n_workers < 2 or _blas_thread_cap() is None:
-        results = []
-        for i, item in enumerate(items):
-            try:
-                results.append(task(item))
-            except ValueError as err:
-                failures[i] = err
-                break
-    else:
-        results, failures = _run_forked(task, items, costs, n_workers)
-    if failures:
-        first = min(failures)
-        if isinstance(failures[first], ValueError):
-            raise ValueError(f"{labels[first]}: {failures[first]}") from failures[first]
-        raise failures[first]
-    return results
-
-
-def _run_forked(task, items, costs, n_workers) -> tuple[list, dict]:
-    """run_tasks' results in item order (None where an item did not run) and
-    its failures by item index, from forked children."""
+    if _blas_thread_cap() is None:
+        n_workers = 1
     todo = sorted(range(len(items)), key=lambda i: -costs[i])
     results, failures, running = {}, {}, {}
     try:
@@ -122,4 +104,9 @@ def _run_forked(task, items, costs, n_workers) -> tuple[list, dict]:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             os.close(r)
-    return [results.get(i) for i in range(len(items))], failures
+    if failures:
+        first = min(failures)
+        if isinstance(failures[first], ValueError):
+            raise ValueError(f"{labels[first]}: {failures[first]}") from failures[first]
+        raise failures[first]
+    return [results[i] for i in range(len(items))]

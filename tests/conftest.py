@@ -134,8 +134,8 @@ def fit_sizes(monkeypatch):
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The parent pid of each `os.fork` call, with two CPUs allowed, so that a
-    plan of several tasks forks on any machine."""
+    """The parent pid of each `os.fork` call, with two CPUs allowed, so that
+    two children may run at once on any machine."""
     calls = []
     fork = os.fork
 

@@ -11,10 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import (Dataset, metrics, read_dataset, read_scheme, selection, synth, trainer,
-                  write_dataset)
+from sncv import (Dataset, cli, metrics, read_dataset, read_scheme, scoring, selection,
+                  synth, trainer, workers, write_dataset)
 from sncv.scoring import derive_seed
 from sncv.cli import COMMANDS, build_parser, main
+from sncv.config import RunConfig
+
+from test_workers import in_process
 
 MINI_CONFIG = """
 [population]
@@ -291,32 +294,25 @@ class TestSplitTrainScore:
             else f"error: {tune}: the tune set has 6 features, the train set 0")
         assert not (tmp_path / "out").exists()
 
-    def test_score_one_class_train_set_exits_1_naming_fold(self, mini_config, generated,
-                                                            tmp_path, capsys):
+    @pytest.mark.parametrize("rows", ["negatives", "none"])
+    @pytest.mark.parametrize("command", ["train", "score", "bands", "pipeline", "burden"])
+    def test_one_sided_or_empty_train_set_exits_2_before_any_fit(
+            self, mini_config, generated, tmp_path, fit_sizes, capsys, command, rows):
         scheme = read_scheme(generated / "scheme.json")
         train = read_dataset(generated / "train.csv", scheme)
-        negatives = train.take(np.flatnonzero(train.binary_labels() == 0))
-        write_dataset(negatives, tmp_path / "negatives.csv")
-        rc = run_cli(mini_config, tmp_path / "out", "score",
-                     "--train", str(tmp_path / "negatives.csv"),
+        bad = tmp_path / f"{rows}.csv"
+        keep = train.binary_labels() == 0 if rows == "negatives" else np.zeros(len(train), bool)
+        write_dataset(train.take(np.flatnonzero(keep)), bad)
+        rc = run_cli(mini_config, tmp_path / "out", command, "--train", str(bad),
                      "--tune", str(generated / "tune.csv"),
+                     "--test", str(generated / "test.csv"),
                      "--scheme", str(generated / "scheme.json"))
-        assert rc == 1
-        assert "fold-D1: degenerate-train-set" in capsys.readouterr().err
-
-    def test_train_one_class_train_set_exits_1_naming_the_fit(self, mini_config, generated,
-                                                              tmp_path, capsys):
-        scheme = read_scheme(generated / "scheme.json")
-        train = read_dataset(generated / "train.csv", scheme)
-        write_dataset(train.take(np.flatnonzero(train.binary_labels() == 0)),
-                      tmp_path / "negatives.csv")
-        rc = run_cli(mini_config, tmp_path / "out", "train",
-                     "--train", str(tmp_path / "negatives.csv"),
-                     "--tune", str(generated / "tune.csv"),
-                     "--scheme", str(generated / "scheme.json"))
-        assert rc == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith(
-            "failure: train: degenerate-train-set: ")
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {bad}: the train set needs labels on both sides of the referability "
+            "boundary")
+        assert not (tmp_path / "out").exists()
+        assert fit_sizes == []
 
     def test_diverged_one_batch_fit_names_epoch_1_without_a_warning(self, mini_config,
                                                                    generated, tmp_path):
@@ -421,6 +417,19 @@ class TestRelabelAndGraders:
         assert sum(sum(row) for row in confusion) == 60
         rows = (tmp_path / "relabel_rows.csv").read_text().strip().splitlines()
         assert len(rows) - 1 == 60
+
+    def test_a_tranche_without_a_negative_quality_score_writes_a_null_agreement_rate(
+            self, mini_config, generated, scored_csv, tmp_path, capsys):
+        scored = scoring.read_scored_dataset(scored_csv, read_scheme(generated / "scheme.json"))
+        agreeing = tmp_path / "agreeing.csv"
+        scoring.write_scored_dataset(scoring.ScoredDataset(
+            scored.dataset, scored.fold, np.abs(scored.qs), scored.probs), agreeing)
+        rc = run_cli(mini_config, tmp_path / "out", "relabel", "--train", str(agreeing),
+                     "--scheme", str(generated / "scheme.json"))
+        assert rc == 0
+        report = strict_json((tmp_path / "out" / "relabel_report.json").read_text())
+        assert (report["model_agreement_rate"], report["n_boundary_disagreements"]) == (None, 0)
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" model_agreement=null")
 
     def test_graders_threshold_flag_matches_default(self, mini_config, generated,
                                                     scored_csv, tmp_path):
@@ -691,6 +700,13 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
+def test_a_report_refuses_a_value_json_lacks(tmp_path):
+    cfg = RunConfig()
+    cfg.out_dir = str(tmp_path)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_report(cfg, "report.json", {"rate": float("nan")})
+
+
 class TestEval:
     def test_single_and_pair_eval(self, mini_config, generated, model_json, other_model_json,
                                   tmp_path):
@@ -726,6 +742,22 @@ class TestEval:
             f"error: {again}: eval got this model twice; each --model must be another file")
         assert bootstraps == []
         assert not (tmp_path / "out").exists()
+
+    def test_two_copies_of_a_model_write_a_null_z(self, mini_config, generated, model_json,
+                                                  tmp_path):
+        # a difference without variance has no finite z
+        copy = tmp_path / "copy.json"
+        copy.write_text(model_json.read_text())
+        rc = run_cli(mini_config, tmp_path / "out", "eval",
+                     "--train", str(generated / "test.csv"),
+                     "--model", str(model_json), "--model", str(copy))
+        assert rc == 0
+        noninferiority = strict_json((tmp_path / "out" / "eval_report.json").read_text())[
+            "noninferiority"]
+        assert noninferiority["z"] is None
+        assert (noninferiority["delta"], noninferiority["variance_of_delta"]) == (0.0, 0.0)
+        assert (noninferiority["p_noninferiority"], noninferiority["decision"]) == \
+            (0.0, "non-inferior")
 
     def test_eval_without_model_exits_2(self, mini_config, generated, tmp_path, capsys):
         rc = run_cli(mini_config, tmp_path, "eval",
@@ -898,24 +930,27 @@ def test_out_of_memory_in_a_forked_fit_exits_1_naming_it(mini_config, generated,
 
 def test_burden_reads_the_same_forked_and_in_process(small_generated, tmp_path, monkeypatch,
                                                      forks):
-    # every fit, test-set score and bootstrap CI of a forked run matches the
-    # in-process one
+    # every fit, test-set score and bootstrap CI of a forked run, on two CPUs
+    # or on one, matches the in-process reference
     args = ["--train", str(small_generated / "train.csv"),
             "--tune", str(small_generated / "tune.csv"),
             "--test", str(small_generated / "test.csv")]
     reports = {}
-    for cpus in (2, 1):
+    for run in ("two CPUs", "one CPU", "in process"):
         forks.clear()
-        out = tmp_path / f"cpus-{cpus}"
+        out = tmp_path / run.replace(" ", "-")
         with monkeypatch.context() as patch:
-            if cpus == 1:
+            if run == "one CPU":
                 patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            elif run == "in process":
+                patch.setattr(workers, "run_tasks", in_process)
+                patch.setattr(trainer, "run_tasks", in_process)
             assert run_cli(small_generated / "small.cfg", out, "burden", *args) == 0
-        reports[cpus] = json.loads((out / "burden_report.json").read_text())
-        assert reports[cpus]["config"]["paths"].pop("out") == str(out)
+        reports[run] = json.loads((out / "burden_report.json").read_text())
+        assert reports[run]["config"]["paths"].pop("out") == str(out)
         # both fit plans (three k-grid finals plus ncv) and the arms fork 4 times each
-        assert len(forks) == (12 if cpus == 2 else 0)
-    assert reports[2] == reports[1]
+        assert len(forks) == (0 if run == "in process" else 12)
+    assert reports["two CPUs"] == reports["one CPU"] == reports["in process"]
 
 
 OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)

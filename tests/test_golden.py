@@ -3,14 +3,17 @@
 The whole command line runs in-process on a small configuration, from a
 temporary working directory with relative paths (reports embed the config
 paths, so absolute paths would change their bytes). The sha256 of every file
-written must equal the committed value. The digests are tied to this numpy
-and BLAS build; only a change that declares new numerics may update them.
+written must equal the committed value, and every JSON file must be strict
+JSON, without NaN or Infinity. The digests are tied to this numpy and BLAS
+build; only a change that declares new numerics may update them.
 """
 
 import hashlib
 from pathlib import Path
 
 from sncv.cli import main
+
+from test_cli import strict_json
 
 GOLDEN_CONFIG = """
 [population]
@@ -134,4 +137,6 @@ def test_mini_study_artifacts_match_golden_digests(tmp_path, monkeypatch):
         for p in sorted(tmp_path.rglob("*")) if p.is_file() and p.name != "golden.cfg"
     }
     assert len(digests) == 33
+    for path in tmp_path.rglob("*.json"):
+        strict_json(path.read_text(encoding="utf-8"))
     assert digests == GOLDEN

@@ -24,6 +24,7 @@ from sncv import trainer
 from sncv.trainer import _init_weights
 
 from conftest import analytic_gradients, gradient_check, max_relative_error, numeric_gradients
+from test_workers import in_process
 
 
 def toy_dataset(n, d, n_classes=2, seed=0, separation=4.0):
@@ -301,27 +302,40 @@ class TestTrainMany:
         assert str(err.value.__cause__) == "job 1 failed"
         assert len(forks) == 2
 
-    def test_one_cpu_fits_in_process_in_job_order_up_to_the_failure(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("os.fork called")
-
-        seeds = []
+    def test_one_cpu_fits_one_job_at_a_time_and_raises_the_in_process_failure(
+            self, forks, monkeypatch, tmp_path):
+        # each forked fit appends to a log, which shows one fit at a time,
+        # the largest train set first
+        log = tmp_path / "fits.log"
         fit = trainer.train
 
-        def recording_train(train_set, tune_set, hp, seed):
-            seeds.append(seed)
-            return fit(train_set, tune_set, hp, seed)
+        def logging_train(train_set, tune_set, hp, seed):
+            with open(log, "a") as fh:
+                fh.write(f"start {seed}\n")
+            try:
+                return fit(train_set, tune_set, hp, seed)
+            finally:
+                with open(log, "a") as fh:
+                    fh.write(f"end {seed}\n")
 
-        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(trainer, "train", recording_train)
+        monkeypatch.setattr(trainer, "train", logging_train)
         tune = toy_dataset(60, 3, seed=10)
         jobs = [(toy_dataset(50, 3, seed=1), 1, "a"),
                 (self.one_class(toy_dataset(40, 3, seed=2)), 2, "b"),
                 (toy_dataset(70, 3, seed=3), 3, "c")]
-        with pytest.raises(ValueError, match="^b: degenerate-train-set"):
+        with monkeypatch.context() as patch:
+            patch.setattr(trainer, "run_tasks", in_process)
+            with pytest.raises(ValueError) as reference:
+                trainer.train_many(jobs, tune, self.HP)
+        log.unlink()
+        with pytest.raises(ValueError, match="^b: degenerate-train-set") as forked:
             trainer.train_many(jobs, tune, self.HP)
-        assert seeds == [1, 2]
+        assert str(forked.value) == str(reference.value)
+        assert str(forked.value.__cause__) == str(reference.value.__cause__)
+        assert len(forks) == 3
+        assert log.read_text().splitlines() == ["start 3", "end 3", "start 1", "end 1",
+                                                      "start 2", "end 2"]
 
 
 def logit_model(d, b2, hidden=3):

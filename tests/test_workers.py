@@ -1,7 +1,8 @@
-"""The forked task runner: item order, failures, and when it does not fork."""
+"""The forked task runner: item order, failures, and one child at a time."""
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -26,23 +27,57 @@ def test_a_large_result_crosses_the_pipe_exactly(forks):
         np.testing.assert_array_equal(got, np.random.default_rng(seed).standard_normal(300_000))
 
 
-def no_fork():
-    raise AssertionError("os.fork called")
+def in_process(task, items, labels, costs):
+    """The reference for run_tasks: [task(item) for item in items] in this
+    process, with a ValueError labelled as run_tasks labels it."""
+    results = []
+    for item, label in zip(items, labels):
+        try:
+            results.append(task(item))
+        except ValueError as err:
+            raise ValueError(f"{label}: {err}") from err
+    return results
+
+
+def timed_square(x):
+    start = time.monotonic()
+    time.sleep(0.05)
+    return x * x, os.getpid(), start, time.monotonic()
+
+
+def fail_odd(x):
+    if x % 2:
+        raise ValueError(f"{x} is odd")
+    return x
 
 
 @pytest.mark.parametrize("case", ["one item", "one CPU", "no OpenBLAS cap"])
-def test_runs_in_process_without_a_fork(monkeypatch, case):
-    monkeypatch.setattr(os, "fork", no_fork)
-    items = [2, 3]
+def test_one_child_at_a_time_gives_the_in_process_results_and_failure(forks, monkeypatch,
+                                                                      case):
+    items = [2, 3, 4]
     if case == "one item":
         items = [2]
     elif case == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
         monkeypatch.setattr(workers, "_blas_thread_cap", lambda: None)
-    out = workers.run_tasks(lambda x: (x, os.getpid()), items, labels=["a", "b"][:len(items)],
-                            costs=items)
-    assert out == [(x, os.getpid()) for x in items]
+    labels = list("abc")[:len(items)]
+    out = workers.run_tasks(timed_square, items, labels, costs=items)
+    assert [sq for sq, *_ in out] == [sq for sq, *_ in in_process(timed_square, items, labels,
+                                                                   items)]
+    pids = {pid for _, pid, _, _ in out}
+    assert len(forks) == len(pids) == len(items)
+    assert os.getpid() not in pids
+    spans = sorted((start, end) for *_, start, end in out)
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    # the largest odd item fails first, yet the failure raised is the first in item order
+    items = [item + 1 for item in items]
+    with pytest.raises(ValueError) as reference:
+        in_process(fail_odd, items, labels, items)
+    with pytest.raises(ValueError) as forked:
+        workers.run_tasks(fail_odd, items, labels, costs=items)
+    assert str(forked.value) == str(reference.value)
+    assert str(forked.value.__cause__) == str(reference.value.__cause__)
 
 
 def test_a_killed_child_is_a_failure_naming_its_item(forks):
