@@ -335,7 +335,7 @@ class TestTrainMany:
         assert str(forked.value.__cause__) == str(reference.value.__cause__)
         assert len(forks) == 3
         assert log.read_text().splitlines() == ["start 3", "end 3", "start 1", "end 1",
-                                                      "start 2", "end 2"]
+                                                "start 2", "end 2"]
 
 
 def logit_model(d, b2, hidden=3):

@@ -61,7 +61,7 @@ def test_one_child_at_a_time_gives_the_in_process_results_and_failure(forks, mon
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
         monkeypatch.setattr(workers, "_blas_thread_cap", lambda: None)
-    labels = list("abc")[:len(items)]
+    labels = list("abc"[:len(items)])
     out = workers.run_tasks(timed_square, items, labels, costs=items)
     assert [sq for sq, *_ in out] == [sq for sq, *_ in in_process(timed_square, items, labels,
                                                                    items)]
