@@ -2,7 +2,7 @@
 """Write one parent-versus-change benchmark record from perfbench result files.
 
     python3 scripts/bench_record.py PARENT_CHECKOUT CHANGE_CHECKOUT OUT.json \\
-        --suite-s PARENT_SECONDS:TESTS CHANGE_SECONDS:TESTS
+        --suite-s PARENT_SECONDS:TESTS[,...] CHANGE_SECONDS:TESTS[,...]
 
 Each checkout holds the `.bench_work/<workload>-s<seed>-t0/result.json` files
 of `perfbench/run.py --trace 0`, one per seed (two or more). Per workload and
@@ -16,9 +16,12 @@ parent's IQR (more than 1; null where that IQR is 0). It also states the
 no-regression test of each metric: how much worse the change's median is than
 the parent's, relative to the parent's, against the metric's `bound` in
 BENCHMARK.json, and whether the parent's runs spread too widely to tell.
-Suite wall times and test counts are pytest's, written as `tier1_suite_s` and
-`tier1_suite_tests`; it times nothing. A workload with fewer than two passing
-seeds on either side exits 2.
+Suite wall times and test counts are pytest's, one or more runs per side,
+in the order they ran. Each side's median wall time is written as
+`tier1_suite_s`, its every run as `tier1_suite_runs` and its test count as
+`tier1_suite_tests`; it times nothing. A side whose runs list different test
+counts exits 2, and so does a workload with fewer than two passing seeds on
+either side.
 """
 
 import argparse
@@ -28,10 +31,15 @@ import sys
 from pathlib import Path
 
 
-def suite_run(text: str) -> tuple[float, int]:
-    """A Tier-1 suite run given as SECONDS:TESTS, e.g. 169.6:508."""
-    seconds, tests = text.split(":")
-    return float(seconds), int(tests)
+def suite_runs(text: str) -> tuple[list[float], int]:
+    """One side's Tier-1 suite runs given as SECONDS:TESTS, comma-separated,
+    e.g. 169.6:508,172.1:508: the wall times and their one test count."""
+    runs = [run.split(":") for run in text.split(",")]
+    seconds = [float(seconds) for seconds, _ in runs]
+    counts = {int(tests) for _, tests in runs}
+    if len(counts) > 1:
+        raise argparse.ArgumentTypeError(f"{text}: the runs list different test counts")
+    return seconds, counts.pop()
 
 
 def summary(values: list[float]) -> dict:
@@ -108,14 +116,14 @@ def main(argv=None) -> None:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("out", type=Path)
-    parser.add_argument("--suite-s", type=suite_run, nargs=2, required=True,
+    parser.add_argument("--suite-s", type=suite_runs, nargs=2, required=True,
                         metavar=("PARENT", "CHANGE"))
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     bound = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     parent, change = side(args.parent, better), side(args.change, better)
-    (parent_s, parent_tests), (change_s, change_tests) = args.suite_s
+    (parent_runs, parent_tests), (change_runs, change_tests) = args.suite_s
     shared = [w for w in parent if w in change]
     ratios = {w: {m: change[w][m]["median"] / parent[w][m]["median"] for m in better}
               for w in shared}
@@ -127,7 +135,9 @@ def main(argv=None) -> None:
                        for m, b in better.items()} for w in shared}
     record = {"parent": parent, "change": change, "change_over_parent": ratios,
               "change_pair_wins": wins, "claim_tests": tests, "regression_tests": regressions,
-              "tier1_suite_s": {"parent": parent_s, "change": change_s},
+              "tier1_suite_s": {"parent": statistics.median(parent_runs),
+                                "change": statistics.median(change_runs)},
+              "tier1_suite_runs": {"parent": parent_runs, "change": change_runs},
               "tier1_suite_tests": {"parent": parent_tests, "change": change_tests}}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 

@@ -425,22 +425,22 @@ def cmd_eval(cfg: RunConfig) -> int:
     if not cfg.model_paths:
         raise InputError("eval: at least one --model is required")
     seen = set()
+    models = {}
     for path in cfg.model_paths:
         if Path(path).resolve() in seen:
             raise InputError(f"{path}: eval got this model twice; each --model must be "
                              "another file")
         seen.add(Path(path).resolve())
-    X = dataset.X
-    y = dataset.binary_labels()
-    records = {}
-    score_vectors = {}
-    for path in cfg.model_paths:
-        model = _load("model", path, trainer.read_model)
+        model = models[path] = _load("model", path, trainer.read_model)
         if model.scheme != dataset.scheme or model.feature_dim != dataset.feature_dim:
             raise InputError(f"{path}: model does not fit the dataset: its scheme "
                              f"{model.scheme} and feature_dim {model.feature_dim} against "
                              f"{dataset.scheme} and {dataset.feature_dim}")
-        s = trainer.referable_scores(model, X)
+    y = dataset.binary_labels()
+    records = {}
+    score_vectors = {}
+    for path, model in models.items():
+        s = trainer.referable_scores(model, dataset.X)
         score_vectors[path] = s
         ci = metrics.bootstrap_auc_ci(s, y, cfg.n_boot, cfg.stage_seed(f"eval-{Path(path).name}"))
         records[path] = {"auc": metrics.roc_auc(s, y).auc, "auc_ci95": list(ci)}

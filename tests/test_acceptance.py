@@ -7,14 +7,10 @@ grader-pool noise about 25% boundary-crossing on positives and 9% on
 negatives, five seeds unless a criterion says otherwise.
 """
 
-import dataclasses
-import json
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from sncv import (
     confusion_matrix,
@@ -34,7 +30,7 @@ from sncv.scoring import ScoredDataset, quality_scores_batch
 from sncv.trainer import Model, _init_weights
 
 from conftest import REFERENCE_SEEDS, gradient_check
-from test_metrics import pair_counting_auc
+from test_metrics import pair_counting_auc, paired_bootstrap_ps
 
 N_LOWEST = RunConfig().n_lowest
 MINI_CONFIG = (
@@ -150,25 +146,14 @@ class TestAcceptance:
         rate = rejections / reps
 
         worst = 0.0
-        n_boot = 20000
         for inst in range(20):
             rng = np.random.default_rng([551, inst])
             labels = np.r_[np.zeros(36, dtype=int), np.ones(24, dtype=int)]
             base = rng.standard_normal(60) + labels * 1.2
             a = base + 0.35 * rng.standard_normal(60)
             b = base + 0.35 * rng.standard_normal(60)
-            comp = delong_two_tailed(a, b, labels)
-            pos_idx = np.flatnonzero(labels == 1)
-            neg_idx = np.flatnonzero(labels == 0)
-            deltas = np.empty(n_boot)
-            brng = np.random.default_rng([552, inst])
-            for j in range(n_boot):
-                idx = np.r_[pos_idx[brng.integers(0, len(pos_idx), len(pos_idx))],
-                            neg_idx[brng.integers(0, len(neg_idx), len(neg_idx))]]
-                lab = labels[idx]
-                deltas[j] = roc_auc(a[idx], lab).auc - roc_auc(b[idx], lab).auc
-            p_boot = float(2 * norm.sf(abs(comp.delta) / deltas.std(ddof=1)))
-            worst = max(worst, abs(comp.p_two_tailed - p_boot))
+            _, p_boot = paired_bootstrap_ps(a, b, labels, inst)
+            worst = max(worst, abs(delong_two_tailed(a, b, labels).p_two_tailed - p_boot))
 
         ok = 0.03 <= rate <= 0.07 and worst < 0.03
         report(6, "null rejection rate in [0.03,0.07] and bootstrap agreement within 0.03",

@@ -49,7 +49,7 @@ def test_two_passing_seeds_per_side_write_a_record(tmp_path):
     assert record["tier1_suite_tests"] == {"parent": 496, "change": 519}
 
 
-@pytest.mark.parametrize("suite", ["10", "10:496.5"])
+@pytest.mark.parametrize("suite", ["10", "10:496.5", "10:496,"])
 def test_suite_run_without_seconds_and_test_count_exits_2(tmp_path, suite):
     parent = write_results(tmp_path / "parent", "score-ref", [1, 2])
     change = write_results(tmp_path / "change", "score-ref", [1, 2])
@@ -57,6 +57,31 @@ def test_suite_run_without_seconds_and_test_count_exits_2(tmp_path, suite):
     with pytest.raises(SystemExit) as exit_info:
         bench_record().main([str(parent), str(change), str(out), "--suite-s", suite, "9:519"])
     assert exit_info.value.code == 2
+    assert not out.exists()
+
+
+def test_every_suite_run_is_kept_beside_each_sides_median(tmp_path):
+    parent = write_results(tmp_path / "parent", "score-ref", [1, 2])
+    change = write_results(tmp_path / "change", "score-ref", [1, 2])
+    out = tmp_path / "bench.json"
+    bench_record().main([str(parent), str(change), str(out), "--suite-s",
+                         "120.9:563,112.5:563,118.0:563", "62.5:561,64.2:561"])
+    record = json.loads(out.read_text())
+    assert record["tier1_suite_s"] == {"parent": 118.0, "change": 63.35}
+    assert record["tier1_suite_runs"] == {"parent": [120.9, 112.5, 118.0],
+                                          "change": [62.5, 64.2]}
+    assert record["tier1_suite_tests"] == {"parent": 563, "change": 561}
+
+
+def test_suite_runs_of_different_test_counts_exit_2(tmp_path, capsys):
+    parent = write_results(tmp_path / "parent", "score-ref", [1, 2])
+    change = write_results(tmp_path / "change", "score-ref", [1, 2])
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record().main([str(parent), str(change), str(out), "--suite-s",
+                             "10:496", "9:519,9.5:518"])
+    assert exit_info.value.code == 2
+    assert "9:519,9.5:518: the runs list different test counts" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests on a miniature configuration."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -740,6 +741,28 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {again}: eval got this model twice; each --model must be another file")
+        assert bootstraps == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["malformed", "feature_dim"])
+    def test_a_bad_second_model_exits_2_before_any_bootstrap(self, mini_config, generated,
+                                                             model_json, tmp_path, capsys,
+                                                             monkeypatch, bad):
+        second = tmp_path / "second.json"
+        if bad == "malformed":
+            second.write_text('{"format_version": 1}')
+        else:
+            model = trainer.read_model(model_json)
+            weights = {**model.weights, "w1": model.weights["w1"][:-1]}
+            trainer.write_model(dataclasses.replace(
+                model, feature_dim=model.feature_dim - 1, weights=weights), second)
+        bootstraps = []
+        monkeypatch.setattr(metrics, "bootstrap_auc_ci", lambda *args: bootstraps.append(args))
+        rc = run_cli(mini_config, tmp_path / "out", "eval",
+                     "--train", str(generated / "test.csv"),
+                     "--model", str(model_json), "--model", str(second))
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {second}: ")
         assert bootstraps == []
         assert not (tmp_path / "out").exists()
 

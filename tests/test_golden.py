@@ -4,16 +4,24 @@ The whole command line runs in-process on a small configuration, from a
 temporary working directory with relative paths (reports embed the config
 paths, so absolute paths would change their bytes). The sha256 of every file
 written must equal the committed value, and every JSON file must be strict
-JSON, without NaN or Infinity. The digests are tied to this numpy and BLAS
-build; only a change that declares new numerics may update them.
+JSON, without NaN or Infinity. A second run, in a fresh interpreter held to
+one CPU and one OpenBLAS thread, must write the same bytes. The digests are
+tied to this numpy and BLAS build; only a change that declares new numerics
+may update them.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from sncv.cli import main
 
 from test_cli import strict_json
+
+TESTS = Path(__file__).resolve().parent
 
 GOLDEN_CONFIG = """
 [population]
@@ -127,16 +135,42 @@ GOLDEN = {
 }
 
 
-def test_mini_study_artifacts_match_golden_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    Path("golden.cfg").write_text(GOLDEN_CONFIG, encoding="utf-8")
+def study_digests(root: Path) -> dict[str, str]:
+    """Run the study in root, the working directory, and return the sha256 of
+    each file it wrote, keyed by its path under root."""
+    (root / "golden.cfg").write_text(GOLDEN_CONFIG, encoding="utf-8")
     for out, command, args in STUDY:
         assert main(["--config", "golden.cfg", "--out", out, command, *args]) == 0, command
-    digests = {
-        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.rglob("*")) if p.is_file() and p.name != "golden.cfg"
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*")) if p.is_file() and p.name != "golden.cfg"
     }
+
+
+def test_mini_study_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = study_digests(tmp_path)
     assert len(digests) == 33
     for path in tmp_path.rglob("*.json"):
         strict_json(path.read_text(encoding="utf-8"))
     assert digests == GOLDEN
+
+
+ONE_CPU = """
+import json, os
+from pathlib import Path
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from test_golden import study_digests
+print(json.dumps(study_digests(Path.cwd())))
+"""
+
+
+def test_one_cpu_and_one_blas_thread_give_the_golden_bytes(tmp_path):
+    # the same seed gives the same bytes on any CPU count or BLAS thread count:
+    # here one of each, set before numpy loads, in a fresh interpreter
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == GOLDEN

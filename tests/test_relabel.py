@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sncv import (
-    default_grader_pool,
     default_scheme,
     grader_mismatch_analysis,
     run_relabel_experiment,

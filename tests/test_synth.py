@@ -1,6 +1,5 @@
 """Population generation and grader-noise tests."""
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -24,7 +23,7 @@ from sncv import (
     train,
     write_grader_pool,
 )
-from sncv.dataset import Dataset, InputError, split_random
+from sncv.dataset import Dataset, InputError
 from sncv.synth import confusion_from_flip_rates, draw_category
 
 
