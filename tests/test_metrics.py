@@ -40,10 +40,10 @@ def paired_bootstrap_ps(a, b, labels, inst, n_boot=20000):
     m, n = len(pos_idx), len(neg_idx)
     brng = np.random.default_rng([552, inst])
     draws = [(brng.integers(0, m, m), brng.integers(0, n, n)) for _ in range(n_boot)]
+    pos_draws, neg_draws = (np.array(side) for side in zip(*draws))
     rows = np.arange(n_boot)[:, None]
-    pos_w = np.bincount((rows * m + [p for p, _ in draws]).ravel(), minlength=n_boot * m)
-    neg_w = np.bincount((rows * n + [q for _, q in draws]).ravel(), minlength=n_boot * n)
-    pos_w, neg_w = pos_w.reshape(n_boot, m), neg_w.reshape(n_boot, n)
+    pos_w = np.bincount((rows * m + pos_draws).ravel(), minlength=n_boot * m).reshape(n_boot, m)
+    neg_w = np.bincount((rows * n + neg_draws).ravel(), minlength=n_boot * n).reshape(n_boot, n)
 
     def aucs(scores):
         pos, neg = scores[pos_idx][:, None], scores[neg_idx][None, :]
