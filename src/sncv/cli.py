@@ -32,6 +32,7 @@ from .dataset import (
     record,
     split_random,
     write_dataset,
+    write_datasets,
     write_scheme,
 )
 
@@ -161,12 +162,12 @@ def cmd_gen(cfg: RunConfig) -> int:
     tune = synth.generate_population(cfg.population(cfg.n_tune), cfg.stage_seed("gen-tune"), scheme)
     test = synth.generate_population(cfg.population(cfg.n_test), cfg.stage_seed("gen-test"), scheme)
 
-    files = {"scheme.json": (write_scheme, scheme), "pool.json": (synth.write_grader_pool, pool),
-             "population.csv": (write_dataset, population), "train.csv": (write_dataset, noisy),
-             "tune.csv": (write_dataset, tune), "test.csv": (write_dataset, test)}
     out = _out_dir(cfg)
-    for name, (write, value) in files.items():
-        write(value, out / name)
+    write_scheme(scheme, out / "scheme.json")
+    synth.write_grader_pool(pool, out / "pool.json")
+    write_datasets({out / "population.csv": population, out / "train.csv": noisy})
+    write_dataset(tune, out / "tune.csv")
+    write_dataset(test, out / "test.csv")
 
     tau = positive_rate(noisy)
     noise_rate = float((noisy.y != population.y).mean())
@@ -174,7 +175,8 @@ def cmd_gen(cfg: RunConfig) -> int:
         "tau": tau,
         "marginal_noise_rate": noise_rate,
         "marginal_flip_rates_by_class": synth.marginal_flip_rates(pool, scheme).tolist(),
-        "files": list(files),
+        "files": ["scheme.json", "pool.json", "population.csv", "train.csv", "tune.csv",
+                  "test.csv"],
     })
     print(f"tau={tau:.4f} marginal_noise_rate={noise_rate:.4f}")
     return 0

@@ -112,7 +112,8 @@ def grader_mismatch_analysis(scored: ScoredDataset, pool: list[GraderProfile] | 
     """Per-grader share of labels the cross-fold model disputed (quality score < 0).
 
     Graders above the threshold are flagged; role shares compare the flagged
-    group's composition against the whole pool's (each grader counted once).
+    group's composition against the whole pool's, each grader counted once:
+    every entry of pool when one is given, else the graders in the file.
     """
     role_by_grader = {p.grader_id: p.role for p in pool} if pool else {}
     graded = scored.dataset.grader != ""
@@ -127,20 +128,13 @@ def grader_mismatch_analysis(scored: ScoredDataset, pool: list[GraderProfile] | 
         for gid, n, rate in zip(graders.tolist(), counts.tolist(), rates.tolist())
     ]
 
-    def role_shares(members: list[GraderStats]) -> dict[str, float]:
-        if not members:
-            return {role: 0.0 for role in GRADER_ROLES}
-        counts = {role: 0 for role in GRADER_ROLES}
-        for g in members:
-            if g.role in counts:
-                counts[g.role] += 1
-        total = len(members)
-        return {role: counts[role] / total for role in GRADER_ROLES}
+    def role_shares(roles: list[str | None]) -> dict[str, float]:
+        return {role: roles.count(role) / len(roles) if roles else 0.0 for role in GRADER_ROLES}
 
     return GraderReport(
         threshold=threshold,
         graders=stats,
-        flagged_role_shares=role_shares([g for g in stats if g.flagged]),
-        pool_role_shares=role_shares(stats),
+        flagged_role_shares=role_shares([g.role for g in stats if g.flagged]),
+        pool_role_shares=role_shares([p.role for p in pool] if pool else [g.role for g in stats]),
     )
 

@@ -116,7 +116,7 @@ def qs_histogram(scored: ScoredDataset, bin_width: float) -> list[tuple[float, f
 def write_scored_dataset(scored: ScoredDataset, path) -> None:
     """The dataset's id and label columns plus fold, quality_score and the
     cross-fold probability columns; the features stay in the dataset that was scored."""
-    _write_csv(path, scored.dataset, (scored.fold, scored.qs, scored.probs))
+    _write_csv({path: scored.dataset}, (scored.fold, scored.qs, scored.probs))
 
 
 def read_scored_dataset(path, scheme: ClassScheme) -> ScoredDataset:

@@ -16,13 +16,14 @@ per example in proportion to workload. Per-example randomness derives from
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import (ClassScheme, Dataset, InputError, check_record, check_value,
+from .dataset import (CHUNK_ROWS, ClassScheme, Dataset, InputError, check_record, check_value,
                       default_scheme, record)
 
 # role -> (error severity, grader count, per-grader workload) in the default
@@ -177,10 +178,63 @@ def generate_population(config: PopulationConfig, seed: int,
 
 
 def example_draws(seed: int, ids) -> np.ndarray:
-    """(n, 2) uniforms, one seeded stream per example id, so no draw depends on row order."""
-    digests = (hashlib.blake2s(f"{seed}:{i}".encode(), digest_size=8).digest() for i in ids)
-    return np.fromiter((np.random.default_rng(int.from_bytes(d, "big")).random(2) for d in digests),
-                       dtype=(float, 2), count=len(ids))
+    """(n, 2) uniforms, one seeded stream per example id, so no draw depends on row order:
+    row i is default_rng(key).random(2), key the blake2s digest of "seed:id" read big-endian."""
+    keys = np.frombuffer(b"".join(hashlib.blake2s(f"{seed}:{i}".encode(), digest_size=8).digest()
+                                  for i in ids), ">u8").astype(np.uint64)
+    out = np.empty((len(keys), 2))
+    for start in range(0, len(keys), CHUNK_ROWS):
+        out[start:start + CHUNK_ROWS] = seeded_uniforms(keys[start:start + CHUNK_ROWS])
+    return out
+
+
+# The constants of numpy's SeedSequence (hashmix, generate_state) and of PCG64's LCG step.
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash32(words: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words under const, and the next const."""
+    words = words ^ np.uint32(const)
+    const = const * mult & _MASK32
+    words = words * np.uint32(const)
+    return words ^ words >> np.uint32(16), const
+
+
+def seeded_uniforms(keys: np.ndarray) -> np.ndarray:
+    """(n, 2) uniforms: row i is default_rng(keys[i]).random(2) bit for bit, for
+    uint64 keys, computed for all rows at once. The 128-bit PCG64 state is held
+    in Python ints."""
+    # SeedSequence: the key as two little-endian words, a pool of four hashed
+    # words, then every word mixed into every other
+    lo, hi = np.ascontiguousarray(keys, dtype="<u8").view("<u4").reshape(-1, 2).T
+    const, pool = _HASH_A[0], []
+    for word in (lo, hi, np.zeros_like(lo), np.zeros_like(lo)):
+        word, const = _hash32(word, const, _HASH_A[1])
+        pool.append(word)
+    for src, dst in itertools.permutations(range(4), 2):
+        word, const = _hash32(pool[src], const, _HASH_A[1])
+        mixed = pool[dst] * np.uint32(0xCA01F9DD) - word * np.uint32(0x4973F715)
+        pool[dst] = mixed ^ mixed >> np.uint32(16)
+    # generate_state(4, uint64): eight words hashed round the pool, paired little-endian
+    const, words = _HASH_B[0], []
+    for i in range(8):
+        word, const = _hash32(pool[i % 4], const, _HASH_B[1])
+        words.append(word.astype(object))
+    seed = [words[j] | words[j + 1] << 32 for j in range(0, 8, 2)]
+    # PCG64's seeding: state 0, a step, += the first 128 bits, a step
+    inc = ((seed[2] << 64 | seed[3]) << 1 | 1) & _MASK128
+    state = ((inc + (seed[0] << 64 | seed[1])) * _PCG64_MULT + inc) & _MASK128
+    out = np.empty((len(lo), 2))
+    for j in range(2):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        # XSL-RR output: the state's halves xor'd, rotated right by its top 6 bits
+        x = (state >> 64 ^ state & _MASK64).astype(np.uint64)
+        rot = (state >> 122).astype(np.uint64)
+        raw = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+        out[:, j] = (raw >> np.uint64(11)) * 2.0**-53
+    return out
 
 
 def draw_category(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ written mutated (truncated, a directory in its place, a value of the wrong
 type, a NaN or infinite value, an oversized value, an unknown key, section or
 header) and a command that reads it runs in-process through `main`. Whatever
 the mutation, no exception escapes, the exit code is 0, 1 or 2, and a failing
-run's last stderr line says why. Permission errors are not tested: the suite
-may run as root.
+run's last stderr line says why. A command that fits models, given a mutated
+train, tune or test set, exits 0, or exits 2 before it forks any fit.
+Permission errors are not tested: the suite may run as root.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import json
 import shutil
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sncv.cli import main
 
@@ -50,6 +51,10 @@ READERS = {
     "scored.csv": [["select", "--train", "X", "--k", "20"], ["relabel", "--train", "X"],
                    ["graders", "--train", "X"]],
 }
+# The commands that fit models. Given any of the inputs a fit reads, mutated,
+# each exits 0, or exits 2 before it forks a fit.
+FITTING = [["train"], ["score"], ["pipeline", "--k", "150"], ["burden"]]
+FIT_INPUTS = ["train.csv", "tune.csv", "test.csv"]
 MUTATIONS = ["truncate", "directory", "wrong-type", "non-finite", "oversized", "bad-header"]
 # One more character than csv's default field size limit.
 OVERSIZED = "x" * (2**17 + 1)
@@ -148,13 +153,9 @@ def mutate_ini(text, mutation, data):
     return "".join(line + "\n" for line in lines)
 
 
-@given(data=st.data(), name=st.sampled_from(sorted(READERS)),
-       mutation=st.sampled_from(MUTATIONS))
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
-def test_mutated_input_never_escapes_main(inputs, tmp_path_factory, data, name, mutation):
-    work = tmp_path_factory.mktemp("case")
-    bad = work / name
-    text = (inputs / name).read_text()
+def write_mutated(good, bad, mutation, data):
+    """Write the good file at path bad with the mutation applied."""
+    text = good.read_text()
     if mutation == "truncate":
         bad.write_text(text[:data.draw(st.integers(0, len(text) - 1), label="length")])
     elif mutation == "directory":
@@ -162,6 +163,15 @@ def test_mutated_input_never_escapes_main(inputs, tmp_path_factory, data, name, 
     else:
         mutate = {".json": mutate_json, ".csv": mutate_csv, ".cfg": mutate_ini}[bad.suffix]
         bad.write_text(mutate(text, mutation, data))
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(READERS)),
+       mutation=st.sampled_from(MUTATIONS))
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+def test_mutated_input_never_escapes_main(inputs, tmp_path_factory, data, name, mutation):
+    work = tmp_path_factory.mktemp("case")
+    bad = work / name
+    write_mutated(inputs / name, bad, mutation, data)
     command = data.draw(st.sampled_from(READERS[name]), label="command")
     args = [str(bad) if a == "X" else str(inputs / a) if "." in a else a for a in command]
     config = bad if name == "tiny.cfg" else inputs / "tiny.cfg"
@@ -178,3 +188,20 @@ def test_scheme_of_another_class_count_never_escapes_gen(inputs, tmp_path, class
     rc, err = run(inputs / "tiny.cfg", "--out", str(tmp_path / "out"), "gen",
                   "--scheme", str(scheme))
     assert_clean_exit(rc, err)
+
+
+@given(data=st.data(), name=st.sampled_from(FIT_INPUTS), mutation=st.sampled_from(MUTATIONS),
+       command=st.sampled_from(FITTING))
+@settings(max_examples=100, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_fit_input_exits_2_before_any_fork(inputs, tmp_path_factory, forks, data, name,
+                                                   mutation, command):
+    work = tmp_path_factory.mktemp("fit")
+    write_mutated(inputs / name, work / name, mutation, data)
+    args = [arg for n in FIT_INPUTS
+            for arg in (f"--{n[:-4]}", str(work / n if n == name else inputs / n))]
+    forks.clear()
+    rc, err = run(inputs / "tiny.cfg", "--out", str(work / "out"), *command, *args)
+    assert rc == 0 or (rc == 2 and forks == []), err
+    assert_clean_exit(rc, err)
+    shutil.rmtree(work)

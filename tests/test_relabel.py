@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sncv import (
+    default_grader_pool,
     default_scheme,
     grader_mismatch_analysis,
     run_relabel_experiment,
@@ -14,6 +15,7 @@ from sncv import (
 )
 from sncv.dataset import Dataset
 from sncv.scoring import ScoredDataset
+from sncv.synth import POOL_ROLES
 
 
 def make_scored_with_truth(labels, truths, qs_values, graders=None, model_sides=None):
@@ -192,6 +194,22 @@ class TestGraderMismatchAnalysis:
         assert shares["glaucoma-specialist"] == 0.0
         assert shares["trainee-fellow"] == max(shares.values())
         assert report.pool_role_shares["glaucoma-specialist"] == pytest.approx(5 / 14)
+
+    def test_pool_shares_count_a_grader_without_rows(self):
+        # of the default pool's 14 graders, the first glaucoma specialist
+        # labels no row of the file; the pool still holds 5 of them
+        pool = default_grader_pool()
+        absent = pool[0]
+        assert absent.role == "glaucoma-specialist"
+        graders = [p.grader_id for p in pool[1:]] * 2
+        n = len(graders)
+        scored = make_scored_with_truth([0] * n, [0] * n, [0.5] * n, graders=graders)
+        report = grader_mismatch_analysis(scored, pool, threshold=0.30)
+        assert absent.grader_id not in {g.grader_id for g in report.graders}
+        assert len(report.graders) == 13
+        assert report.pool_role_shares == {
+            role: sum(p.role == role for p in pool) / 14 for role in POOL_ROLES}
+        assert report.pool_role_shares["glaucoma-specialist"] == 5 / 14
 
 
 class TestFilterByGraderRole:

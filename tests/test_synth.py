@@ -23,8 +23,8 @@ from sncv import (
     train,
     write_grader_pool,
 )
-from sncv.dataset import Dataset, InputError
-from sncv.synth import confusion_from_flip_rates, draw_category
+from sncv.dataset import CHUNK_ROWS, Dataset, InputError
+from sncv.synth import confusion_from_flip_rates, draw_category, example_draws, seeded_uniforms
 
 
 def simple_config(n=500, d=4, **kw):
@@ -61,6 +61,19 @@ def per_row_grader_noise(dataset, pool, seed):
         labels.append(min(new_label, k - 1))
         graders.append(pool[g].grader_id)
     return labels, graders
+
+
+def per_id_draws(seed, ids):
+    """example_draws as it was computed one id at a time, one default_rng per
+    id, kept as the bitwise reference for the bulk computation."""
+    digests = (hashlib.blake2s(f"{seed}:{i}".encode(), digest_size=8).digest() for i in ids)
+    return np.fromiter((np.random.default_rng(int.from_bytes(d, "big")).random(2) for d in digests),
+                       dtype=(float, 2), count=len(ids))
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 def uneven_pool():
@@ -266,6 +279,25 @@ class TestApplyGraderNoise:
 
 
 class TestDrawsMatchPerRowCode:
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_example_draws_equal_per_id_loop(self, seed):
+        # more than 20k ids, so that the bulk computation crosses CHUNK_ROWS
+        # block boundaries, among them a last block that is not full
+        ids = [f"ex{i:06d}" for i in range(20_000 + 77)]
+        assert len(ids) > 4 * CHUNK_ROWS and len(ids) % CHUNK_ROWS
+        assert_bitwise_equal(example_draws(seed, ids), per_id_draws(seed, ids))
+
+    def test_example_draws_of_no_ids(self):
+        assert_bitwise_equal(example_draws(5, []), per_id_draws(5, []))
+
+    def test_seeded_uniforms_on_edge_keys(self):
+        # one-word and two-word SeedSequence entropies, the all-zero and
+        # all-one words among them
+        keys = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        expected = np.array([np.random.default_rng(key).random(2) for key in keys])
+        assert_bitwise_equal(seeded_uniforms(np.array(keys, dtype=np.uint64)), expected)
+        assert_bitwise_equal(seeded_uniforms(np.array([], dtype=np.uint64)), np.empty((0, 2)))
+
     def test_uneven_pool_matches(self):
         scheme = default_scheme()
         ds = generate_population(simple_config(n=3000), 4, scheme)
