@@ -21,7 +21,8 @@ in the order they ran. Each side's median wall time is written as
 `tier1_suite_s`, its every run as `tier1_suite_runs` and its test count as
 `tier1_suite_tests`; it times nothing. A side whose runs list different test
 counts exits 2, and so does a workload with fewer than two passing seeds on
-either side.
+either side, or whose runs on one side differ in `config`, `scale` or
+`seconds` (a stray run, such as the self-test's, left in the checkout).
 """
 
 import argparse
@@ -42,6 +43,9 @@ def suite_runs(text: str) -> tuple[list[float], int]:
     return seconds, counts.pop()
 
 
+RUN_SETTINGS = ("config", "scale", "seconds")  # the same in every run of a workload
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "iqr": q3 - q1, "iqr_over_median": (q3 - q1) / median,
@@ -56,6 +60,15 @@ def side(checkout: Path, metrics) -> dict:
     out = {}
     for workload, records in sorted(runs.items()):
         records.sort(key=lambda r: r["seed"])
+        settings = {}
+        for r in records:
+            setting = json.dumps({key: r[key] for key in RUN_SETTINGS}, sort_keys=True)
+            settings.setdefault(setting, []).append(r["seed"])
+        if len(settings) > 1:
+            runs_by = "; ".join(f"seeds {seeds} ran {setting}"
+                                for setting, seeds in settings.items())
+            print(f"error: {checkout}: {workload} runs differ: {runs_by}", file=sys.stderr)
+            sys.exit(2)
         ok = [r for r in records if not (r["failures"] or r["problems"])]
         failed = [r["seed"] for r in records if r not in ok]
         if len(ok) < 2:

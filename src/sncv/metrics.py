@@ -146,22 +146,29 @@ def bootstrap_auc_ci(scores, labels, n_boot: int, seed: int) -> tuple[float, flo
     """95% percentile CI from seeded stratified resamples (class counts preserved).
 
     A replicate draws positives and negatives with replacement; its AUC needs
-    only how many drawn negatives land in each tie group, so the scores are
-    sorted once. The numerator is counted in integers, twice the placements,
-    and halved exactly before the one division."""
+    only how many drawn negatives lie below, and tie with, each tie group that
+    holds a positive, so the scores are sorted once. With p such groups, the
+    negatives fall in 2p+1 buckets: bucket 2r below the r-th group (and above
+    the one before), bucket 2r+1 tied with it, the last above every positive.
+    The numerator is counted in integers, twice the placements, and halved
+    exactly before the one division."""
     if n_boot < 100:
         raise ValueError("n_boot must be >= 100")
-    gp, gn, k = _tie_groups(scores, labels)
+    gp, gn, _ = _tie_groups(scores, labels)
     m, n = len(gp), len(gn)
+    pos_groups, rp = np.unique(gp, return_inverse=True)
+    p = len(pos_groups)
+    r = np.searchsorted(pos_groups, gn)
+    bucket = 2 * r + (pos_groups[np.minimum(r, p - 1)] == gn)
     reps = np.empty(n_boot)
     for b in range(n_boot):
         rng = np.random.default_rng([seed, b])
         pos_draw = rng.integers(0, m, size=m)
-        neg_w = np.bincount(gn[rng.integers(0, n, size=n)], minlength=k)
-        twice_below = np.cumsum(neg_w)
+        neg_w = np.bincount(bucket[rng.integers(0, n, size=n)], minlength=2 * p + 1)
+        twice_below = np.cumsum(neg_w)[:-1:2]
         twice_below *= 2
-        twice_below -= neg_w
-        reps[b] = twice_below[gp[pos_draw]].sum() * 0.5 / (m * n)
+        twice_below += neg_w[1::2]
+        reps[b] = twice_below[rp[pos_draw]].sum() * 0.5 / (m * n)
     tail = (1.0 - 0.95) / 2.0  # 0.025000000000000022; the literal 0.025 would move every CI
     lo, hi = np.quantile(reps, [tail, 1.0 - tail])
     return float(lo), float(hi)

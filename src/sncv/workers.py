@@ -4,9 +4,14 @@ Each task gets its own forked child, which reads its inputs from the
 parent's memory as they stood at the fork, so only the result crosses back:
 pickled, through a pipe. A spawned worker would import sncv afresh and be
 sent every train set instead. Fork needs a parent without Python threads,
-which sncv never starts; OpenBLAS's own thread pool is fork-safe. The
-results are the in-process bits, since every child caps numpy's OpenBLAS at
-one thread and pickling keeps floats exact.
+which sncv never starts; OpenBLAS's own thread pool is fork-safe.
+
+The calling process caps numpy's OpenBLAS at one thread before its first
+fork, and keeps the cap: its children inherit it, so none of them starts a
+thread. A child that set the cap itself would restart OpenBLAS's pool, whose
+one new thread busy-waits on the core the other worker needs. The second
+thread buys no wall time, and the bits do not depend on it, so the results
+are the in-process bits; pickling keeps floats exact.
 """
 
 from __future__ import annotations
@@ -26,14 +31,17 @@ PIPE_READ = 1 << 16  # a Linux pipe's default capacity
 
 
 @functools.cache
-def _blas_thread_cap():
-    """The thread-count setter of numpy's bundled OpenBLAS, or None without one."""
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None
+    without them."""
     try:
-        cap = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     except (AttributeError, OSError):
         return None
-    cap.argtypes, cap.restype = [ctypes.c_int], None
-    return cap
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 def _child(task, item, pipe: int):
@@ -41,8 +49,6 @@ def _child(task, item, pipe: int):
     pipe and exit, never returning to the caller's code."""
     status = 1
     try:
-        if _blas_thread_cap() is not None:
-            _blas_thread_cap()(1)
         try:
             out = (True, task(item))
         except BaseException as err:  # raised again in the parent
@@ -57,9 +63,10 @@ def _child(task, item, pipe: int):
 def run_tasks(task, items: list, labels: list[str], costs: list[float]) -> list:
     """[task(item) for item in items], each item in its own forked child, with
     at most MAX_WORKERS, and no more than this process's CPUs, running at once;
-    the largest cost starts first and the next starts as a child ends. Without
-    an OpenBLAS thread cap, one child runs at a time, since an uncapped task
-    may use every CPU.
+    the largest cost starts first and the next starts as a child ends. This
+    process stays capped at one OpenBLAS thread from the first call on, and
+    its children inherit the cap. Without an OpenBLAS thread cap, one child
+    runs at a time, since an uncapped task may use every CPU.
 
     A task's ValueError is raised again as "label: error", and a child that
     ends without a result is such an error too. Once an item fails, no later
@@ -67,8 +74,11 @@ def run_tasks(task, items: list, labels: list[str], costs: list[float]) -> list:
     outlives the call.
     """
     n_workers = min(MAX_WORKERS, len(items), len(os.sched_getaffinity(0)))
-    if _blas_thread_cap() is None:
+    blas = _blas_threads()
+    if blas is None:
         n_workers = 1
+    elif blas[0]() != 1:
+        blas[1](1)  # only if not yet capped: setting it restarts OpenBLAS's pool
     todo = sorted(range(len(items)), key=lambda i: -costs[i])
     results, failures, running = {}, {}, {}
     try:

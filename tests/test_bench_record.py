@@ -20,7 +20,8 @@ def bench_record():
 
 
 def write_results(checkout: Path, workload: str, seeds, failed=(),
-                  value=lambda seed, name: 1.0 + seed / 100) -> Path:
+                  value=lambda seed, name: 1.0 + seed / 100, config="configs/reference.cfg",
+                  scale=None, seconds=20.0) -> Path:
     """One `result.json` per seed, as `perfbench/run.py --trace 0` leaves them,
     beside a copy of the repository's BENCHMARK.json."""
     checkout.mkdir(parents=True, exist_ok=True)
@@ -29,7 +30,8 @@ def write_results(checkout: Path, workload: str, seeds, failed=(),
         run = checkout / ".bench_work" / f"{workload}-s{seed}-t0"
         run.mkdir(parents=True)
         (run / "result.json").write_text(json.dumps({
-            "workload": workload, "seed": seed,
+            "workload": workload, "seed": seed, "seconds": seconds, "config": config,
+            "scale": scale or {"n_train": 20000, "n_boot": 1000},
             "failures": ["exit 1"] if seed in failed else [], "problems": [],
             "named": {name: {"value": value(seed, name)} for name in METRICS},
             "environment": {"seed": seed, "python": "3"},
@@ -97,6 +99,28 @@ def test_fewer_than_two_passing_seeds_exits_2_naming_them(tmp_path, capsys, side
     assert exit_info.value.code == 2
     assert (f"{checkouts[side]}: curate-ref has 1 passing seed(s), needs 2; failed seeds [6, 7]"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, stray, shown", [
+    ("config", "configs/other.cfg", '"config": "configs/other.cfg"'),
+    ("scale", {"n_train": 2000, "n_boot": 200}, '"scale": {"n_boot": 200, "n_train": 2000}'),
+    ("seconds", 5.0, '"seconds": 5.0'),
+])
+def test_runs_of_one_workload_that_differ_in_a_setting_exit_2_naming_the_seeds(
+        tmp_path, capsys, setting, stray, shown):
+    # a stray seed-1 run, as the self-test leaves one, beside a batch of seeds 11-12
+    parent = write_results(tmp_path / "parent", "score-ref", [11, 12])
+    change = write_results(tmp_path / "change", "score-ref", [11, 12])
+    write_results(change, "score-ref", [1], **{setting: stray})
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record().main([str(parent), str(change), str(out), "--suite-s", "10:496", "9:519"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {change}: score-ref runs differ: seeds [1] ran " in err
+    assert shown in err
+    assert "seeds [11, 12] ran " in err
     assert not out.exists()
 
 

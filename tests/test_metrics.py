@@ -336,19 +336,28 @@ class TestBootstrapCI:
         assert bootstrap_auc_ci(scores, labels, 150, seed=9) == \
             bootstrap_auc_ci(scores, labels, 150, seed=9)
 
-    @pytest.mark.parametrize("n_pos, n_neg, decimals", [
+    @pytest.mark.parametrize("n_pos, n_neg, layout", [
         (2500, 2500, None),  # distinct scores
-        (2500, 2500, 0),     # a handful of tie groups
+        (2500, 2500, 0),     # a handful of tie groups: scores rounded to 0 decimals
         (600, 4400, 1),      # m != n, ties
         (4400, 600, None),   # m != n, distinct
+        (300, 700, "every_score_tied"),
+        (300, 700, "positives_above"),  # above every negative
+        (300, 700, "negatives_above"),  # above every positive
+        (1, 999, 1),         # a single positive, tied with some negatives
     ])
     @pytest.mark.parametrize("seed", [0, 17, 2**31 + 5])
-    def test_integer_numerator_matches_float_numerator(self, n_pos, n_neg, decimals, seed):
+    def test_integer_numerator_matches_float_numerator(self, n_pos, n_neg, layout, seed):
         rng = np.random.default_rng([n_pos, seed])
         labels = rng.permutation(np.r_[np.ones(n_pos, dtype=int), np.zeros(n_neg, dtype=int)])
         scores = rng.standard_normal(n_pos + n_neg) + labels
-        if decimals is not None:
-            scores = np.round(scores, decimals)
+        if isinstance(layout, int):
+            scores = np.round(scores, layout)
+        elif layout == "every_score_tied":
+            scores = np.full(n_pos + n_neg, 0.25)
+        elif layout is not None:
+            scores += {"positives_above": 20.0, "negatives_above": -20.0}[layout] * labels
+            assert abs(roc_auc(scores, labels).auc - 0.5) == 0.5
         assert bootstrap_auc_ci(scores, labels, 200, seed) == \
             float_numerator_bootstrap_auc_ci(scores, labels, 200, seed)
 

@@ -1,6 +1,7 @@
 """Trainer tests: optimization behavior, prediction semantics, gradient oracle,
 determinism and serialization."""
 
+import contextlib
 import os
 import time
 
@@ -20,7 +21,7 @@ from sncv import (
     train,
     write_model,
 )
-from sncv import trainer
+from sncv import trainer, workers
 from sncv.trainer import _init_weights
 
 from conftest import analytic_gradients, gradient_check, max_relative_error, numeric_gradients
@@ -245,6 +246,24 @@ class TestTrain:
             train(ds, tune, Hyperparams(), seed=0)
 
 
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """numpy's OpenBLAS at n threads in this process, read back, and the count
+    it had restored afterwards; a forked plan caps this process at one."""
+    blas = workers._blas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(n)
+    try:
+        assert get() == n
+        yield
+    finally:
+        set_(before)
+
+
 class TestTrainMany:
     HP = Hyperparams(hidden_units=4, max_epochs=3, patience=2)
 
@@ -255,15 +274,17 @@ class TestTrainMany:
     @pytest.mark.parametrize("n_jobs", [2, 3, 4])
     def test_a_forked_plan_matches_sequential_train_bit_for_bit(self, forks, n_jobs):
         # the per-epoch prediction of the 2000-row tune set is a product large
-        # enough (2000 x 8 x 32) for OpenBLAS to thread it in this process
+        # enough (2000 x 8 x 32) for OpenBLAS to thread it in this process,
+        # where the reference fits run at two threads
         tune = toy_dataset(2000, 8, n_classes=4, seed=10)
         sets = [toy_dataset(n, 8, n_classes=4, seed=n) for n in (150, 120, 210, 180)[:n_jobs]]
         hp = Hyperparams(hidden_units=32, max_epochs=6, patience=3)
         models = trainer.train_many([(ds, 100 + i, f"job-{i}") for i, ds in enumerate(sets)],
                                     tune, hp)
         assert len(forks) == n_jobs
-        for i, (ds, model) in enumerate(zip(sets, models)):
-            alone = train(ds, tune, hp, seed=100 + i)
+        with blas_threads(2):
+            alone_models = [train(ds, tune, hp, seed=100 + i) for i, ds in enumerate(sets)]
+        for model, alone in zip(models, alone_models):
             assert model.weights.keys() == alone.weights.keys()
             for key in alone.weights:
                 np.testing.assert_array_equal(model.weights[key], alone.weights[key])

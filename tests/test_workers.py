@@ -1,4 +1,5 @@
-"""The forked task runner: item order, failures, and one child at a time."""
+"""The forked task runner: item order, failures, one child at a time, and
+children that start no OpenBLAS thread."""
 
 import os
 import signal
@@ -25,6 +26,25 @@ def test_a_large_result_crosses_the_pipe_exactly(forks):
                             [1, 2], labels=["a", "b"], costs=[1, 1])
     for seed, got in zip([1, 2], out):
         np.testing.assert_array_equal(got, np.random.default_rng(seed).standard_normal(300_000))
+
+
+def threads_after_a_product(seed):
+    """This process's thread count after a product large enough (2000 x 8 @
+    8 x 32) for an uncapped OpenBLAS to thread it."""
+    rng = np.random.default_rng(seed)
+    rng.standard_normal((2000, 8)) @ rng.standard_normal((8, 32))
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or workers._blas_threads() is None,
+                    reason="needs /proc/self/task and numpy's OpenBLAS thread-count symbols")
+def test_no_child_starts_an_openblas_thread(forks):
+    # a child that set the cap itself would restart OpenBLAS's pool: one more
+    # thread, busy-waiting on the core the other worker needs
+    for plan in range(3):
+        assert workers.run_tasks(threads_after_a_product, [1, 2, 3], labels=list("abc"),
+                                 costs=[1, 1, 1]) == [1, 1, 1]
+    assert workers._blas_threads()[0]() == 1
 
 
 def in_process(task, items, labels, costs):
@@ -60,7 +80,7 @@ def test_one_child_at_a_time_gives_the_in_process_results_and_failure(forks, mon
     elif case == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     else:
-        monkeypatch.setattr(workers, "_blas_thread_cap", lambda: None)
+        monkeypatch.setattr(workers, "_blas_threads", lambda: None)
     labels = list("abc"[:len(items)])
     out = workers.run_tasks(timed_square, items, labels, costs=items)
     assert [sq for sq, *_ in out] == [sq for sq, *_ in in_process(timed_square, items, labels,
