@@ -123,23 +123,55 @@ def _rows_kept(key: str, fraction: float, n: int) -> int:
     return kept
 
 
-def _resolve_k_grid(cfg: RunConfig, dataset: Dataset) -> list[int]:
-    """The selection sizes to try on the dataset, checked before any fit: each
-    must keep positives and negatives both, or its final fit could not run."""
+def _selection_sizes(dataset: Dataset, fractions, k: int | None = None) -> list[int]:
+    """The selection sizes to fit on the dataset: k, or else the rows each k_grid
+    fraction keeps. Checked before any fit: each size is kept by one fraction only,
+    and keeps positives and negatives both, or its fit could not run."""
     n = len(dataset)
-    if cfg.k is None:
-        k_grid = [_rows_kept("k_grid", f, n) for f in cfg.k_grid]
-    elif not 1 <= cfg.k <= n:
-        raise InputError(f"k must be in [1, {n}], got {cfg.k}")
+    if k is None:
+        sizes = [_rows_kept("k_grid", f, n) for f in fractions]
+    elif not 1 <= k <= n:
+        raise InputError(f"k must be in [1, {n}], got {k}")
     else:
-        k_grid = [cfg.k]
+        sizes = [k]
+    for j, size in enumerate(sizes):
+        if size in sizes[:j]:
+            raise InputError(f"[experiment] k_grid {fractions[sizes.index(size)]} and "
+                             f"{fractions[j]} both keep {size} of {n} rows")
     tau = positive_rate(dataset)
-    for k in k_grid:
-        n_pos = selection.stratified_positives(tau, k)
-        if n_pos in (0, k):
-            raise InputError(f"k {k} selects {n_pos} positives at tau {tau:.4g}; "
+    for size in sizes:
+        n_pos = selection.stratified_positives(tau, size)
+        if n_pos in (0, size):
+            raise InputError(f"k {size} selects {n_pos} positives at tau {tau:.4g}; "
                              "a final fit needs both sides of the boundary")
-    return k_grid
+    return sizes
+
+
+def _evaluate(models: dict, dataset: Dataset, n_boot: int, seeds: list[int]) -> dict:
+    """Each named model's referable scores on the dataset, with their AUC and
+    their bootstrap CI under the model's seed: {name: (scores, auc, ci95)}.
+    Each model runs in its own forked child, which keeps the dataset's hidden
+    layer out of this process; the caller resolves the seeds before the fork."""
+    y = dataset.binary_labels()
+
+    def evaluate(item):
+        model, seed = item
+        s = trainer.referable_scores(model, dataset.X)
+        return s, metrics.roc_auc(s, y).auc, list(metrics.bootstrap_auc_ci(s, y, n_boot, seed))
+
+    return dict(zip(models, workers.run_tasks(evaluate, list(zip(models.values(), seeds)),
+                                              labels=list(models), costs=[1] * len(models))))
+
+
+def _delong_records(evaluated: dict, labels, cfg: RunConfig, two_tailed, noninferiority):
+    """The DeLong records, in this process and so with its scipy import, of models
+    that _evaluate scored: a two-tailed test of each (a, b) pair in two_tailed,
+    and a test that a is non-inferior to b for each pair in noninferiority."""
+    return ([metrics.comparison_record(a, b, metrics.delong_two_tailed(
+                evaluated[a][0], evaluated[b][0], labels)) for a, b in two_tailed],
+            [metrics.comparison_record(a, b, metrics.delong_noninferiority(
+                evaluated[a][0], evaluated[b][0], labels, cfg.margin, cfg.alpha))
+             for a, b in noninferiority])
 
 
 def _check_fold_size(cfg: RunConfig, n: int) -> None:
@@ -234,13 +266,11 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     dataset, tune_set = _inputs(cfg, "train", "tune")
     _check_fold_size(cfg, len(dataset))
     result = selection.run_sncv_pipeline(
-        dataset, tune_set, _resolve_k_grid(cfg, dataset), cfg.hyperparams,
+        dataset, tune_set, _selection_sizes(dataset, cfg.k_grid, cfg.k), cfg.hyperparams,
         cfg.stage_seed("pipeline"))
     histogram = scoring.qs_histogram(result.scored, cfg.bin_width)
-    tune_scores = trainer.referable_scores(result.model, tune_set.X)
-    tune_auc = metrics.roc_auc(tune_scores, tune_set.binary_labels())
-    ci = metrics.bootstrap_auc_ci(tune_scores, tune_set.binary_labels(),
-                                  cfg.n_boot, cfg.stage_seed("pipeline-ci"))
+    [(_, tune_auc, ci)] = _evaluate({"model_final": result.model}, tune_set, cfg.n_boot,
+                                    [cfg.stage_seed("pipeline-ci")]).values()
     out = _out_dir(cfg)
     trainer.write_model(result.model, out / "model_final.json")
     scoring.write_scored_dataset(result.scored, out / "scored.csv")
@@ -253,10 +283,10 @@ def cmd_pipeline(cfg: RunConfig) -> int:
         "selection": selection.selection_summary(result.selection),
         "fold_tune_auc": {"m1": result.fold_models[0].tune_auc_at_stop,
                           "m2": result.fold_models[1].tune_auc_at_stop},
-        "final_tune_auc": tune_auc.auc,
-        "final_tune_auc_ci95": list(ci),
+        "final_tune_auc": tune_auc,
+        "final_tune_auc_ci95": ci,
     })
-    print(f"k={result.k_used} final_tune_auc={tune_auc.auc:.4f}")
+    print(f"k={result.k_used} final_tune_auc={tune_auc:.4f}")
     return 0
 
 
@@ -264,7 +294,7 @@ def cmd_bands(cfg: RunConfig) -> int:
     """Tune AUC of high-band and low-band selected models across band sizes,
     plus the class composition of unstratified top/bottom rankings."""
     dataset, tune_set = _inputs(cfg, "train", "tune")
-    sizes = [_rows_kept("k_grid", frac, len(dataset)) for frac in sorted(set(cfg.k_grid) | {1.0})]
+    sizes = _selection_sizes(dataset, sorted(set(cfg.k_grid) | {1.0}))
     _check_fold_size(cfg, len(dataset))
     scored, _, _ = scoring.cross_fold_score(
         dataset, tune_set, cfg.hyperparams, cfg.stage_seed("bands-score"))
@@ -337,45 +367,22 @@ def run_burden_study(full_train: Dataset, tune_set: Dataset, test_set: Dataset,
     sub_train = full_train.take(np.flatnonzero(
         draw_mask(full_train, n_sub, scoring.derive_seed(seed, "subsample"))))
     _check_fold_size(cfg, n_sub)
-    models, sncv_result, ncv_sel = _fit_arms(full_train, sub_train, tune_set,
-                                             _resolve_k_grid(cfg, sub_train), cfg, seed)
-    y_test = test_set.binary_labels()
-
-    def score_arm(name: str):
-        s = trainer.referable_scores(models[name], test_set.X)
-        return s, metrics.bootstrap_auc_ci(s, y_test, cfg.n_boot,
-                                           scoring.derive_seed(seed, f"ci-{name}"))
-
-    # each arm's test scores and bootstrap CI are independent of the others',
-    # and scoring there keeps the test set's hidden layer out of this process;
-    # DeLong, and so its scipy import, stays here
-    results = dict(zip(models, workers.run_tasks(score_arm, list(models), labels=list(models),
-                                                 costs=[1] * len(models))))
-    arm_scores = {name: s for name, (s, _) in results.items()}
-    arms = {name: {"test_auc": metrics.roc_auc(s, y_test).auc, "test_auc_ci95": list(ci),
-                   "tune_auc": models[name].tune_auc_at_stop}
-            for name, (s, ci) in results.items()}
+    k_grid = _selection_sizes(sub_train, cfg.k_grid, cfg.k)
+    models, sncv_result, ncv_sel = _fit_arms(full_train, sub_train, tune_set, k_grid, cfg, seed)
+    evaluated = _evaluate(models, test_set, cfg.n_boot,
+                          [scoring.derive_seed(seed, f"ci-{name}") for name in models])
+    arms = {name: {"test_auc": auc, "test_auc_ci95": ci, "tune_auc": models[name].tune_auc_at_stop}
+            for name, (_, auc, ci) in evaluated.items()}
     arms["subsample_sncv"]["k_used"] = sncv_result.k_used
     arms["subsample_ncv"]["n_selected"] = len(ncv_sel.selected_ids)
-
-    noninferiority = [
-        metrics.comparison_record(a, b, metrics.delong_noninferiority(
-            arm_scores[a], arm_scores[b], y_test, cfg.margin, cfg.alpha))
-        for a, b in (
-            ("subsample_baseline", "subsample_sncv"),
-            ("subsample_sncv", "full_baseline"),
-            ("subsample_baseline", "full_baseline"),
-        )
-    ]
-    two_tailed = [
-        metrics.comparison_record(a, b, metrics.delong_two_tailed(
-            arm_scores[a], arm_scores[b], y_test))
-        for a, b in (
-            ("full_baseline", "subsample_baseline"),
-            ("subsample_sncv", "subsample_baseline"),
-            ("subsample_sncv", "subsample_ncv"),
-        )
-    ]
+    two_tailed, noninferiority = _delong_records(
+        evaluated, test_set.binary_labels(), cfg,
+        two_tailed=[("full_baseline", "subsample_baseline"),
+                    ("subsample_sncv", "subsample_baseline"),
+                    ("subsample_sncv", "subsample_ncv")],
+        noninferiority=[("subsample_baseline", "subsample_sncv"),
+                        ("subsample_sncv", "full_baseline"),
+                        ("subsample_baseline", "full_baseline")])
     return {
         "subsample_fraction": cfg.subsample_fraction,
         "n_subsample": n_sub,
@@ -438,22 +445,14 @@ def cmd_eval(cfg: RunConfig) -> int:
             raise InputError(f"{path}: model does not fit the dataset: its scheme "
                              f"{model.scheme} and feature_dim {model.feature_dim} against "
                              f"{dataset.scheme} and {dataset.feature_dim}")
-    y = dataset.binary_labels()
-    records = {}
-    score_vectors = {}
-    for path, model in models.items():
-        s = trainer.referable_scores(model, dataset.X)
-        score_vectors[path] = s
-        ci = metrics.bootstrap_auc_ci(s, y, cfg.n_boot, cfg.stage_seed(f"eval-{Path(path).name}"))
-        records[path] = {"auc": metrics.roc_auc(s, y).auc, "auc_ci95": list(ci)}
+    evaluated = _evaluate(models, dataset, cfg.n_boot,
+                          [cfg.stage_seed(f"eval-{Path(path).name}") for path in models])
+    records = {path: {"auc": auc, "auc_ci95": ci} for path, (_, auc, ci) in evaluated.items()}
     body: dict = {"models": records}
-    if len(cfg.model_paths) == 2:
-        a, b = cfg.model_paths
-        body["two_tailed"] = metrics.comparison_record(
-            a, b, metrics.delong_two_tailed(score_vectors[a], score_vectors[b], y))
-        body["noninferiority"] = metrics.comparison_record(
-            a, b, metrics.delong_noninferiority(score_vectors[a], score_vectors[b], y,
-                                                cfg.margin, cfg.alpha))
+    if len(models) == 2:
+        pair = [tuple(models)]
+        [body["two_tailed"]], [body["noninferiority"]] = _delong_records(
+            evaluated, dataset.binary_labels(), cfg, pair, pair)
     _write_report(cfg, "eval_report.json", body)
     for path, rec in records.items():
         print(f"{path}: auc={rec['auc']:.4f} ci95=({rec['auc_ci95'][0]:.4f}, {rec['auc_ci95'][1]:.4f})")

@@ -19,7 +19,6 @@ from sncv import (
     generate_population,
     select_lowest_stratified,
     select_stratified,
-    train,
 )
 from sncv import scoring, selection, trainer
 from sncv.config import RunConfig
@@ -70,24 +69,25 @@ class ReferenceRuns:
         return self._scored[seed]
 
     def model(self, seed: int, which: str):
-        key = (seed, which)
-        if key not in self._models:
+        """The seed's model fitted on all its rows ("all"), on its lowest-QS 15%
+        ("low15") or on its highest-QS 45% ("high45"); the first call for a
+        seed fits all three, in one plan of independent fits."""
+        if seed not in self._models:
             d = self.data(seed)
             scored, _, _ = self.scored(seed)
             n = len(d["train"])
-            if which == "all":
-                subset = d["train"]
-            elif which == "low15":
-                sel = select_lowest_stratified(scored, int(round(0.15 * n)))
-                subset = d["train"].subset(sel.selected_ids)
-            elif which == "high45":
-                sel = select_stratified(scored, int(round(0.45 * n)))
-                subset = d["train"].subset(sel.selected_ids)
-            else:
-                raise KeyError(which)
-            self._models[key] = train(subset, d["tune"], reference_hyperparams(),
-                                      derive_seed(seed, f"model-{which}"))
-        return self._models[key]
+            subsets = {
+                "all": d["train"],
+                "low15": d["train"].subset(
+                    select_lowest_stratified(scored, int(round(0.15 * n))).selected_ids),
+                "high45": d["train"].subset(
+                    select_stratified(scored, int(round(0.45 * n))).selected_ids),
+            }
+            models = trainer.train_many(
+                [(subset, derive_seed(seed, f"model-{name}"), name)
+                 for name, subset in subsets.items()], d["tune"], reference_hyperparams())
+            self._models[seed] = dict(zip(subsets, models))
+        return self._models[seed][which]
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sncv import (Dataset, cli, metrics, read_dataset, read_scheme, scoring, selection,
+from sncv import (Dataset, cli, read_dataset, read_scheme, scoring, selection,
                   synth, trainer, workers, write_dataset)
 from sncv.scoring import derive_seed
 from sncv.cli import COMMANDS, build_parser, main
@@ -565,6 +565,19 @@ def test_k_beyond_the_rows_exits_2_before_any_fit(small_generated, tmp_path, fit
     assert fit_sizes == []
 
 
+def test_a_one_sided_band_exits_2_before_any_fit(small_generated, tmp_path, fit_sizes, capsys):
+    # 0.006 of the 180 rows keeps one, a negative at the set's positive rate
+    rc = run_cli(small_generated / "small.cfg", tmp_path / "out", "bands",
+                 "--train", str(small_generated / "train.csv"),
+                 "--tune", str(small_generated / "tune.csv"), "--k-grid", "0.006")
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: k 1 selects 0 positives at tau 0.2889; a final fit needs both sides of the "
+        "boundary")
+    assert not (tmp_path / "out").exists()
+    assert fit_sizes == []
+
+
 @pytest.mark.parametrize("command, n", [("score", 180), ("pipeline", 180), ("bands", 180),
                                         ("burden", 103)])
 def test_too_few_rows_for_the_folds_exits_2_before_any_fit(small_generated, tmp_path,
@@ -730,24 +743,22 @@ class TestEval:
     @pytest.mark.parametrize("spelling", ["same", "dotted"])
     def test_a_repeated_model_exits_2_before_any_bootstrap(self, mini_config, generated,
                                                            model_json, tmp_path, capsys,
-                                                           monkeypatch, spelling):
+                                                           forks, spelling):
         again = str(model_json) if spelling == "same" else \
             f"{model_json.parent}/./{model_json.name}"
-        bootstraps = []
-        monkeypatch.setattr(metrics, "bootstrap_auc_ci", lambda *args: bootstraps.append(args))
         rc = run_cli(mini_config, tmp_path / "out", "eval",
                      "--train", str(generated / "test.csv"),
                      "--model", str(model_json), "--model", again)
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {again}: eval got this model twice; each --model must be another file")
-        assert bootstraps == []
+        assert forks == []  # every bootstrap runs in a forked child
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad", ["malformed", "feature_dim"])
     def test_a_bad_second_model_exits_2_before_any_bootstrap(self, mini_config, generated,
                                                              model_json, tmp_path, capsys,
-                                                             monkeypatch, bad):
+                                                             forks, bad):
         second = tmp_path / "second.json"
         if bad == "malformed":
             second.write_text('{"format_version": 1}')
@@ -756,14 +767,12 @@ class TestEval:
             weights = {**model.weights, "w1": model.weights["w1"][:-1]}
             trainer.write_model(dataclasses.replace(
                 model, feature_dim=model.feature_dim - 1, weights=weights), second)
-        bootstraps = []
-        monkeypatch.setattr(metrics, "bootstrap_auc_ci", lambda *args: bootstraps.append(args))
         rc = run_cli(mini_config, tmp_path / "out", "eval",
                      "--train", str(generated / "test.csv"),
                      "--model", str(model_json), "--model", str(second))
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {second}: ")
-        assert bootstraps == []
+        assert forks == []
         assert not (tmp_path / "out").exists()
 
     def test_two_copies_of_a_model_write_a_null_z(self, mini_config, generated, model_json,
@@ -790,19 +799,17 @@ class TestEval:
 
     def test_one_class_set_exits_2_before_any_bootstrap(self, mini_config, generated,
                                                          model_json, tmp_path, capsys,
-                                                         monkeypatch):
+                                                         forks):
         bad = tmp_path / "one-class.csv"
         write_dataset(_one_class(read_dataset(generated / "test.csv",
                                               read_scheme(generated / "scheme.json"))), bad)
-        bootstraps = []
-        monkeypatch.setattr(metrics, "bootstrap_auc_ci", lambda *args: bootstraps.append(args))
         rc = run_cli(mini_config, tmp_path / "out", "eval", "--train", str(bad),
                      "--model", str(model_json))
         assert rc == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {bad}: the evaluation set needs labels on both sides of the "
             "referability boundary")
-        assert bootstraps == []
+        assert forks == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mismatch", ["feature_dim", "scheme"])
@@ -951,29 +958,38 @@ def test_out_of_memory_in_a_forked_fit_exits_1_naming_it(mini_config, generated,
         "failure: out of memory: Unable to allocate 7.11 PiB for an array"
 
 
-def test_burden_reads_the_same_forked_and_in_process(small_generated, tmp_path, monkeypatch,
-                                                     forks):
-    # every fit, test-set score and bootstrap CI of a forked run, on two CPUs
-    # or on one, matches the in-process reference
-    args = ["--train", str(small_generated / "train.csv"),
-            "--tune", str(small_generated / "tune.csv"),
-            "--test", str(small_generated / "test.csv")]
-    reports = {}
-    for run in ("two CPUs", "one CPU", "in process"):
-        forks.clear()
-        out = tmp_path / run.replace(" ", "-")
-        with monkeypatch.context() as patch:
-            if run == "one CPU":
-                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
-            elif run == "in process":
-                patch.setattr(workers, "run_tasks", in_process)
-                patch.setattr(trainer, "run_tasks", in_process)
-            assert run_cli(small_generated / "small.cfg", out, "burden", *args) == 0
-        reports[run] = json.loads((out / "burden_report.json").read_text())
-        assert reports[run]["config"]["paths"].pop("out") == str(out)
+def test_burden_reads_the_same_forked_and_in_process(small_generated, mini_config, generated,
+                                                     model_json, other_model_json, tmp_path,
+                                                     monkeypatch, forks):
+    # every fit, score and bootstrap CI of a forked burden, two-model eval or
+    # pipeline, on two CPUs or on one, matches the in-process reference
+    small = ["--train", str(small_generated / "train.csv"),
+             "--tune", str(small_generated / "tune.csv")]
+    runs = {  # command: (config, inputs, forks)
         # both fit plans (three k-grid finals plus ncv) and the arms fork 4 times each
-        assert len(forks) == (0 if run == "in process" else 12)
-    assert reports["two CPUs"] == reports["one CPU"] == reports["in process"]
+        "burden": (small_generated / "small.cfg",
+                   [*small, "--test", str(small_generated / "test.csv")], 12),
+        "eval": (mini_config, ["--train", str(generated / "test.csv"), "--model", str(model_json),
+                               "--model", str(other_model_json)], 2),
+        # the fold pair, the three k-grid finals, then the final model's evaluation
+        "pipeline": (small_generated / "small.cfg", small, 2 + 3 + 1),
+    }
+    for command, (config, inputs, n_forks) in runs.items():
+        reports = {}
+        for run in ("two CPUs", "one CPU", "in process"):
+            forks.clear()
+            out = tmp_path / command / run.replace(" ", "-")
+            with monkeypatch.context() as patch:
+                if run == "one CPU":
+                    patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+                elif run == "in process":
+                    patch.setattr(workers, "run_tasks", in_process)
+                    patch.setattr(trainer, "run_tasks", in_process)
+                assert run_cli(config, out, command, *inputs) == 0
+            reports[run] = json.loads((out / f"{command}_report.json").read_text())
+            assert reports[run]["config"]["paths"].pop("out") == str(out)
+            assert len(forks) == (0 if run == "in process" else n_forks)
+        assert reports["two CPUs"] == reports["one CPU"] == reports["in process"]
 
 
 OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)
@@ -992,6 +1008,12 @@ OUT_OF_RANGE_FLAGS = [  # (command, flag, value, message)
     ("pipeline", "--k-grid", "0.0001", "[experiment] k_grid 0.0001 keeps 0 of 1200 rows"),
     ("burden", "--k-grid", "0.0001", "[experiment] k_grid 0.0001 keeps 0 of 686 rows"),
     ("bands", "--k-grid", "0.0001", "[experiment] k_grid 0.0001 keeps 0 of 1200 rows"),
+    ("pipeline", "--k-grid", "0.5,0.5001,0.75",
+     "[experiment] k_grid 0.5 and 0.5001 both keep 600 of 1200 rows"),
+    ("burden", "--k-grid", "0.5,0.5001", "[experiment] k_grid 0.5 and 0.5001 both keep 343 of 686"),
+    ("bands", "--k-grid", "0.5,0.5001", "[experiment] k_grid 0.5 and 0.5001 both keep 600 of 1200"),
+    # bands always fits the full band, as fraction 1.0
+    ("bands", "--k-grid", "0.9999", "[experiment] k_grid 0.9999 and 1.0 both keep 1200 of 1200"),
 ]
 
 
@@ -1125,8 +1147,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("command, flag, value, message", OUT_OF_RANGE_FLAGS,
                              ids=[f"{c}{f}={v}" for c, f, v, _ in OUT_OF_RANGE_FLAGS])
     def test_out_of_range_flag_exits_2_before_running(self, mini_config, generated, scored_csv,
-                                                      tmp_path, capsys, command, flag, value,
-                                                      message):
+                                                      tmp_path, fit_sizes, capsys, command, flag,
+                                                      value, message):
         train = scored_csv if command in ("relabel", "graders") else generated / "train.csv"
         rc = run_cli(mini_config, tmp_path / "out", command, "--train", str(train),
                      "--tune", str(generated / "tune.csv"), "--test", str(generated / "test.csv"),
@@ -1134,6 +1156,7 @@ class TestInputErrors:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert fit_sizes == []
 
     @pytest.mark.parametrize("command", ["gen", "split", "train", "score", "pipeline", "bands",
                                          "burden", "relabel", "eval"])
