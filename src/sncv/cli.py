@@ -32,7 +32,6 @@ from .dataset import (
     record,
     split_random,
     write_dataset,
-    write_datasets,
     write_scheme,
 )
 
@@ -197,7 +196,10 @@ def cmd_gen(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     write_scheme(scheme, out / "scheme.json")
     synth.write_grader_pool(pool, out / "pool.json")
-    write_datasets({out / "population.csv": population, out / "train.csv": noisy})
+    # the true labels once more, without the features train.csv already holds
+    write_dataset(Dataset(scheme, population.ids, population.X[:, :0], population.y,
+                          population.true_y), out / "population.csv")
+    write_dataset(noisy, out / "train.csv")
     write_dataset(tune, out / "tune.csv")
     write_dataset(test, out / "test.csv")
 

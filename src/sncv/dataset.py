@@ -9,7 +9,6 @@ single source of truth used by every other module.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import json
@@ -270,45 +269,34 @@ def _text_cells(values: list[str]) -> list[str]:
             for v in values]
 
 
-def _write_csv(files: dict, scored=None) -> None:
-    """Write the CSV form of each dataset of files, {path: dataset}; they must
-    share ids and X, whose text is formatted once. scored = (fold, qs, probs)
-    writes the scored columns in place of the features, which stay in the
-    dataset that was scored.
+def _write_csv(path, dataset: Dataset, scored=None) -> None:
+    """Write the CSV form; scored = (fold, qs, probs) writes the scored columns
+    in place of the features, which stay in the dataset that was scored.
 
     The bytes are those of csv.writer's default dialect: CRLF line ends and
     minimal quoting. Floats are written as repr(float), which round-trips
     exactly. Rows are formatted and written CHUNK_ROWS at a time, a column
-    at a time, to every file in turn.
+    at a time, with each row's feature cells joined once.
     """
-    first, *rest = files.values()
-    if not all(np.array_equal(d.ids, first.ids)
-               and np.array_equal(d.X, first.X, equal_nan=True) for d in rest):
-        raise ValueError("datasets written together must share ids and X")
-    X = first.X if scored is None else first.X[:, :0]
+    X = dataset.X if scored is None else dataset.X[:, :0]
     header = BASE_COLUMNS + [f"f{i}" for i in range(X.shape[1])]
     if scored is not None:
         fold, qs, probs = scored
         header += ["fold", "quality_score"] + [f"p{i}" for i in range(probs.shape[1])]
-    with contextlib.ExitStack() as stack:
-        handles = [(stack.enter_context(open(path, "w", newline="", encoding="utf-8")), dataset)
-                   for path, dataset in files.items()]
-        for fh, _ in handles:
-            fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(first), CHUNK_ROWS):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(dataset), CHUNK_ROWS):
             block = slice(start, start + CHUNK_ROWS)
-            ids = _text_cells(first.ids[block].tolist())
-            # each row's feature cells, joined once for every file
-            shared = ([list(map(",".join, zip(*(map(repr, c) for c in X[block].T.tolist()))))]
-                      if X.shape[1] else [])
+            columns = [_text_cells(dataset.ids[block].tolist()),
+                       map(str, dataset.y[block].tolist()),
+                       ["" if t < 0 else str(t) for t in dataset.true_y[block].tolist()],
+                       _text_cells(dataset.grader[block].tolist())]
+            if X.shape[1]:
+                columns.append(map(",".join, zip(*(map(repr, c) for c in X[block].T.tolist()))))
             if scored is not None:
-                shared += [fold[block].tolist(), map(repr, qs[block].tolist()),
-                           *(map(repr, c) for c in probs[block].T.tolist())]
-            for fh, dataset in handles:
-                columns = [ids, map(str, dataset.y[block].tolist()),
-                           ["" if t < 0 else str(t) for t in dataset.true_y[block].tolist()],
-                           _text_cells(dataset.grader[block].tolist()), *shared]
-                fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+                columns += [fold[block].tolist(), map(repr, qs[block].tolist()),
+                            *(map(repr, c) for c in probs[block].T.tolist())]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _parse_cells(columns, n_rows, first_row, names, dtype, what) -> np.ndarray:
@@ -431,12 +419,7 @@ def _read_csv(path, scheme: ClassScheme, scored: bool = False):
 
 def write_dataset(dataset: Dataset, path) -> None:
     """Write the UTF-8 CSV form: id,label,true_label,grader_id,f0..f{d-1}."""
-    _write_csv({path: dataset})
-
-
-def write_datasets(files: dict) -> None:
-    """write_dataset for each of files, {path: dataset}, which share ids and X."""
-    _write_csv(files)
+    _write_csv(path, dataset)
 
 
 def read_dataset(path, scheme: ClassScheme) -> Dataset:

@@ -102,7 +102,7 @@ def qs_histogram(scored: ScoredDataset, bin_width: float) -> list[tuple[float, f
         raise ValueError("bin_width must be positive")
     qs = scored.qs
     referable = scored.dataset.binary_labels().astype(bool)
-    n_bins = int(np.ceil(2.0 / bin_width - 1e-9))
+    n_bins = max(1, int(np.ceil(2.0 / bin_width - 1e-9)))  # one bin, however wide
     edges = -1.0 + bin_width * np.arange(n_bins + 1)
     edges[-1] = max(edges[-1], 1.0)
     c_non, _ = np.histogram(qs[~referable], bins=edges)
@@ -116,7 +116,7 @@ def qs_histogram(scored: ScoredDataset, bin_width: float) -> list[tuple[float, f
 def write_scored_dataset(scored: ScoredDataset, path) -> None:
     """The dataset's id and label columns plus fold, quality_score and the
     cross-fold probability columns; the features stay in the dataset that was scored."""
-    _write_csv({path: scored.dataset}, (scored.fold, scored.qs, scored.probs))
+    _write_csv(path, scored.dataset, (scored.fold, scored.qs, scored.probs))
 
 
 def read_scored_dataset(path, scheme: ClassScheme) -> ScoredDataset:

@@ -112,6 +112,32 @@ class TestGen:
         for name in ("train.csv", "tune.csv", "pool.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_population_csv_holds_the_true_labels_without_features(self, generated):
+        with open(generated / "population.csv", newline="", encoding="utf-8") as fh:
+            assert fh.readline() == "id,label,true_label,grader_id\r\n"
+        scheme = read_scheme(generated / "scheme.json")
+        population = read_dataset(generated / "population.csv", scheme)
+        train = read_dataset(generated / "train.csv", scheme)
+        assert population.feature_dim == 0
+        assert population.ids.tolist() == train.ids.tolist()
+        assert population.y.tolist() == population.true_y.tolist() == train.true_y.tolist()
+        assert (population.grader == "").all()
+
+    def test_every_dataset_file_goes_through_write_dataset(self, mini_config, tmp_path,
+                                                          monkeypatch):
+        # perfbench's trace counts gen's written rows at write_dataset
+        rows, write = [], cli.write_dataset
+
+        def counting_write(dataset, path):
+            rows.append(len(dataset))
+            write(dataset, path)
+
+        monkeypatch.setattr(cli, "write_dataset", counting_write)
+        assert run_cli(mini_config, tmp_path, "gen") == 0
+        sizes = json.loads((tmp_path / "gen_report.json").read_text())["config"]["population"]
+        assert len(rows) == 4
+        assert sum(rows) == 2 * sizes["n_train"] + sizes["n_tune"] + sizes["n_test"]
+
     def test_missing_scheme_file_exits_2(self, mini_config, tmp_path, capsys):
         rc = main(["--config", str(mini_config), "--seed", "7",
                    "--out", str(tmp_path), "gen", "--scheme", "/nope/missing.json"])

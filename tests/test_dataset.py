@@ -499,33 +499,6 @@ class TestCodecAgainstReference:
         for name in ("ids", "X", "y", "true_y", "grader"):
             assert_bitwise_equal(getattr(back, name), getattr(written, name))
 
-    @given(case=csv_datasets(), data=st.data(),
-           chunk_rows=st.sampled_from([2, 3, sncv.dataset.CHUNK_ROWS]))
-    @settings(max_examples=60, deadline=None)
-    def test_shared_features_written_once_give_the_same_bytes(self, tmp_path_factory, case,
-                                                              data, chunk_rows):
-        # a second dataset with the first one's ids and X, its own labels and graders
-        ds = case[0]
-        n, k = len(ds), ds.scheme.n_classes
-        other = Dataset(ds.scheme, ds.ids, ds.X.copy(),
-                        data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
-                        data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)),
-                        data.draw(st.lists(TEXT, min_size=n, max_size=n)))
-        root = tmp_path_factory.mktemp("shared")
-        with mock.patch.object(sncv.dataset, "CHUNK_ROWS", chunk_rows):
-            sncv.dataset.write_datasets({root / "a.csv": ds, root / "b.csv": other})
-        for name, written in (("a", ds), ("b", other)):
-            reference_write_csv(root / "ref.csv", written)
-            assert (root / f"{name}.csv").read_bytes() == (root / "ref.csv").read_bytes()
-
-    def test_datasets_written_together_must_share_ids_and_x(self, tmp_path):
-        ds = make_dataset([0, 1, 2, 3])
-        moved = Dataset(ds.scheme, ds.ids, ds.X + 1.0, ds.y)
-        renamed = Dataset(ds.scheme, ds.ids[::-1], ds.X, ds.y)
-        for other in (moved, renamed):
-            with pytest.raises(ValueError, match="must share ids and X"):
-                sncv.dataset.write_datasets({tmp_path / "a.csv": ds, tmp_path / "b.csv": other})
-
     @given(cells=st.lists(st.lists(CELLS, min_size=3, max_size=3), max_size=6),
            width=st.integers(1, 3))
     @settings(max_examples=300, deadline=None)

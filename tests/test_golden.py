@@ -81,7 +81,7 @@ GOLDEN = {
     "gen/pool.json":
         "31996043ec27561e1d04a8d7184c4294e86912b36f3cd9f94a2d63532f28ac7b",
     "gen/population.csv":
-        "8d0e646b20d3f11f8839ef14b91fc4a119f2c1f0650b9b4f8df027f487a0beb1",
+        "163d4cf51fa8db4faa6a3dc96e415c9e7ca71e27dd1573d74636c5a77a9d99fc",
     "gen/scheme.json":
         "556d40017b08341d9903c5e13cfe5ab9810f7de6a757ca552b40f9ac0aea7cfe",
     "gen/test.csv":

@@ -12,6 +12,7 @@ from sncv import (
     delong_noninferiority,
     delong_two_tailed,
     roc_auc,
+    workers,
 )
 from sncv.metrics import _upper_tail
 
@@ -372,13 +373,20 @@ class TestBootstrapCI:
         mu = 1.466  # Phi(1.466/sqrt(2)) ~ 0.85
         true_auc = float(norm.cdf(mu / np.sqrt(2)))
         reps = 500
-        hits = 0
-        for r in range(reps):
-            rng = np.random.default_rng([7700, r])
-            labels = np.r_[np.zeros(350, dtype=int), np.ones(150, dtype=int)]
-            scores = rng.standard_normal(500) + mu * labels
-            lo, hi = bootstrap_auc_ci(scores, labels, n_boot=200, seed=r)
-            hits += lo <= true_auc <= hi
+
+        def count_hits(block):
+            hits = 0
+            for r in block:
+                rng = np.random.default_rng([7700, r])
+                labels = np.r_[np.zeros(350, dtype=int), np.ones(150, dtype=int)]
+                scores = rng.standard_normal(500) + mu * labels
+                lo, hi = bootstrap_auc_ci(scores, labels, n_boot=200, seed=r)
+                hits += lo <= true_auc <= hi
+            return hits
+
+        # two halves of the repetitions, one on each CPU
+        halves = [range(0, reps // 2), range(reps // 2, reps)]
+        hits = sum(workers.run_tasks(count_hits, halves, ["first half", "second half"], [1.0, 1.0]))
         assert 0.92 <= hits / reps <= 0.98
 
 

@@ -169,6 +169,13 @@ class TestQsHistogram:
         total = sum(c_non + c_ref for _, _, c_non, c_ref in rows)
         assert total == len(small_scored["scored"])
 
+    @pytest.mark.parametrize("bin_width", [2e9, 1e10])
+    def test_a_width_far_past_the_range_keeps_one_bin(self, small_scored, bin_width):
+        # 2 / bin_width is within the 1e-9 guard of 0 here, which once left no bin at all
+        [(lo, hi, c_non, c_ref)] = qs_histogram(small_scored["scored"], bin_width=bin_width)
+        assert lo == -1.0 and hi == -1.0 + bin_width
+        assert c_non + c_ref == len(small_scored["scored"])
+
     def test_nonreferable_high_mode_asymmetry(self, small_scored):
         # the non-referable side shows a strong mode of near-one scores that
         # the referable side lacks
